@@ -301,6 +301,8 @@ def cmd_classify(args, parser):
 def cmd_specialize(args, parser):
     shape = _shape(args.shape)
     kind, via, k = args.kind, args.via, args.vars
+    if k < 0:
+        parser.error(f"--vars must be nonnegative, got {k}")
     if kind in ("P", "Q") and not is_strict_partition(shape):
         parser.error(f"{kind} needs a strict partition, got {args.shape}")
     if via == "monomial":

@@ -114,8 +114,8 @@ def spike_of(D, n):
     i in {2..n-1} is a spike when exactly one of i-1, i lies in D.
     The degree matters: i = n is never a spike even when n-1 is a descent.
     """
-    if n < 1:
-        raise ValueError("degree must be positive")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     return frozenset(i for i in range(2, n) if (i - 1 in D) != (i in D))
 
 

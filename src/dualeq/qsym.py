@@ -1,4 +1,4 @@
-"""Quasisymmetric expansions and exact linear algebra.
+"""Quasisymmetric expansions.
 
 Generating functions live in one of two bases:
 
@@ -7,29 +7,32 @@ Generating functions live in one of two bases:
 
 Schur, Schur-P and Schur-Q functions are produced as F-expansions (or
 G-expansions for P) by enumerating the relevant tableaux.  Expanding an
-arbitrary F-vector back into Schur functions, or a G-vector into P's, is an
-exact integer linear solve; failures return NotSymmetric / NotInSpan reports
-carrying a witness key, they never raise.
+arbitrary F-vector back into Schur functions, or a G-vector into P's, peels
+off one shape at a time (both bases are unitriangular, see _peel); failures
+return NotSymmetric / NotInSpan reports carrying a witness key, they never
+raise.
 
-All arithmetic is int/Fraction.  No floats anywhere.
+Degree 0 is the empty shape: s_() = P_() = Q_() = F_{} = G_{} = 1.
+
+All arithmetic is on ints.  No floats or rationals anywhere.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .core import (
     InternalInvariantError,
-    is_peak_set,
+    InvalidShapeError,
+    is_partition,
+    is_strict_partition,
     parse_partition,
     partition_str,
     partitions_of,
     peak_of,
-    peak_sets,
     spike_of,
     strict_partitions_of,
     subset_str,
@@ -45,83 +48,57 @@ from .tableaux import (
 )
 
 
-def _clean(coeffs):
-    return {frozenset(k): v for k, v in coeffs.items() if v != 0}
+def _key_order(key):
+    """Subsets by size, then lexicographically."""
+    return len(key), sorted(key)
 
 
-@dataclass(frozen=True, eq=False)
-class QSymF:
-    """An integer combination of fundamental quasisymmetric functions F_D."""
+@dataclass(frozen=True)
+class QSymVector:
+    """An integer combination of basis functions keyed by subsets, zero
+    coefficients dropped; the subclass fixes the basis letter."""
 
     n: int
     coeffs: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSymF)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+        coeffs = {frozenset(k): v for k, v in self.coeffs.items() if v != 0}
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("degree mismatch")
         total = Counter(self.coeffs)
         total.update(other.coeffs)
-        return QSymF(self.n, total)
+        return type(self)(self.n, total)
 
     def scaled(self, c):
-        return QSymF(self.n, {k: c * v for k, v in self.coeffs.items()})
+        return type(self)(self.n, {k: c * v for k, v in self.coeffs.items()})
 
     def terms(self):
         """(key, coeff) pairs sorted by key size then lexicographically."""
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        return sorted(self.coeffs.items(), key=lambda kv: _key_order(kv[0]))
 
     def render(self):
-        return [f"{c} F{subset_str(k)}" for k, c in self.terms()]
+        return [f"{c} {self.letter}{subset_str(k)}" for k, c in self.terms()]
 
 
-@dataclass(frozen=True, eq=False)
-class QSymG:
+class QSymF(QSymVector):
+    """An integer combination of fundamental quasisymmetric functions F_D."""
+
+    letter = "F"
+
+
+class QSymG(QSymVector):
     """An integer combination of peak quasisymmetric functions G_P."""
 
-    n: int
-    coeffs: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSymG)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        total = Counter(self.coeffs)
-        total.update(other.coeffs)
-        return QSymG(self.n, total)
-
-    def scaled(self, c):
-        return QSymG(self.n, {k: c * v for k, v in self.coeffs.items()})
-
-    def terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-    def render(self):
-        return [f"{c} G{subset_str(k)}" for k, c in self.terms()]
+    letter = "G"
 
 
 @dataclass(frozen=True)
 class SchurExpansion:
     n: int
-    coeffs: dict  # partition -> int (Fraction if non-integral)
+    coeffs: dict  # partition -> int
 
     def terms(self):
         """(shape, coeff) pairs, shapes in decreasing lexicographic order."""
@@ -149,150 +126,73 @@ class PExpansion(SchurExpansion):
 
 
 @dataclass(frozen=True)
-class NotSymmetric:
-    """Residual witness: the F-vector is not in the span of Schur functions."""
+class ExpansionFailure:
+    """A vector outside the span: the first key, in size-then-lexicographic
+    order, where the peel leaves a nonzero residual, and that residual."""
 
     witness: frozenset
-    residual: object
+    residual: int
 
 
-@dataclass(frozen=True)
-class NotInSpan:
-    """Residual witness: the G-vector is not in the span of Schur-P functions."""
+class NotSymmetric(ExpansionFailure):
+    """The F-vector is not in the span of Schur functions."""
 
-    witness: frozenset
-    residual: object
+
+class NotInSpan(ExpansionFailure):
+    """The G-vector is not in the span of Schur-P functions."""
 
 
 @lru_cache(maxsize=None)
 def descent_subsets(n):
     """All subsets of {1..n-1}, ordered by size then lexicographically."""
     universe = range(1, n)
-    out = [frozenset(c) for k in range(n) for c in combinations(universe, k)]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(out)
-
-
-class ExactLinearSolver:
-    """Solve A x = rhs exactly for many right-hand sides.
-
-    Forward elimination is fraction-free (Bareiss): every intermediate entry
-    is an integer and each division is exact.  The row operations are
-    recorded once and replayed on each right-hand side, so repeated solves
-    against the same matrix are cheap.  The matrix must have full column
-    rank; inconsistent systems are reported via the key of a zero row whose
-    transformed right-hand side is nonzero.
-    """
-
-    def __init__(self, rows, row_keys, col_keys):
-        self.row_keys = list(row_keys)
-        self.col_keys = list(col_keys)
-        m = [list(r) for r in rows]
-        nrows, ncols = len(m), len(self.col_keys)
-        ops = []
-        pivots = []  # (row, col) positions of the pivots
-        prev = 1
-        pr = 0
-        for pc in range(ncols):
-            sel = next((r for r in range(pr, nrows) if m[r][pc] != 0), None)
-            if sel is None:
-                continue
-            if sel != pr:
-                m[sel], m[pr] = m[pr], m[sel]
-                ops.append(("swap", sel, pr))
-            piv = m[pr][pc]
-            facs = []
-            for r in range(pr + 1, nrows):
-                fac = m[r][pc]
-                for c in range(ncols):
-                    m[r][c] = (piv * m[r][c] - fac * m[pr][c]) // prev
-                facs.append(fac)
-            ops.append(("elim", pr, piv, prev, facs))
-            pivots.append((pr, pc))
-            prev = piv
-            pr += 1
-        if len(pivots) != ncols:
-            raise ValueError("matrix does not have full column rank")
-        for r in range(pr, nrows):
-            if any(m[r][c] != 0 for c in range(ncols)):
-                raise InternalInvariantError("nonzero entries below the pivot rows")
-        self._m = m
-        self._ops = ops
-        self._pivots = pivots
-        keys = list(self.row_keys)
-        for op in ops:
-            if op[0] == "swap":
-                _, a, b_ = op
-                keys[a], keys[b_] = keys[b_], keys[a]
-        self._permuted_keys = keys
-
-    def solve(self, rhs_map):
-        """Return ({col_key: Fraction}, None) or (None, (row_key, residual))."""
-        b = [rhs_map.get(k, 0) for k in self.row_keys]
-        for op in self._ops:
-            if op[0] == "swap":
-                _, r1, r2 = op
-                b[r1], b[r2] = b[r2], b[r1]
-            else:
-                _, pr, piv, prev, facs = op
-                for off, fac in enumerate(facs):
-                    r = pr + 1 + off
-                    b[r] = (piv * b[r] - fac * b[pr]) // prev
-        rank = len(self._pivots)
-        for r in range(rank, len(b)):
-            if b[r] != 0:
-                return None, (self._permuted_keys[r], b[r])
-        x = {}
-        for pr, pc in reversed(self._pivots):
-            acc = Fraction(b[pr])
-            for pr2, pc2 in self._pivots:
-                if pc2 > pc:
-                    acc -= self._m[pr][pc2] * x[self.col_keys[pc2]]
-            x[self.col_keys[pc]] = acc / self._m[pr][pc]
-        return x, None
-
-
-def _as_int(c):
-    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+    return tuple(
+        frozenset(c) for k in range(len(universe) + 1) for c in combinations(universe, k)
+    )
 
 
 @lru_cache(maxsize=None)
-def _schur_solver(n):
-    cols = partitions_of(n)
-    rows_keys = descent_subsets(n)
-    counts = {lam: Counter(descent_set_tab(T) for T in enumerate_syt(lam)) for lam in cols}
-    matrix = [[counts[lam].get(D, 0) for lam in cols] for D in rows_keys]
-    return ExactLinearSolver(matrix, rows_keys, cols)
+def _basis_coeffs(basis_vector, shape):
+    return basis_vector(shape).coeffs
 
 
-@lru_cache(maxsize=None)
-def _p_solver(n):
-    cols = strict_partitions_of(n)
-    rows_keys = peak_sets(n)
-    counts = {lam: P_in_G(lam).coeffs for lam in cols}
-    matrix = [[counts[lam].get(P, 0) for lam in cols] for P in rows_keys]
-    return ExactLinearSolver(matrix, rows_keys, cols)
+def _peel(vec, shapes, basis_vector):
+    """Expand vec over basis_vector(mu) for mu in shapes.
+
+    The shapes come in decreasing lexicographic order, which refines
+    dominance.  The coefficient of the leading key D(mu), the partial sums
+    of mu without n, is 1 in the vector of mu and 0 in the vector of any
+    shape that does not dominate mu (Kostka unitriangularity; Stembridge,
+    Enriched P-partitions, for P in G).  So once the earlier shapes are
+    subtracted, the residual at D(mu) is mu's coefficient.
+
+    Returns ({shape: coeff}, None), or (None, (witness, residual)) for the
+    first key of a nonzero final residual."""
+    residual = Counter(vec.coeffs)
+    coeffs = {}
+    for mu in shapes:
+        c = residual[frozenset(accumulate(mu[:-1]))]
+        if c:
+            coeffs[mu] = c
+            for key, v in _basis_coeffs(basis_vector, mu).items():
+                residual[key] -= c * v
+    bad = [key for key, v in residual.items() if v]
+    if bad:
+        witness = min(bad, key=_key_order)
+        return None, (witness, residual[witness])
+    return coeffs, None
 
 
 def expand_in_schur(f: QSymF):
     """Expand an F-vector in Schur functions, or report NotSymmetric."""
-    solution, bad = _schur_solver(f.n).solve(f.coeffs)
-    if bad is not None:
-        return NotSymmetric(witness=bad[0], residual=bad[1])
-    coeffs = {lam: _as_int(c) for lam, c in solution.items() if c != 0}
-    return SchurExpansion(f.n, coeffs)
+    coeffs, bad = _peel(f, partitions_of(f.n), schur_in_F)
+    return NotSymmetric(*bad) if bad else SchurExpansion(f.n, coeffs)
 
 
 def expand_in_P(g: QSymG):
     """Expand a G-vector in Schur-P functions, or report NotInSpan."""
-    for key in g.coeffs:
-        if not is_peak_set(key, g.n):
-            return NotInSpan(witness=key, residual=g.coeffs[key])
-    solution, bad = _p_solver(g.n).solve(g.coeffs)
-    if bad is not None:
-        return NotInSpan(witness=bad[0], residual=bad[1])
-    coeffs = {lam: _as_int(c) for lam, c in solution.items() if c != 0}
-    return PExpansion(g.n, coeffs)
+    coeffs, bad = _peel(g, strict_partitions_of(g.n), P_in_G)
+    return NotInSpan(*bad) if bad else PExpansion(g.n, coeffs)
 
 
 def schur_in_F(shape) -> QSymF:
@@ -331,13 +231,14 @@ def P_in_G(shape) -> QSymG:
     2^(|Peak(T)|+1-l): its 2^(n-l) signed variants (unprimed diagonal) have
     descent sets that cover the 2^(n-1-|Peak(T)|) sets whose spike set
     contains Peak(T) that many times each.  The multiplicity is 1 exactly
-    when |Peak(T)| = l-1, the minimum over the shape."""
+    when |Peak(T)| = l-1, the minimum over the shape.  The empty shape has
+    one empty tableau and multiplicity 1: P_() = G_{} = 1."""
     shape = tuple(shape)
-    ell = len(shape)
+    least = max(len(shape) - 1, 0)
     acc = Counter()
     for T in enumerate_shsyt(shape):
         P = peak_of(descent_set_tab(T))
-        acc[P] += 2 ** (len(P) + 1 - ell)
+        acc[P] += 2 ** (len(P) - least)
     return QSymG(sum(shape), acc)
 
 
@@ -444,6 +345,8 @@ def parse_expansion(text, n=None):
         coeff_tok, _, key_tok = line.partition(" ")
         coeff = int(coeff_tok)
         key_tok = key_tok.strip()
+        if not key_tok:
+            raise ValueError(f"malformed term: {line!r}")
         letter, body = key_tok[0], key_tok[1:]
         kinds.add(letter)
         if letter in ("F", "G"):
@@ -453,6 +356,8 @@ def parse_expansion(text, n=None):
             key = frozenset(int(t) for t in inner.split(",")) if inner else frozenset()
         elif letter in ("s", "P"):
             key = parse_partition(body)
+            if not (is_strict_partition if letter == "P" else is_partition)(key):
+                raise InvalidShapeError(f"not a shape for {letter}: {body!r}")
         else:
             raise ValueError(f"unknown basis letter in {line!r}")
         entries.append((key, coeff))

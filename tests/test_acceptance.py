@@ -1,6 +1,6 @@
 """Acceptance gate: one test per shipped claim, timed where the claim is.
 
-Each test asserts exact equality (all arithmetic is int/Fraction) plus the
+Each test asserts exact equality (all arithmetic is on ints) plus the
 advertised wall-clock budget for the whole check, so `pytest -v` prints one
 pass/fail line per claim.
 """

@@ -1,6 +1,8 @@
 import io
 import contextlib
 
+import pytest
+
 from dualeq.cli import main
 from dualeq.qsym import parse_expansion
 
@@ -51,6 +53,28 @@ def test_expand_output_round_trips():
         assert code == 0
         vec = parse_expansion(out, n)
         assert vec.coeffs and all(c > 0 for c in vec.coeffs.values())
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("expand", "P", "[]", "--basis", "G"), ["1 G{}"]),
+        (("expand", "Q", "[]", "--basis", "G"), ["1 G{}"]),
+        (("expand", "schur", "[]", "--schur-of"), ["1 s[]"]),
+        (("classes", "--ground", "perm", "--n", "0", "--family", "d",
+          "--porcelain"), ["1\t1\t\t1 F{}\t1 s[]"]),
+        (("classes", "--ground", "syt", "--shape", "[]", "--family", "d",
+          "--porcelain"), ["1\t1\t\t1 F{}\t1 s[]"]),
+        (("classes", "--ground", "shsyt", "--shape", "[]", "--family", "b",
+          "--porcelain"), ["1\t1\t\t1 G{}\t1 P[]"]),
+        (("specialize", "--kind", "Q", "--shape", "[]", "--vars", "2",
+          "--via", "G"), ["1 1"]),
+    ],
+)
+def test_degree_zero_is_the_empty_shape(argv, want):
+    # s_() = P_() = Q_() = 1 on every route
+    code, out, err = run(*argv)
+    assert (code, out.splitlines(), err) == (0, want, "")
 
 
 def test_enumerate_standard_porcelain():
@@ -225,6 +249,16 @@ def test_specialize_routes_agree():
             "specialize", "--kind", "Q", "--shape", "[4,2]",
             "--vars", "3", "--via", via,
         ) == base
+
+
+@pytest.mark.parametrize("via", ["monomial", "F", "G"])
+def test_specialize_negative_vars_names_the_option(via):
+    code, out, err = run(
+        "specialize", "--kind", "P", "--shape", "[3,1]", "--vars", "-1",
+        "--via", via,
+    )
+    assert code == 2 and out == ""
+    assert "--vars must be nonnegative" in err
 
 
 def test_usage_errors_exit_two(tmp_path):

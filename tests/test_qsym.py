@@ -1,16 +1,14 @@
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from dualeq.core import (
+    InvalidShapeError,
     partitions_of,
     peak_sets,
     spike_of,
     strict_partitions_of,
 )
 from dualeq.qsym import (
-    ExactLinearSolver,
     G_to_F,
     NotInSpan,
     NotSymmetric,
@@ -150,20 +148,6 @@ def test_expand_handles_fractional_coefficients():
     assert exp.coeffs == {(2, 1): 4}
 
 
-def test_exact_solver_on_rational_and_inconsistent_systems():
-    solver = ExactLinearSolver([[2, 1], [4, 3]], ["r1", "r2"], ["c1", "c2"])
-    sol, bad = solver.solve({"r1": 1, "r2": 1})
-    assert bad is None
-    assert sol == {"c1": Fraction(1, 1), "c2": Fraction(-1, 1)}
-    # inconsistent right-hand side over an overdetermined system is reported
-    solver = ExactLinearSolver([[1], [2]], ["r1", "r2"], ["c1"])
-    sol, bad = solver.solve({"r1": 1, "r2": 3})
-    assert bad is not None and bad[0] == "r2"
-    # rank-deficient matrices are rejected outright
-    with pytest.raises(ValueError):
-        ExactLinearSolver([[1, 2], [2, 4]], ["r1", "r2"], ["c1", "c2"])
-
-
 def test_specialization_identities_small():
     # F and monomial routes agree for all three kinds at small sizes
     for lam in [(2, 1), (3, 1), (3, 2)]:
@@ -201,6 +185,46 @@ def test_parse_expansion_roundtrips():
 def test_parse_expansion_rejects_mixed_bases():
     with pytest.raises(ValueError):
         parse_expansion("1 F{1}\n1 s[2,1]", n=3)
+
+
+def test_parse_expansion_rejects_malformed_terms():
+    with pytest.raises(ValueError):
+        parse_expansion("1  ")
+    for text in ("1 P[2,2]", "1 s[1,2]", "1 s[0]"):
+        with pytest.raises(InvalidShapeError):
+            parse_expansion(text)
+
+
+@st.composite
+def rendered_vectors(draw):
+    letter = draw(st.sampled_from("sPFG"))
+    n = draw(st.integers(0, 7))
+    if letter in "sP":
+        keys = partitions_of(n) if letter == "s" else strict_partitions_of(n)
+        cls = SchurExpansion if letter == "s" else PExpansion
+    else:
+        keys = descent_subsets(n)
+        cls = QSymF if letter == "F" else QSymG
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    return cls(n, {k: draw(st.integers(-5, 5).filter(bool)) for k in chosen})
+
+
+@given(rendered_vectors())
+@settings(max_examples=200, deadline=None)
+def test_parse_expansion_round_trips_rendered_output(vec):
+    assert parse_expansion("\n".join(vec.render()), n=vec.n) == vec
+
+
+@given(
+    st.one_of(st.text(max_size=40), st.text("0123456789-+ ,{}[]FGsPx\n", max_size=40)),
+    st.one_of(st.none(), st.integers(0, 6)),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_expansion_raises_only_value_errors(text, n):
+    try:
+        parse_expansion(text, n)
+    except ValueError:
+        pass
 
 
 def test_qsym_vector_arithmetic():
