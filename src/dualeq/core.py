@@ -154,10 +154,11 @@ def peak_sets(n):
     """All peak sets of degree n, ordered by size then lexicographically.
 
     There are Fibonacci-many of them (F_1 = F_2 = 1 convention gives
-    |peak_sets(n)| = F_n).
+    |peak_sets(n)| = F_n).  Degree 0 is the empty shape, with the one peak
+    set {}.
     """
-    if n < 1:
-        raise ValueError("degree must be positive")
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     found = []
     universe = range(2, n)
     for size in range(0, len(range(2, n)) + 1):

@@ -4,7 +4,11 @@ A ground is a finite family of combinatorial objects carrying a subset
 statistic (descent sets or peak sets) together with indexed involutions.
 Builtin grounds cover permutations, signed permutations, standard tableaux,
 standard shifted tableaux and signed standard shifted tableaux; arbitrary
-grounds can be read from .deg files.
+grounds can be read from .deg files.  The standard (shifted) tableau grounds
+are indexed by reading words: d and b act on the words, and an image that is
+not an enumerated word is not a standard tableau of the shape.  The standard
+shifted grounds that classes are matched against are built once per shape
+and cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
@@ -14,16 +18,18 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 
 from .core import (
+    InternalInvariantError,
     is_peak_set,
     partition_str,
     peak_of,
     restrict_descents,
     restrict_peaks,
 )
-from .involutions import b, b_tab, d, d_tab, phi, psi
+from .involutions import b, d, phi, psi
 from .qsym import (
     PExpansion,
     QSymF,
@@ -109,12 +115,23 @@ class DEGround:
         return self
 
 
-def _materialize(stat_kind, n, objects, labels, stats, apply_inv, desc):
-    index_of = {obj: k for k, obj in enumerate(objects)}
+def _materialize(stat_kind, n, objects, labels, stats, apply_inv, desc, keys=None):
+    """Tabulate the involutions over keys, the values apply_inv acts on (by
+    default the objects themselves; one key per object).  The lookup of each
+    image is the validity check: an image that is not a key is not in the
+    ground, and raises InternalInvariantError."""
+    keys = objects if keys is None else keys
+    index_of = {key: k for k, key in enumerate(keys)}
     hi = n if stat_kind == DES else n - 1
     invs = {}
     for i in range(2, hi):
-        invs[i] = tuple(index_of[apply_inv(i, obj)] for obj in objects)
+        table = tuple(index_of.get(apply_inv(i, key)) for key in keys)
+        if None in table:
+            raise InternalInvariantError(
+                f"involution {i} of {desc} sends {labels[table.index(None)]} "
+                "outside the ground"
+            )
+        invs[i] = table
     return DEGround(
         stat_kind, n, tuple(labels), tuple(stats), invs, tuple(objects), desc
     ).validate()
@@ -158,17 +175,21 @@ def build_ground(desc) -> DEGround:
             DES, param, words, [word_str(w) for w in words],
             [descent_set_word(w) for w in words], phi, name,
         )
+    # d and b act on reading words (see the module docstring); the stat
+    # call descent_set_tab is the one validation of each enumerated tableau.
     if kind == "syt" and family == "d":
         tabs = enumerate_syt(param)
+        words = [reading_word(T) for T in tabs]
         return _materialize(
-            DES, sum(param), tabs, [word_str(reading_word(T)) for T in tabs],
-            [descent_set_tab(T) for T in tabs], d_tab, name,
+            DES, sum(param), tabs, [word_str(w) for w in words],
+            [descent_set_tab(T) for T in tabs], d, name, words,
         )
     if kind == "shsyt" and family == "b":
         tabs = enumerate_shsyt(param)
+        words = [reading_word(T) for T in tabs]
         return _materialize(
-            PEAK, sum(param), tabs, [word_str(reading_word(T)) for T in tabs],
-            [peak_of(descent_set_tab(T)) for T in tabs], b_tab, name,
+            PEAK, sum(param), tabs, [word_str(w) for w in words],
+            [peak_of(descent_set_tab(T)) for T in tabs], b, name, words,
         )
     if kind == "signed-shsyt" and family == "psi":
         tabs = enumerate_signed_standard(param, False)
@@ -701,6 +722,15 @@ class ClassificationFailure:
     detail: object
 
 
+# One target ground per shape for the life of the process.  Sharing is safe
+# because nothing in this module mutates a ground: subground and
+# relabel_peak_minus_one build new ones, everything else only reads.
+@lru_cache(maxsize=None)
+def _shifted_target(shape) -> DEGround:
+    """The standard shifted ground (shsyt, shape, b)."""
+    return build_ground(("shsyt", shape, "b"))
+
+
 def classify_shifted_class(g: DEGround, members):
     """Identify a class of a peak-kind ground: its generating function must
     expand to a unit Schur-P vector, and the class must be isomorphic to the
@@ -720,7 +750,7 @@ def classify_shifted_class(g: DEGround, members):
             ", ".join(expansion.render()),
         )
     sub = subground(g, members)
-    target = build_ground(("shsyt", shape, "b"))
+    target = _shifted_target(shape)
     iso = find_isomorphism(sub, target)
     if iso is None:
         return ClassificationFailure(
@@ -767,7 +797,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
                         "not a unit Schur-P vector",
                     )
                     continue
-                target = build_ground(("shsyt", shape, "b"))
+                target = _shifted_target(shape)
                 if find_isomorphism(sub, target) is None:
                     acc_v.fail(
                         (g.labels[comp[0]],),

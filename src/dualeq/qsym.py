@@ -28,6 +28,7 @@ from .core import (
     InternalInvariantError,
     InvalidShapeError,
     is_partition,
+    is_peak_set,
     is_strict_partition,
     parse_partition,
     partition_str,
@@ -39,12 +40,14 @@ from .core import (
 )
 from .tableaux import (
     descent_set_tab,
+    descent_set_word,
     enumerate_shssyt,
     enumerate_shsyt,
     enumerate_signed_standard,
     enumerate_ssyt,
     enumerate_syt,
     monomial_weight,
+    reading_word,
 )
 
 
@@ -98,7 +101,11 @@ class QSymG(QSymVector):
 @dataclass(frozen=True)
 class SchurExpansion:
     n: int
-    coeffs: dict  # partition -> int
+    coeffs: dict  # partition -> int, zero coefficients dropped
+
+    def __post_init__(self):
+        coeffs = {sh: c for sh, c in self.coeffs.items() if c != 0}
+        object.__setattr__(self, "coeffs", coeffs)
 
     def terms(self):
         """(shape, coeff) pairs, shapes in decreasing lexicographic order."""
@@ -201,11 +208,17 @@ def schur_in_F(shape) -> QSymF:
     return QSymF(sum(shape), Counter(descent_set_tab(T) for T in tabs))
 
 
+def _word_descents(tabs):
+    """Descent sets of tableaux that enumerate_signed_standard has already
+    validated, read off their reading words without validating again."""
+    return Counter(descent_set_word(reading_word(T)) for T in tabs)
+
+
 def P_in_F(shape) -> QSymF:
     """Schur-P function as a sum of F_D over signed standard shifted tableaux
     with unprimed diagonal."""
     tabs = enumerate_signed_standard(shape, False)
-    return QSymF(sum(shape), Counter(descent_set_tab(T) for T in tabs))
+    return QSymF(sum(shape), _word_descents(tabs))
 
 
 def Q_in_F(shape) -> QSymF:
@@ -214,7 +227,7 @@ def Q_in_F(shape) -> QSymF:
     scaled = P_in_F(shape).scaled(2 ** len(tuple(shape)))
     direct = QSymF(
         sum(shape),
-        Counter(descent_set_tab(T) for T in enumerate_signed_standard(shape, True)),
+        _word_descents(enumerate_signed_standard(shape, True)),
     )
     if scaled != direct:
         raise InternalInvariantError(
@@ -334,7 +347,9 @@ def parse_expansion(text, n=None):
 
     Lines look like "2 F{1,3}", "1 G{2}", "1 s[3,1]", "3 P[4,2,1]".  All
     lines must use the same basis letter.  F/G vectors need the degree n
-    (subsets do not determine it); s/P vectors infer it from the shapes.
+    (subsets do not determine it), and every F key must be a subset of
+    {1..n-1} and every G key a peak set of degree n; s/P vectors infer it
+    from the shapes.  Zero coefficients are dropped.
     """
     kinds = set()
     entries = []
@@ -370,7 +385,19 @@ def parse_expansion(text, n=None):
     if letter in ("F", "G"):
         if n is None:
             raise ValueError("degree n is required for F/G expansions")
+        if n < 0:
+            raise ValueError(f"degree must be nonnegative, got {n}")
+        for key in coeffs:
+            valid = (
+                all(1 <= x <= n - 1 for x in key) if letter == "F"
+                else is_peak_set(key, n)
+            )
+            if not valid:
+                raise ValueError(
+                    f"{letter}{subset_str(key)} is not a key of degree {n}"
+                )
         return QSymF(n, coeffs) if letter == "F" else QSymG(n, coeffs)
+    # the degree comes from the shapes, zero coefficients included
     degrees = {sum(sh) for sh in coeffs}
     if len(degrees) != 1:
         raise ValueError("mixed degrees in expansion")

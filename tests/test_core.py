@@ -92,6 +92,12 @@ def test_peak_sets_fibonacci_dimension():
         assert len(peak_sets(n)) == fib(n)
 
 
+def test_peak_sets_degree_zero_is_the_empty_shape():
+    assert peak_sets(0) == (frozenset(),)
+    with pytest.raises(ValueError):
+        peak_sets(-1)
+
+
 def test_peak_sets_are_valid_and_ordered():
     for n in range(1, 10):
         ps = peak_sets(n)

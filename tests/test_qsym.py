@@ -3,6 +3,7 @@ import pytest
 
 from dualeq.core import (
     InvalidShapeError,
+    is_peak_set,
     partitions_of,
     peak_sets,
     spike_of,
@@ -202,9 +203,10 @@ def rendered_vectors(draw):
     if letter in "sP":
         keys = partitions_of(n) if letter == "s" else strict_partitions_of(n)
         cls = SchurExpansion if letter == "s" else PExpansion
+    elif letter == "F":
+        keys, cls = descent_subsets(n), QSymF
     else:
-        keys = descent_subsets(n)
-        cls = QSymF if letter == "F" else QSymG
+        keys, cls = peak_sets(n), QSymG
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
     return cls(n, {k: draw(st.integers(-5, 5).filter(bool)) for k in chosen})
 
@@ -222,9 +224,36 @@ def test_parse_expansion_round_trips_rendered_output(vec):
 @settings(max_examples=300, deadline=None)
 def test_parse_expansion_raises_only_value_errors(text, n):
     try:
-        parse_expansion(text, n)
+        vec = parse_expansion(text, n)
     except ValueError:
-        pass
+        return
+    if isinstance(vec, QSymF):
+        assert all(set(k) <= set(range(1, n)) for k in vec.coeffs)
+    elif isinstance(vec, QSymG):
+        assert all(is_peak_set(k, n) for k in vec.coeffs)
+
+
+@given(
+    st.sampled_from("FG"),
+    st.integers(-2, 7),
+    st.frozensets(st.integers(-2, 9), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_expansion_accepts_only_keys_of_the_degree(letter, n, key):
+    text = f"1 {letter}{{{','.join(map(str, sorted(key)))}}}"
+    valid = n >= 0 and (
+        set(key) <= set(range(1, n)) if letter == "F" else is_peak_set(key, n)
+    )
+    if valid:
+        assert parse_expansion(text, n).coeffs == {key: 1}
+    else:
+        with pytest.raises(ValueError):
+            parse_expansion(text, n)
+
+
+def test_parse_expansion_drops_zero_coefficients():
+    assert parse_expansion("0 s[1]") == SchurExpansion(1, {})
+    assert parse_expansion("2 P[2,1]\n-2 P[2,1]\n1 P[3]") == PExpansion(3, {(3,): 1})
 
 
 def test_qsym_vector_arithmetic():
