@@ -24,6 +24,7 @@ from .core import (
     subset_str,
 )
 from .engine import (
+    BUILTIN_GROUNDS,
     ClassificationFailure,
     DegParseError,
     build_ground,
@@ -61,17 +62,6 @@ from .tableaux import (
     word_str,
 )
 
-# which involution family acts on which ground, and the statistic kind
-FAMILIES = {
-    ("perm", "d"): "des",
-    ("perm", "b"): "peak",
-    ("signedperm", "phi"): "des",
-    ("syt", "d"): "des",
-    ("shsyt", "b"): "peak",
-    ("signed-shsyt", "psi"): "des",
-}
-
-
 def _add_common(sub):
     sub.add_argument(
         "--porcelain",
@@ -96,8 +86,7 @@ def _shape(text):
 
 
 def _ground_descriptor(args, parser):
-    key = (args.ground, args.family)
-    if key not in FAMILIES:
+    if (args.ground, args.family) not in BUILTIN_GROUNDS:
         parser.error(
             f"family {args.family!r} does not act on ground {args.ground!r}"
         )
@@ -330,6 +319,8 @@ def build_parser():
         "mechanical verification of the dual-equivalence axiom systems.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    grounds = list(dict.fromkeys(ground for ground, _ in BUILTIN_GROUNDS))
+    families = list(dict.fromkeys(family for _, family in BUILTIN_GROUNDS))
 
     p = sub.add_parser("expand", help="basis expansions of s/P/Q functions")
     p.add_argument("kind", choices=["schur", "P", "Q"])
@@ -358,12 +349,8 @@ def build_parser():
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classes", help="dual equivalence classes of a ground")
-    p.add_argument("--family", choices=["d", "b", "phi", "psi"], required=True)
-    p.add_argument(
-        "--ground",
-        choices=["perm", "signedperm", "syt", "shsyt", "signed-shsyt"],
-        required=True,
-    )
+    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--ground", choices=grounds, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--shape", default=None)
     _add_common(p)
@@ -371,8 +358,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run an axiom-system verification")
     p.add_argument("--axioms", choices=["strong", "weak", "shifted"], required=True)
-    p.add_argument("--ground", choices=["perm", "signedperm", "syt", "shsyt", "signed-shsyt"])
-    p.add_argument("--family", choices=["d", "b", "phi", "psi"])
+    p.add_argument("--ground", choices=grounds)
+    p.add_argument("--family", choices=families)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--shape", default=None)
     p.add_argument("--file", default=None, help="DEG file instead of a builtin ground")

@@ -3,12 +3,13 @@
 A ground is a finite family of combinatorial objects carrying a subset
 statistic (descent sets or peak sets) together with indexed involutions.
 Builtin grounds cover permutations, signed permutations, standard tableaux,
-standard shifted tableaux and signed standard shifted tableaux; arbitrary
-grounds can be read from .deg files.  The standard (shifted) tableau grounds
-are indexed by reading words: d and b act on the words, and an image that is
-not an enumerated word is not a standard tableau of the shape.  The standard
-shifted grounds that classes are matched against are built once per shape
-and cached.
+standard shifted tableaux and signed standard shifted tableaux, one entry
+each in BUILTIN_GROUNDS; arbitrary grounds can be read from .deg files.
+Every builtin ground is a set of words: the tableau grounds are indexed by
+reading words, the involutions act on the words, and an image that is not
+an enumerated word is not a tableau of the shape.  The standard shifted
+grounds that classes are matched against are built once per shape and
+cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 
 from .core import (
@@ -39,7 +40,6 @@ from .qsym import (
     expand_in_schur,
 )
 from .tableaux import (
-    descent_set_tab,
     descent_set_word,
     enumerate_shsyt,
     enumerate_signed_standard,
@@ -75,7 +75,6 @@ class DEGround:
     labels: tuple
     stats: tuple
     invs: dict
-    objects: tuple = None
     desc: str = ""
 
     @property
@@ -115,89 +114,81 @@ class DEGround:
         return self
 
 
-def _materialize(stat_kind, n, objects, labels, stats, apply_inv, desc, keys=None):
-    """Tabulate the involutions over keys, the values apply_inv acts on (by
-    default the objects themselves; one key per object).  The lookup of each
-    image is the validity check: an image that is not a key is not in the
+def _materialize(stat_kind, n, words, labels, stats, apply_inv, desc):
+    """Tabulate the involutions over the words.  The lookup of each image is
+    the validity check: an image that is not one of the words is not in the
     ground, and raises InternalInvariantError."""
-    keys = objects if keys is None else keys
-    index_of = {key: k for k, key in enumerate(keys)}
+    index_of = {w: k for k, w in enumerate(words)}
     hi = n if stat_kind == DES else n - 1
     invs = {}
     for i in range(2, hi):
-        table = tuple(index_of.get(apply_inv(i, key)) for key in keys)
+        table = tuple(index_of.get(apply_inv(i, w)) for w in words)
         if None in table:
             raise InternalInvariantError(
                 f"involution {i} of {desc} sends {labels[table.index(None)]} "
                 "outside the ground"
             )
         invs[i] = table
-    return DEGround(
-        stat_kind, n, tuple(labels), tuple(stats), invs, tuple(objects), desc
-    ).validate()
+    return DEGround(stat_kind, n, tuple(labels), tuple(stats), invs, desc).validate()
 
 
-def _all_perms(n):
-    return list(permutations(range(1, n + 1)))
-
-
-def _all_signed_perms(n):
-    words = []
-    for base in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            words.append(tuple(s * v for s, v in zip(signs, base)))
-    return words
+# (ground, family) -> (stat kind, the valid words of the parameter, the
+# involution on words for the parameter).  The parameter is n for the
+# permutation grounds and a shape for the tableau grounds, whose words are
+# the reading words of the enumerated tableaux.  The lambdas look the
+# functions up when a ground is built, so a wrapper installed on a module
+# name (bench/tracer.py) sees every call.
+BUILTIN_GROUNDS = {
+    ("perm", "d"): (DES, lambda n: list(permutations(range(1, n + 1))), lambda n: d),
+    ("perm", "b"): (PEAK, lambda n: list(permutations(range(1, n + 1))), lambda n: b),
+    ("signedperm", "phi"): (
+        DES,
+        lambda n: [
+            signed
+            for w in permutations(range(1, n + 1))
+            for signed in product(*((v, -v) for v in w))
+        ],
+        lambda n: phi,
+    ),
+    ("syt", "d"): (
+        DES,
+        lambda shape: [reading_word(T) for T in enumerate_syt(shape)],
+        lambda shape: d,
+    ),
+    ("shsyt", "b"): (
+        PEAK,
+        lambda shape: [reading_word(T) for T in enumerate_shsyt(shape)],
+        lambda shape: b,
+    ),
+    ("signed-shsyt", "psi"): (
+        DES,
+        lambda shape: [
+            reading_word(T) for T in enumerate_signed_standard(shape, False)
+        ],
+        lambda shape: partial(psi, shape=shape),
+    ),
+}
 
 
 def build_ground(desc) -> DEGround:
-    """Build a builtin ground from a descriptor tuple.
-
-    Descriptors: ("perm", n, "d"), ("perm", n, "b"), ("signedperm", n, "phi"),
-    ("syt", shape, "d"), ("shsyt", shape, "b"), ("signed-shsyt", shape, "psi").
-    """
+    """Build a builtin ground from a descriptor (ground, parameter, family)
+    such as ("perm", 4, "d") or ("shsyt", (4, 2), "b"); BUILTIN_GROUNDS
+    lists the pairs."""
     kind, param, family = desc
-    name = f"({kind},{param},{family})"
-    if kind == "perm" and family == "d":
-        words = _all_perms(param)
-        return _materialize(
-            DES, param, words, [word_str(w) for w in words],
-            [descent_set_word(w) for w in words], d, name,
-        )
-    if kind == "perm" and family == "b":
-        words = _all_perms(param)
-        return _materialize(
-            PEAK, param, words, [word_str(w) for w in words],
-            [peak_of(descent_set_word(w)) for w in words], b, name,
-        )
-    if kind == "signedperm" and family == "phi":
-        words = _all_signed_perms(param)
-        return _materialize(
-            DES, param, words, [word_str(w) for w in words],
-            [descent_set_word(w) for w in words], phi, name,
-        )
-    # d and b act on reading words (see the module docstring); the stat
-    # call descent_set_tab is the one validation of each enumerated tableau.
-    if kind == "syt" and family == "d":
-        tabs = enumerate_syt(param)
-        words = [reading_word(T) for T in tabs]
-        return _materialize(
-            DES, sum(param), tabs, [word_str(w) for w in words],
-            [descent_set_tab(T) for T in tabs], d, name, words,
-        )
-    if kind == "shsyt" and family == "b":
-        tabs = enumerate_shsyt(param)
-        words = [reading_word(T) for T in tabs]
-        return _materialize(
-            PEAK, sum(param), tabs, [word_str(w) for w in words],
-            [peak_of(descent_set_tab(T)) for T in tabs], b, name, words,
-        )
-    if kind == "signed-shsyt" and family == "psi":
-        tabs = enumerate_signed_standard(param, False)
-        return _materialize(
-            DES, sum(param), tabs, [word_str(reading_word(T)) for T in tabs],
-            [descent_set_tab(T) for T in tabs], psi, name,
-        )
-    raise ValueError(f"unknown ground descriptor {desc!r}")
+    if (kind, family) not in BUILTIN_GROUNDS:
+        raise ValueError(f"unknown ground descriptor {desc!r}")
+    stat_kind, valid_words, involution = BUILTIN_GROUNDS[kind, family]
+    n = param if isinstance(param, int) else sum(param)
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    words = valid_words(param)
+    stats = [descent_set_word(w) for w in words]
+    if stat_kind == PEAK:
+        stats = [peak_of(D) for D in stats]
+    return _materialize(
+        stat_kind, n, words, [word_str(w) for w in words], stats,
+        involution(param), f"({kind},{param},{family})",
+    )
 
 
 def _components(size, tables):
@@ -607,7 +598,6 @@ def relabel_peak_minus_one(g: DEGround) -> DEGround:
         g.labels,
         tuple(frozenset(p - 1 for p in s) for s in g.stats),
         dict(g.invs),
-        g.objects,
         f"{g.desc} as Peak-1",
     ).validate()
 
@@ -645,7 +635,6 @@ def subground(g: DEGround, members, window=None, literal=False) -> DEGround:
         tuple(g.labels[x] for x in members),
         stats,
         invs,
-        tuple(g.objects[x] for x in members) if g.objects else None,
         f"{g.desc}|{g.labels[members[0]] if members else ''}",
     ).validate()
 
@@ -933,9 +922,7 @@ def parse_deg(src) -> DEGround:
         for x, y in pairings.get(idx, {}).items():
             table[x] = y
         invs[idx] = tuple(table)
-    ground = DEGround(
-        stat_kind, n, tuple(labels), tuple(stats), invs, None, "file ground"
-    )
+    ground = DEGround(stat_kind, n, tuple(labels), tuple(stats), invs, "file ground")
     try:
         ground.validate()
     except ValueError as exc:

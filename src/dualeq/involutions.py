@@ -1,19 +1,22 @@
 """Elementary dual equivalence involutions.
 
 Four families, all indexed by an integer i and acting on words whose absolute
-values are 1..n (or on standard tableaux via their reading words):
+values are 1..n; a tableau is acted on through its reading word:
 
-* d(i, w)   — classical dual equivalence on unsigned words, 1 < i < n;
-* b(i, w)   — the shifted (peak-statistic) variant, 1 < i < n-1;
-* phi(i, w) — signed words, driven by the spike set, 1 < i < n;
-* psi(i, S) — signed standard shifted tableaux, 1 < i < n, with an extra
-              same-column clause before the phi rules.
+* d(i, w)          — classical dual equivalence on unsigned words, 1 < i < n;
+* b(i, w)          — the shifted (peak-statistic) variant, 1 < i < n-1;
+* phi(i, w)        — signed words, driven by the spike set, 1 < i < n;
+* psi(i, w, shape) — reading words of signed standard shifted tableaux of
+                     the shape, 1 < i < n: phi plus one same-column clause.
 
 Each family is an involution; d/phi/psi commute at distance >= 3, b at
-distance >= 4.
+distance >= 4.  d_tab and b_tab apply d and b to a tableau and rebuild it,
+re-checking that the image is standard.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .core import InternalInvariantError, spike_of
 from .tableaux import (
@@ -138,49 +141,35 @@ def b_tab(i, T: Tableau) -> Tableau:
     return _rebuild(T, b(i, reading_word(T)))
 
 
-def psi(i, S: Tableau) -> Tableau:
-    """Signed shifted elementary dual equivalence on a signed standard tableau.
+@lru_cache(maxsize=None)
+def _reading_columns(shape):
+    """Column of each position of the reading word of a shifted shape."""
+    return tuple(
+        col for r in range(len(shape), 0, -1) for col in range(r, r + shape[r - 1])
+    )
 
-    Fixed unless i is a spike of the reading word.  Otherwise, with a, b, c
-    the cells holding values i-1, i, i+1 in reading order: if a and c share a
-    column that b does not, toggle the prime on c; else if exactly one of b,
-    c is primed, swap their primes; else swap the values of a and c, leaving
-    primes on their cells.
+
+def psi(i, w, shape):
+    """Signed shifted elementary dual equivalence on the reading word of a
+    signed standard shifted tableau of the given shape (1 < i < n).
+
+    Fixed unless i is a spike of w.  Otherwise, with a, b, c the positions
+    of the values i-1, i, i+1 in word order: if a and c share a column that
+    b does not, toggle the prime on c; else act as phi(i, w).
 
     When all three cells sit in one column the reading order is forced to be
     a=i+1, b=i, c=i-1 top to bottom, and the spike at i holds exactly when
-    one of b, c is primed; the prime-swap clause therefore always applies
+    one of b, c is primed; phi's prime-swap clause therefore always applies
     there and preserves the spike, whereas toggling c alone would kill it.
     """
-    w = reading_word(S)
     n = len(w)
     _check_index(i, n, 0)
     if i not in spike_of(descent_set_word(w), n):
-        return S
-    located = {}
-    for r, c, e in S.cells():
-        if abs(e) in (i - 1, i, i + 1):
-            located[abs(e)] = (r, c, e)
-    order = sorted(located.values(), key=lambda rc: w.index(rc[2]))
-    (ra, ca, ea), (rb, cb, eb), (rc_, cc, ec) = order
-    grid = {(r, c): e for r, c, e in S.cells()}
-    if ca == cc and cb != cc:
-        grid[(rc_, cc)] = -ec
-    elif (eb < 0) != (ec < 0):
-        grid[(rb, cb)] = -eb
-        grid[(rc_, cc)] = -ec
-    else:
-        sa = -1 if ea < 0 else 1
-        sc = -1 if ec < 0 else 1
-        grid[(ra, ca)] = sa * abs(ec)
-        grid[(rc_, cc)] = sc * abs(ea)
-    rows = [
-        tuple(grid[(r, c)] for c in range(r, r + width))
-        for r, width in enumerate(S.shape, 1)
-    ]
-    out = tableau(S.kind, rows)
-    if not is_standard(out):
-        raise InternalInvariantError(
-            f"psi({i}) produced an invalid tableau from {word_str(w)}"
-        )
-    return out
+        return tuple(w)
+    pa, pb, pc = sorted(_positions(w)[v] for v in (i - 1, i, i + 1))
+    col = _reading_columns(tuple(shape))
+    if col[pa] == col[pc] != col[pb]:
+        out = list(w)
+        out[pc] = -out[pc]
+        return tuple(out)
+    return phi(i, w)

@@ -39,7 +39,6 @@ from .core import (
     subset_str,
 )
 from .tableaux import (
-    descent_set_tab,
     descent_set_word,
     enumerate_shssyt,
     enumerate_shsyt,
@@ -204,13 +203,12 @@ def expand_in_P(g: QSymG):
 
 def schur_in_F(shape) -> QSymF:
     """Schur function s_shape as a sum of F_D over standard Young tableaux."""
-    tabs = enumerate_syt(shape)
-    return QSymF(sum(shape), Counter(descent_set_tab(T) for T in tabs))
+    return QSymF(sum(shape), _word_descents(enumerate_syt(shape)))
 
 
 def _word_descents(tabs):
-    """Descent sets of tableaux that enumerate_signed_standard has already
-    validated, read off their reading words without validating again."""
+    """Descent sets of enumerated tableaux, which were validated when they
+    were made, read off their reading words without validating again."""
     return Counter(descent_set_word(reading_word(T)) for T in tabs)
 
 
@@ -250,7 +248,7 @@ def P_in_G(shape) -> QSymG:
     least = max(len(shape) - 1, 0)
     acc = Counter()
     for T in enumerate_shsyt(shape):
-        P = peak_of(descent_set_tab(T))
+        P = peak_of(descent_set_word(reading_word(T)))
         acc[P] += 2 ** (len(P) - least)
     return QSymG(sum(shape), acc)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .core import (
     SHIFTED,
     STRAIGHT,
+    InternalInvariantError,
     InvalidShapeError,
     is_partition,
     is_strict_partition,
@@ -274,11 +275,17 @@ def _standard_fillings(shape, strict):
 
 
 def _from_placement(kind, shape, placement, signs=None):
+    """The tableau with value v in row placement[v-1] (0-based), primed when
+    v is in signs.  Every enumerated standard tableau is made here, and
+    validated here once."""
     rows = [[] for _ in shape]
     for value, r in enumerate(placement, 1):
         e = -value if signs and value in signs else value
         rows[r].append(e)
-    return tableau(kind, rows)
+    T = tableau(kind, rows)
+    if not is_standard(T):
+        raise InternalInvariantError(f"placement is not a standard tableau: {T}")
+    return T
 
 
 def enumerate_syt(shape):
@@ -358,10 +365,7 @@ def enumerate_shssyt(shape, k, diagonal_primes):
 
 def enumerate_signed_standard(shape, diagonal_primes):
     """All signed standard shifted tableaux: standard fillings with any subset
-    of cells primed (diagonal cells only when diagonal_primes=True).
-
-    Validity of every emitted tableau is re-checked rather than assumed.
-    """
+    of cells primed (diagonal cells only when diagonal_primes=True)."""
     shape = tuple(shape)
     if not is_strict_partition(shape):
         raise InvalidShapeError(f"not a strict partition: {shape}")
@@ -376,10 +380,7 @@ def enumerate_signed_standard(shape, diagonal_primes):
                 free.append(value)
         for mask in range(1 << len(free)):
             signs = {free[b] for b in range(len(free)) if mask >> b & 1}
-            T = _from_placement(SHIFTED, shape, placement, signs)
-            if not is_standard(T):
-                raise RuntimeError(f"sign assignment broke validity: {T}")
-            out.append(T)
+            out.append(_from_placement(SHIFTED, shape, placement, signs))
     return out
 
 
@@ -400,27 +401,32 @@ def standardize(w):
 
 
 def word_str(w) -> str:
+    """Compact form "312'" when every value is one digit, else the comma form
+    "10',3,2".  A one-entry comma form ends in a comma: "12" would read back
+    as the two entries 1, 2."""
     toks = [entry_str(e) for e in w]
     if w and max(abs(e) for e in w) > 9:
-        return ",".join(toks)
+        return ",".join(toks) + ("," if len(toks) == 1 else "")
     return "".join(toks)
 
 
 def parse_word(text: str):
-    """Parse a word label: "312" or "3 1 2'" or "10',3,2" forms all accepted."""
+    """Parse a word label: "312" or "3 1 2'" or "10',3,2" forms all accepted.
+
+    In the compact form each letter is one entry with an optional prime."""
     text = text.strip()
     if "," in text or " " in text:
         toks = text.replace(",", " ").split()
-        return tuple(parse_entry(t) for t in toks)
-    toks = []
-    for ch in text:
-        if ch == "'":
-            if not toks:
+    else:
+        toks = []
+        for ch in text:
+            if ch != "'":
+                toks.append(ch)
+            elif toks and not toks[-1].endswith("'"):
+                toks[-1] += ch
+            else:
                 raise ValueError(f"dangling prime in {text!r}")
-            toks[-1] = -toks[-1]
-        else:
-            toks.append(int(ch))
-    return tuple(toks)
+    return tuple(parse_entry(t) for t in toks)
 
 
 def format_tableau(T: Tableau) -> str:

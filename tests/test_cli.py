@@ -261,6 +261,22 @@ def test_specialize_negative_vars_names_the_option(via):
     assert "--vars must be nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (("verify", "--axioms", "weak", "--ground", "perm", "--n", "-3",
+          "--family", "d"), -3),
+        (("verify", "--axioms", "shifted", "--ground", "perm", "--n", "-1",
+          "--family", "b"), -1),
+        (("classes", "--ground", "signedperm", "--n", "-1", "--family", "phi"), -1),
+    ],
+)
+def test_negative_degree_exits_two(argv, degree):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: degree must be nonnegative, got {degree}\n"
+
+
 def test_usage_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.deg"
     bad.write_text("deg 1\nn x stat des\n")

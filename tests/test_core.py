@@ -1,4 +1,4 @@
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from dualeq.core import (
@@ -150,3 +150,13 @@ def test_parse_partition_rejects_garbage():
         parse_partition("[a]")
     with pytest.raises(InvalidShapeError):
         parse_partition("[3,1")
+
+
+@given(st.one_of(st.text(max_size=20), st.text("0123456789[], -+", max_size=20)))
+@settings(max_examples=300, deadline=None)
+def test_parse_partition_raises_only_value_errors(text):
+    try:
+        shape = parse_partition(text)
+    except ValueError:  # InvalidShapeError is one
+        return
+    assert parse_partition(partition_str(shape)) == shape

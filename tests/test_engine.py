@@ -1,3 +1,4 @@
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from dualeq.core import partitions_of, strict_partitions_of
@@ -390,3 +391,85 @@ def test_subground_window_relabels_involutions():
     full = subground(g, c)
     assert full.n == g.n and full.size == len(c)
     assert sorted(full.labels) == sorted(g.labels[x] for x in c)
+
+
+def deg_text(g):
+    """A ground in the .deg format that parse_deg reads."""
+    lines = ["deg 1", f"n {g.n} stat {g.stat_kind}"]
+    lines += [
+        f"vertex {label} {{ {','.join(map(str, sorted(s)))} }}"
+        for label, s in zip(g.labels, g.stats)
+    ]
+    lines += [
+        f"edge {i} {g.labels[x]} {g.labels[y]}"
+        for i, table in g.invs.items()
+        for x, y in enumerate(table)
+        if x < y
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def same_ground(g, h):
+    return (g.stat_kind, g.n, g.labels, g.stats, g.invs) == (
+        h.stat_kind, h.n, h.labels, h.stats, h.invs
+    )
+
+
+# well-formed files of degree <= 12: parse_deg builds one table per
+# involution index, so the fuzz test never feeds it a huge degree
+WELL_FORMED = [
+    deg_text(build_ground(desc))
+    for desc in [
+        ("perm", 3, "d"),
+        ("perm", 4, "b"),
+        ("syt", (2, 1), "d"),
+        ("shsyt", (3, 1), "b"),
+        ("signed-shsyt", (2, 1), "psi"),
+        ("shsyt", (12,), "b"),
+    ]
+] + [DEG_PAIR, WEAK_FAULT]
+
+
+def test_well_formed_deg_files_round_trip():
+    for text in WELL_FORMED:
+        g = parse_deg(text)
+        assert same_ground(parse_deg(deg_text(g)), g)
+
+
+def declared_degree(text):
+    significant = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    try:
+        return int(significant[1].split()[1])
+    except (IndexError, ValueError):
+        return None
+
+
+@st.composite
+def mutated_deg(draw):
+    lines = draw(st.sampled_from(WELL_FORMED)).splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.sampled_from(range(len(lines))))
+        pos = draw(st.integers(0, len(lines[k])))
+        op = draw(st.sampled_from(("insert", "delete", "duplicate")))
+        if op == "insert":
+            piece = draw(st.text("degnstapkvrx{},- 0123456789'\n", min_size=1, max_size=4))
+            lines[k] = lines[k][:pos] + piece + lines[k][pos:]
+        elif op == "delete":
+            lines[k] = lines[k][:pos] + lines[k][pos + draw(st.integers(1, 6)):]
+        else:
+            lines.insert(k, lines[k])
+    text = "".join(lines)
+    degree = declared_degree(text)
+    assume(degree is None or degree <= 12)
+    return text
+
+
+@given(mutated_deg())
+@settings(max_examples=300, deadline=None)
+def test_parse_deg_raises_only_value_errors(text):
+    try:
+        g = parse_deg(text)
+    except ValueError:  # DegParseError is one
+        return
+    assert g.n <= 12
+    assert same_ground(parse_deg(deg_text(g)), g)

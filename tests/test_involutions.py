@@ -6,11 +6,11 @@ import pytest
 from dualeq.core import peak_of, spike_of, strict_partitions_of, partitions_of
 from dualeq.involutions import b, b_tab, d, d_tab, phi, psi
 from dualeq.tableaux import (
-    descent_set_tab,
     descent_set_word,
     enumerate_shsyt,
     enumerate_signed_standard,
     enumerate_syt,
+    parse_word,
     reading_word,
     word_str,
 )
@@ -169,46 +169,54 @@ def test_b_tab_triple_edge():
 
 # --- psi ---
 
-def all_signed_tabs(max_cells, diagonal_primes=True):
+def signed_words(lam, diagonal_primes):
+    return [reading_word(T) for T in enumerate_signed_standard(lam, diagonal_primes)]
+
+
+def all_signed_words(max_cells, diagonal_primes=True):
     for n in range(3, max_cells + 1):
         for lam in strict_partitions_of(n):
-            for T in enumerate_signed_standard(lam, diagonal_primes):
-                yield n, T
+            for w in signed_words(lam, diagonal_primes):
+                yield n, lam, w
 
 
 def test_psi_involutive_exhaustive():
-    for n, T in all_signed_tabs(7):
+    for n, lam, w in all_signed_words(7):
         for i in range(2, n):
-            assert psi(i, psi(i, T)) == T
+            assert psi(i, psi(i, w, lam), lam) == w
 
 
 def test_psi_fixed_iff_no_spike():
-    for n, T in all_signed_tabs(6):
-        S = spike_of(descent_set_tab(T), n)
+    for n, lam, w in all_signed_words(6):
+        S = spike_of(descent_set_word(w), n)
         for i in range(2, n):
-            assert (psi(i, T) == T) == (i not in S)
+            assert (psi(i, w, lam) == w) == (i not in S)
 
 
 def test_psi_preserves_unprimed_diagonal():
-    for n, T in all_signed_tabs(7, diagonal_primes=False):
-        for i in range(2, n):
-            U = psi(i, T)
-            assert all(e > 0 for r, c, e in U.cells() if r == c)
+    # every image is the reading word of a tableau of the same shape whose
+    # diagonal is unprimed
+    for n in range(3, 8):
+        for lam in strict_partitions_of(n):
+            words = set(signed_words(lam, False))
+            for w in words:
+                for i in range(2, n):
+                    assert psi(i, w, lam) in words, (lam, word_str(w), i)
 
 
 def test_psi_stacked_column_uses_prime_swap():
     # all of 4,5,6 in one column: the prime toggle would break involutivity
-    (T,) = [S for S in enumerate_signed_standard((3, 2, 1), True)
-            if word_str(reading_word(S)) == "635124'"]
-    U = psi(5, T)
-    assert word_str(reading_word(U)) == "635'124"
-    assert psi(5, U) == T
+    w = parse_word("635124'")
+    assert w in signed_words((3, 2, 1), True)
+    v = psi(5, w, (3, 2, 1))
+    assert word_str(v) == "635'124"
+    assert psi(5, v, (3, 2, 1)) == w
 
 
 def test_psi_commutes_at_distance_three():
     for lam in [(5, 1), (4, 2)]:
-        for T in enumerate_signed_standard(lam, True):
-            assert psi(2, psi(5, T)) == psi(5, psi(2, T))
+        for w in signed_words(lam, True):
+            assert psi(2, psi(5, w, lam), lam) == psi(5, psi(2, w, lam), lam)
 
 
 # --- descent/peak transport spot checks ---

@@ -3,9 +3,10 @@ from math import factorial
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from dualeq.core import strict_partitions_of, partitions_of
+from dualeq.core import InternalInvariantError, strict_partitions_of, partitions_of
 from dualeq.tableaux import (
     Tableau,
+    _from_placement,
     check_tableau,
     descent_set_tab,
     descent_set_word,
@@ -168,3 +169,27 @@ def test_check_tableau_rejects_bad_fillings():
 def test_reading_words_determine_tableaux(lam):
     words = [reading_word(T) for T in enumerate_shsyt(lam)]
     assert len(set(words)) == len(words)
+
+
+@pytest.mark.parametrize("text", ["1''", "21''3", "'1", "0", "30", "2,0", "0'"])
+def test_parse_word_compact_form_parses_each_entry(text):
+    # both forms share parse_entry: no doubled prime, no zero
+    with pytest.raises(ValueError):
+        parse_word(text)
+
+
+def test_from_placement_rejects_a_nonstandard_placement():
+    # 1 in row 2 above 2 in row 1: the column does not increase upward
+    with pytest.raises(InternalInvariantError):
+        _from_placement("straight", (1, 1), (1, 0))
+
+
+@given(st.one_of(st.text(max_size=20), st.text("0123456789' ,", max_size=20)))
+@settings(max_examples=300, deadline=None)
+def test_parse_word_raises_only_value_errors(text):
+    try:
+        w = parse_word(text)
+    except ValueError:
+        return
+    assert 0 not in w
+    assert parse_word(word_str(w)) == w
