@@ -26,7 +26,6 @@ from .core import (
 from .engine import (
     BUILTIN_GROUNDS,
     ClassificationFailure,
-    DegParseError,
     build_ground,
     class_genfn,
     classes,
@@ -111,14 +110,10 @@ def cmd_expand(args, parser):
     shape = _shape(args.shape)
     if args.kind in ("P", "Q") and not is_strict_partition(shape):
         parser.error(f"{args.kind} needs a strict partition, got {args.shape}")
+    # built per call, so a wrapper installed on a module name sees the call
+    in_F = {"schur": schur_in_F, "P": P_in_F, "Q": Q_in_F}[args.kind]
     if args.schur_of:
-        if args.kind == "schur":
-            f = schur_in_F(shape)
-        elif args.kind == "P":
-            f = P_in_F(shape)
-        else:
-            f = Q_in_F(shape)
-        exp = expand_in_schur(f)
+        exp = expand_in_schur(in_F(shape))
         if not isinstance(exp, SchurExpansion):
             print(_expansion_summary(exp))
             return 1
@@ -132,12 +127,7 @@ def cmd_expand(args, parser):
         if args.kind == "Q":
             vec = vec.scaled(2 ** len(shape))
     else:
-        if args.kind == "schur":
-            vec = schur_in_F(shape)
-        elif args.kind == "P":
-            vec = P_in_F(shape)
-        else:
-            vec = Q_in_F(shape)
+        vec = in_F(shape)
     for line in vec.render():
         print(line)
     return 0
@@ -399,9 +389,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (DegParseError, InvalidShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -98,11 +98,6 @@ def shape_cells(shape, kind):
     raise ValueError(f"unknown diagram kind: {kind!r}")
 
 
-def is_diagonal_cell(cell) -> bool:
-    """Whether a shifted-diagram cell lies on the main diagonal."""
-    return cell[0] == cell[1]
-
-
 def peak_of(D):
     """The peak set of a descent set: members i >= 2 of D with i-1 not in D."""
     return frozenset(i for i in D if i >= 2 and i - 1 not in D)

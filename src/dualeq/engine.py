@@ -13,6 +13,11 @@ cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
+Every windowed condition (strong and shifted iv, weak iv-a and iv-b, lemma
+v) reads one pass of _window_classes: window by window, the classes under
+the window's involutions and each class's generating function of the
+statistics restricted to the window.  _window is the one place that knows a
+window's degree and restriction.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ class DEGround:
         return len(self.labels)
 
     def index_range(self):
-        hi = self.n if self.stat_kind == DES else self.n - 1
-        return range(2, hi)
+        return _index_range(self.stat_kind, self.n)
 
     def validate(self):
         if self.stat_kind not in (DES, PEAK):
@@ -114,14 +118,19 @@ class DEGround:
         return self
 
 
+def _index_range(stat_kind, n):
+    """Involution indices of a ground: 2..n-1 for descent-kind grounds of
+    degree n, 2..n-2 for peak-kind ones."""
+    return range(2, n if stat_kind == DES else n - 1)
+
+
 def _materialize(stat_kind, n, words, labels, stats, apply_inv, desc):
     """Tabulate the involutions over the words.  The lookup of each image is
     the validity check: an image that is not one of the words is not in the
     ground, and raises InternalInvariantError."""
     index_of = {w: k for k, w in enumerate(words)}
-    hi = n if stat_kind == DES else n - 1
     invs = {}
-    for i in range(2, hi):
+    for i in _index_range(stat_kind, n):
         table = tuple(index_of.get(apply_inv(i, w)) for w in words)
         if None in table:
             raise InternalInvariantError(
@@ -248,31 +257,64 @@ def restricted_class(g: DEGround, t: int, j: int, i: int):
     return tuple(sorted(seen))
 
 
+def _window(g: DEGround, j, i, literal=False):
+    """The degree of the window (j, i) of g and the function that restricts
+    a statistic of g to it."""
+    if g.stat_kind == DES:
+        return i - j + 3, partial(restrict_descents, j=j, i=i, n=g.n)
+    return i - j + 4, partial(restrict_peaks, j=j, i=i, n=g.n, literal=literal)
+
+
+def _genfn(stat_kind, degree, stats):
+    """QSymF of a class's Counter of descent sets, or QSymG of its Counter of
+    peak sets.
+
+    Peak statistics carry multiplicities: a member with peak set P counts
+    2^(|P| - m) times, where m is the smallest peak count in the class.  For
+    the full ground of a shape this matches the Schur-P convention, where
+    m = (number of rows) - 1.
+    """
+    if stat_kind == DES:
+        return QSymF(degree, stats)
+    m = min(map(len, stats))
+    return QSymG(degree, {P: c * 2 ** (len(P) - m) for P, c in stats.items()})
+
+
 def class_genfn(g: DEGround, members, window=None, literal=False):
     """Generating function of a class: QSymF for descent-kind grounds, QSymG
     for peak-kind.  With window=(j, i) the statistics are restricted first."""
-    if window is None:
-        stats = [g.stats[x] for x in members]
-        degree = g.n
-    else:
-        j, i = window
-        if g.stat_kind == DES:
-            stats = [restrict_descents(g.stats[x], j, i, g.n) for x in members]
-            degree = i - j + 3
-        else:
-            stats = [restrict_peaks(g.stats[x], j, i, g.n, literal) for x in members]
-            degree = i - j + 4
-    if g.stat_kind == DES:
-        return QSymF(degree, Counter(stats))
-    # peak statistics carry multiplicities: a member with peak set P counts
-    # 2^(|P| - m) times, where m is the smallest peak count in the class.
-    # For the full ground of a shape this matches the Schur-P convention,
-    # where m = (number of rows) - 1.
-    m = min(len(P) for P in stats)
-    acc = Counter()
-    for P in stats:
-        acc[P] += 2 ** (len(P) - m)
-    return QSymG(degree, acc)
+    stats = [g.stats[x] for x in members]
+    degree = g.n
+    if window is not None:
+        degree, restrict = _window(g, *window, literal)
+        stats = map(restrict, stats)
+    return _genfn(g.stat_kind, degree, Counter(stats))
+
+
+def _window_classes(g: DEGround, windows, literal=False):
+    """One pass over the windows (j, i), in the order given.
+
+    For each window yields ((j, i), comps, comp_id, genfns): the classes
+    under the involutions j..i as _components lists them, each object's
+    class index, and each class's generating function of the statistics
+    restricted to the window.  Each distinct statistic is restricted once per
+    window, classes with the same multiset of restricted statistics share one
+    generating function, and only one window is held at a time.
+    """
+    distinct = set(g.stats)
+    for j, i in windows:
+        comps, comp_id = _components(g.size, [g.invs[k] for k in range(j, i + 1)])
+        degree, restrict = _window(g, j, i, literal)
+        restricted = {s: restrict(s) for s in distinct}
+        shared = {}
+        genfns = []
+        for comp in comps:
+            stats = Counter([restricted[g.stats[x]] for x in comp])
+            key = frozenset(stats.items())
+            if key not in shared:
+                shared[key] = _genfn(g.stat_kind, degree, stats)
+            genfns.append(shared[key])
+        yield (j, i), comps, comp_id, genfns
 
 
 @dataclass
@@ -409,49 +451,44 @@ def _check_commutation(g, report, distance):
                     break
 
 
-def _window_components(g, j, i, cache):
-    key = (j, i)
-    if key not in cache:
-        cache[key] = _components(g.size, [g.invs[k] for k in range(j, i + 1)])
-    return cache[key]
-
-
 def _window_label(j, i):
     return f"({j},{i})"
 
 
-def _check_window_expansions(g, report, condition, windows, require, cache,
-                             literal=False):
-    """Expand every restricted class generating function over the given
-    windows; require is "unit" (a single coefficient-1 term) or "positive"."""
-    acc = _Acc(report, condition)
+def _check_window_expansions(g, acc, window, comps, genfns, require):
+    """Expand the generating function of each class of one window; require
+    is "unit" (a single coefficient-1 term) or "positive"."""
     expander = expand_in_schur if g.stat_kind == DES else expand_in_P
-    wanted = (SchurExpansion,) if g.stat_kind == DES else (PExpansion,)
-    for j, i in windows:
-        comps, _ = _window_components(g, j, i, cache)
-        for comp in comps:
-            genfn = class_genfn(g, comp, (j, i), literal)
-            expansion = expander(genfn)
-            if not isinstance(expansion, wanted):
+    wanted = SchurExpansion if g.stat_kind == DES else PExpansion
+    where = f"window {_window_label(*window)}"
+    for comp, genfn in zip(comps, genfns):
+        expansion = expander(genfn)
+        if not isinstance(expansion, wanted):
+            acc.fail(
+                (g.labels[comp[0]],),
+                f"{where}: expansion failed with witness {sorted(expansion.witness)}",
+            )
+        elif require == "unit":
+            if expansion.unit_shape() is None:
                 acc.fail(
                     (g.labels[comp[0]],),
-                    f"window {_window_label(j, i)}: expansion failed with "
-                    f"witness {sorted(expansion.witness)}",
+                    f"{where}: not a unit vector: " + ", ".join(expansion.render()),
                 )
-                continue
-            if require == "unit":
-                if expansion.unit_shape() is None:
-                    acc.fail(
-                        (g.labels[comp[0]],),
-                        f"window {_window_label(j, i)}: not a unit vector: "
-                        + ", ".join(expansion.render()),
-                    )
-            elif not expansion.is_nonnegative_integral():
-                acc.fail(
-                    (g.labels[comp[0]],),
-                    f"window {_window_label(j, i)}: negative coefficient: "
-                    + ", ".join(expansion.render()),
-                )
+        elif not expansion.is_nonnegative_integral():
+            acc.fail(
+                (g.labels[comp[0]],),
+                f"{where}: negative coefficient: " + ", ".join(expansion.render()),
+            )
+
+
+def _check_unit_windows(g, report, max_span, literal=False):
+    """Condition (iv) of the strong and shifted systems: every class of every
+    window of 2..max_span+1 consecutive involutions has a unit expansion."""
+    acc = _Acc(report, "iv")
+    R = list(g.index_range())
+    windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
+    for window, comps, _, genfns in _window_classes(g, windows, literal):
+        _check_window_expansions(g, acc, window, comps, genfns, "unit")
 
 
 def verify_strong(g: DEGround) -> VerificationReport:
@@ -466,24 +503,8 @@ def verify_strong(g: DEGround) -> VerificationReport:
     _check_fixed_law(g, report, lambda s, i: (i - 1 in s) == (i in s))
     _check_descent_transport(g, report, fix)
     _check_commutation(g, report, 3)
-    R = list(g.index_range())
-    windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
-    cache = {}
-    _check_window_expansions(g, report, "iv", windows, "unit", cache)
+    _check_unit_windows(g, report, 3)
     return report
-
-
-def _window_stat_multisets(g, j, i, cache):
-    """Canonical multiset of restricted statistics per component of the
-    window (j, i), as an interned id for O(1) comparison."""
-    comps, comp_id = _window_components(g, j, i, cache)
-    canon = []
-    for comp in comps:
-        stats = sorted(
-            tuple(sorted(restrict_descents(g.stats[x], j, i, g.n))) for x in comp
-        )
-        canon.append(tuple(stats))
-    return canon, comp_id
 
 
 def verify_weak(g: DEGround) -> VerificationReport:
@@ -500,34 +521,41 @@ def verify_weak(g: DEGround) -> VerificationReport:
     _check_descent_transport(g, report, fix)
     _check_commutation(g, report, 3)
     R = list(g.index_range())
-    cache = {}
 
-    windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
-    _check_window_expansions(g, report, "iv-a", windows_a, "positive", cache)
-
+    # The windows (i-1, i) in order.  A class's generating function on a
+    # window of two involutions is the Counter of its restricted descent
+    # sets at degree 4, so equal QSymF's are equal multisets: (iv-a)'s
+    # multiset clause compares x's classes in the previous window (i-1, i)
+    # and the current one (i, i+1).
+    acc_a = _Acc(report, "iv-a")
     acc_m = _Acc(report, "iv-a-multisets")
-    for i in R:
-        if i - 1 not in g.invs or i + 1 not in g.invs:
-            continue
-        left, left_id = _window_stat_multisets(g, i - 1, i, cache)
-        right, right_id = _window_stat_multisets(g, i, i + 1, cache)
-        excluded = [
-            fix[i - 1][x] or fix[i][x] or fix[i + 1][x] for x in range(g.size)
-        ]
-        table = g.invs[i]
-        for x in range(g.size):
-            y = table[x]
-            if excluded[x] or excluded[y]:
-                continue
-            if left[left_id[x]] != right[right_id[x]]:
-                acc_m.fail(
-                    (g.labels[x],),
-                    f"windows {_window_label(i - 1, i)} vs {_window_label(i, i + 1)}: "
-                    "restricted statistic multisets differ",
-                )
+    previous = None
+    windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
+    for window, comps, comp_id, genfns in _window_classes(g, windows_a):
+        _check_window_expansions(g, acc_a, window, comps, genfns, "positive")
+        if previous is not None:
+            i = window[0]
+            left_id, left = previous
+            excluded = [
+                fix[i - 1][x] or fix[i][x] or fix[i + 1][x] for x in range(g.size)
+            ]
+            table = g.invs[i]
+            for x in range(g.size):
+                if excluded[x] or excluded[table[x]]:
+                    continue
+                if left[left_id[x]] != genfns[comp_id[x]]:
+                    acc_m.fail(
+                        (g.labels[x],),
+                        f"windows {_window_label(i - 1, i)} vs "
+                        f"{_window_label(i, i + 1)}: "
+                        "restricted statistic multisets differ",
+                    )
+        previous = comp_id, genfns
 
+    acc_b = _Acc(report, "iv-b")
     windows_b = [(i - 2, i) for i in R if i - 2 in g.invs]
-    _check_window_expansions(g, report, "iv-b", windows_b, "positive", cache)
+    for window, comps, _, genfns in _window_classes(g, windows_b):
+        _check_window_expansions(g, acc_b, window, comps, genfns, "positive")
 
     acc_c = _Acc(report, "iv-b-chain")
     for i in R:
@@ -577,12 +605,7 @@ def verify_shifted(g: DEGround, literal_peak_window=False) -> VerificationReport
     _check_fixed_law(g, report, lambda s, i: i not in s and i + 1 not in s)
     _check_peak_transport(g, report)
     _check_commutation(g, report, 4)
-    R = list(g.index_range())
-    windows = [(j, i) for j in R for i in R if 1 <= i - j <= 4]
-    cache = {}
-    _check_window_expansions(
-        g, report, "iv", windows, "unit", cache, literal=literal_peak_window
-    )
+    _check_unit_windows(g, report, 4, literal_peak_window)
     return report
 
 
@@ -608,23 +631,17 @@ def subground(g: DEGround, members, window=None, literal=False) -> DEGround:
     to 2..i-j+2 and the statistics restricted to the window."""
     members = tuple(sorted(members))
     pos = {x: k for k, x in enumerate(members)}
+    stats = tuple(g.stats[x] for x in members)
     if window is None:
-        indices = list(g.index_range())
+        indices = g.index_range()
         shift = 0
         degree = g.n
-        stats = tuple(g.stats[x] for x in members)
     else:
         j, i = window
-        indices = list(range(j, i + 1))
+        indices = range(j, i + 1)
         shift = j - 2
-        if g.stat_kind == DES:
-            degree = i - j + 3
-            stats = tuple(restrict_descents(g.stats[x], j, i, g.n) for x in members)
-        else:
-            degree = i - j + 4
-            stats = tuple(
-                restrict_peaks(g.stats[x], j, i, g.n, literal) for x in members
-            )
+        degree, restrict = _window(g, j, i, literal)
+        stats = tuple(map(restrict, stats))
     invs = {}
     for k in indices:
         table = g.invs[k]
@@ -763,36 +780,29 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
         raise ValueError("this check applies to peak-kind grounds")
     report = VerificationReport("lemma-axiom4", g.desc, {})
     R = list(g.index_range())
-    cache = {}
 
     acc_v = _Acc(report, "v")
-    for j in R:
-        for i in R:
-            if not 1 <= i - j <= 3:
-                continue
-            comps, _ = _window_components(g, j, i, cache)
-            for comp in comps:
-                sub = subground(g, comp, (j, i))
-                expansion = expand_in_P(class_genfn(g, comp, (j, i)))
-                shape = (
-                    expansion.unit_shape()
-                    if isinstance(expansion, PExpansion)
-                    else None
+    windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
+    for window, comps, _, genfns in _window_classes(g, windows):
+        for comp, genfn in zip(comps, genfns):
+            expansion = expand_in_P(genfn)
+            shape = (
+                expansion.unit_shape() if isinstance(expansion, PExpansion) else None
+            )
+            if shape is None:
+                acc_v.fail(
+                    (g.labels[comp[0]],),
+                    f"window {_window_label(*window)}: generating function is "
+                    "not a unit Schur-P vector",
                 )
-                if shape is None:
-                    acc_v.fail(
-                        (g.labels[comp[0]],),
-                        f"window {_window_label(j, i)}: generating function is "
-                        "not a unit Schur-P vector",
-                    )
-                    continue
-                target = _shifted_target(shape)
-                if find_isomorphism(sub, target) is None:
-                    acc_v.fail(
-                        (g.labels[comp[0]],),
-                        f"window {_window_label(j, i)}: not isomorphic to "
-                        f"(shsyt,{partition_str(shape)},b)",
-                    )
+            elif find_isomorphism(
+                subground(g, comp, window), _shifted_target(shape)
+            ) is None:
+                acc_v.fail(
+                    (g.labels[comp[0]],),
+                    f"window {_window_label(*window)}: not isomorphic to "
+                    f"(shsyt,{partition_str(shape)},b)",
+                )
 
     if include_vi:
         acc_vi = _Acc(report, "vi")
@@ -800,8 +810,8 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
         if not applicable:
             report.notes["vi"] = "vacuous: no window (i-4, i) fits the index range"
         for i in applicable:
-            _, big_id = _window_components(g, 2, i, cache)
-            comps, _ = _window_components(g, i - 4, i, cache)
+            _, big_id = _components(g.size, [g.invs[k] for k in range(2, i + 1)])
+            comps, _ = _components(g.size, [g.invs[k] for k in range(i - 4, i + 1)])
             subs = [subground(g, comp, (i - 4, i)) for comp in comps]
             for a in range(len(comps)):
                 for bb in range(a + 1, len(comps)):
@@ -842,8 +852,8 @@ def parse_deg(src) -> DEGround:
         n = int(parts[1])
     except ValueError:
         raise DegParseError(no2, f"bad degree {parts[1]!r}") from None
-    if n < 1:
-        raise DegParseError(no2, "degree must be positive")
+    if n < 0:
+        raise DegParseError(no2, "degree must be nonnegative")
     stat_kind = parts[3]
     if stat_kind not in (DES, PEAK):
         raise DegParseError(no2, f"unknown stat kind {stat_kind!r}")
@@ -852,7 +862,7 @@ def parse_deg(src) -> DEGround:
     stats = []
     position = {}
     pairings = defaultdict(dict)  # index -> {position: (partner, line_no)}
-    lo, hi = 2, (n - 1 if stat_kind == DES else n - 2)
+    indices = _index_range(stat_kind, n)
     for no, line in significant[2:]:
         if line.startswith("vertex"):
             head, brace, rest = line.partition("{")
@@ -894,10 +904,11 @@ def parse_deg(src) -> DEGround:
                 idx = int(parts[1])
             except ValueError:
                 raise DegParseError(no, f"bad involution index {parts[1]!r}") from None
-            if not lo <= idx <= hi:
+            if idx not in indices:
                 raise DegParseError(
                     no,
-                    f"involution index {idx} outside {lo}..{hi} for a "
+                    f"involution index {idx} outside {indices.start}.."
+                    f"{indices.stop - 1} for a "
                     f"{stat_kind} ground of degree {n}",
                 )
             for vid in parts[2:4]:
@@ -917,7 +928,7 @@ def parse_deg(src) -> DEGround:
             raise DegParseError(no, f"unrecognised line: {line!r}")
 
     invs = {}
-    for idx in range(lo, hi + 1):
+    for idx in indices:
         table = list(range(len(labels)))
         for x, y in pairings.get(idx, {}).items():
             table[x] = y

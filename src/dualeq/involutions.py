@@ -155,7 +155,8 @@ def psi(i, w, shape):
 
     Fixed unless i is a spike of w.  Otherwise, with a, b, c the positions
     of the values i-1, i, i+1 in word order: if a and c share a column that
-    b does not, toggle the prime on c; else act as phi(i, w).
+    b does not, toggle the prime on c; else act as phi(i, w).  A shape whose
+    size is not the length of w raises ValueError.
 
     When all three cells sit in one column the reading order is forced to be
     a=i+1, b=i, c=i-1 top to bottom, and the spike at i holds exactly when
@@ -164,10 +165,14 @@ def psi(i, w, shape):
     """
     n = len(w)
     _check_index(i, n, 0)
+    col = _reading_columns(tuple(shape))
+    if len(col) != n:
+        raise ValueError(
+            f"shape {list(shape)} has {len(col)} cells but the word has length {n}"
+        )
     if i not in spike_of(descent_set_word(w), n):
         return tuple(w)
     pa, pb, pc = sorted(_positions(w)[v] for v in (i - 1, i, i + 1))
-    col = _reading_columns(tuple(shape))
     if col[pa] == col[pc] != col[pb]:
         out = list(w)
         out[pc] = -out[pc]

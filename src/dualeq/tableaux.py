@@ -23,14 +23,6 @@ from .core import (
 )
 
 
-def entry_value(e: int) -> int:
-    return abs(e)
-
-
-def entry_primed(e: int) -> bool:
-    return e < 0
-
-
 def entry_key(e: int) -> int:
     """Rank of an entry in the order 1' < 1 < 2' < 2 < ...  (k' -> 2k-1, k -> 2k)."""
     return 2 * abs(e) - (1 if e < 0 else 0)

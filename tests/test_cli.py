@@ -77,6 +77,23 @@ def test_degree_zero_is_the_empty_shape(argv, want):
     assert (code, out.splitlines(), err) == (0, want, "")
 
 
+def test_degree_zero_deg_files(tmp_path):
+    # a degree-0 file is the empty shape, as a degree-0 builtin ground is
+    peak = tmp_path / "empty-peak.deg"
+    peak.write_text("deg 1\nn 0 stat peak\nvertex a { }\n")
+    code, out, err = run("classify", "--file", str(peak))
+    assert (code, out.splitlines()[0], err) == (0, "class 1: shape []", "")
+    des = tmp_path / "empty-des.deg"
+    des.write_text("deg 1\nn 0 stat des\nvertex a { }\n")
+    code, out, err = run("verify", "--axioms", "weak", "--file", str(des))
+    assert (code, out.splitlines()[-1], err) == (0, "result: pass", "")
+    negative = tmp_path / "negative.deg"
+    negative.write_text("deg 1\nn -1 stat des\n")
+    code, out, err = run("verify", "--axioms", "weak", "--file", str(negative))
+    assert (code, out) == (2, "")
+    assert "line 2: degree must be nonnegative" in err
+
+
 def test_enumerate_standard_porcelain():
     code, out, _ = run("enumerate", "syt", "[2,1]", "--porcelain")
     assert (code, out.splitlines()) == (0, ["213", "312", "count 2"])

@@ -352,6 +352,7 @@ def test_parse_deg_error_positions():
     cases = [
         ("nope\n", 1, "deg 1"),
         ("deg 1\nn x stat des\n", 2, "degree"),
+        ("deg 1\nn -1 stat des\n", 2, "nonnegative"),
         ("deg 1\nn 4 stat mod\n", 2, "stat"),
         ("deg 1\nn 4 stat des\nvertex a { 1 }\nvertex a { 2 }\n", 4, "duplicate"),
         ("deg 1\nn 4 stat des\nvertex a { 1 }\nedge 2 a b\n", 4, "unknown"),
@@ -427,7 +428,7 @@ WELL_FORMED = [
         ("signed-shsyt", (2, 1), "psi"),
         ("shsyt", (12,), "b"),
     ]
-] + [DEG_PAIR, WEAK_FAULT]
+] + [DEG_PAIR, WEAK_FAULT, "deg 1\nn 0 stat des\nvertex a { }\n"]
 
 
 def test_well_formed_deg_files_round_trip():

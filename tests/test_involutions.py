@@ -213,6 +213,16 @@ def test_psi_stacked_column_uses_prime_swap():
     assert psi(5, v, (3, 2, 1)) == w
 
 
+@pytest.mark.parametrize("i, w, shape", [
+    (2, (3, 1, 2), (2,)),  # a spike at 2: the columns are read
+    (2, (1, 2, 3), (2,)),  # no spike: the word would be returned as is
+    (2, (3, 1, 2), (3, 1)),
+])
+def test_psi_rejects_a_shape_of_another_size(i, w, shape):
+    with pytest.raises(ValueError, match=f"has {sum(shape)} cells but the word has length 3"):
+        psi(i, w, shape)
+
+
 def test_psi_commutes_at_distance_three():
     for lam in [(5, 1), (4, 2)]:
         for w in signed_words(lam, True):
