@@ -15,16 +15,16 @@ The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
 Every windowed condition (strong and shifted iv, weak iv-a and iv-b, lemma
 v) reads one pass of _window_classes: window by window, the classes under
-the window's involutions and each class's generating function of the
-statistics restricted to the window.  _window is the one place that knows a
-window's degree and restriction.
+the window's involutions and each class's restricted statistics, as integer
+masks.  _window is the one place that knows a window's degree and
+restriction.  Each verifier call expands each distinct window vector once.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import permutations, product
 
 from .core import (
@@ -32,8 +32,6 @@ from .core import (
     is_peak_set,
     partition_str,
     peak_of,
-    restrict_descents,
-    restrict_peaks,
 )
 from .involutions import b, d, phi, psi
 from .qsym import (
@@ -57,6 +55,9 @@ DES = "des"
 PEAK = "peak"
 
 _WITNESS_CAP = 8
+
+# parse_deg refuses larger degrees: the degree alone sets the table count
+DEG_MAX_DEGREE = 16
 
 
 class DegParseError(ValueError):
@@ -200,14 +201,15 @@ def build_ground(desc) -> DEGround:
     )
 
 
-def _components(size, tables):
+def _components(size, tables, parent=None):
     """Connected components under the given lookup tables.
 
     Returns (components, comp_id): components are tuples of object positions
     sorted ascending, listed by smallest member; comp_id maps positions to
-    their component's index in that list.
+    their component's index in that list.  A given parent, a union-find
+    forest left by an earlier call, is extended in place.
     """
-    parent = list(range(size))
+    parent = list(range(size)) if parent is None else parent
 
     def find(x):
         while parent[x] != x:
@@ -258,11 +260,22 @@ def restricted_class(g: DEGround, t: int, j: int, i: int):
 
 
 def _window(g: DEGround, j, i, literal=False):
-    """The degree of the window (j, i) of g and the function that restricts
-    a statistic of g to it."""
-    if g.stat_kind == DES:
-        return i - j + 3, partial(restrict_descents, j=j, i=i, n=g.n)
-    return i - j + 4, partial(restrict_peaks, j=j, i=i, n=g.n, literal=literal)
+    """The degree of window (j, i) of g and its restriction of a statistic
+    mask: keep descents j-1..i or peaks j..i+1 (from j-1 if literal), >> j-2."""
+    if not (j <= i and j in g.index_range() and i in g.index_range()):
+        raise ValueError(f"window ({j},{i}) out of range for degree {g.n}")
+    degree = i - j + (3 if g.stat_kind == DES else 4)
+    keep = (1 << degree) - (2 if g.stat_kind == DES or literal else 4)
+    return degree, lambda mask: mask >> (j - 2) & keep
+
+
+def _mask(s):
+    """A set of positive integers as an integer mask: bit p for member p."""
+    return sum(1 << p for p in s)
+
+
+def _members(mask):
+    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def _genfn(stat_kind, degree, stats):
@@ -287,34 +300,35 @@ def class_genfn(g: DEGround, members, window=None, literal=False):
     degree = g.n
     if window is not None:
         degree, restrict = _window(g, *window, literal)
-        stats = map(restrict, stats)
+        stats = (_members(restrict(_mask(s))) for s in stats)
     return _genfn(g.stat_kind, degree, Counter(stats))
 
 
 def _window_classes(g: DEGround, windows, literal=False):
-    """One pass over the windows (j, i), in the order given.
-
-    For each window yields ((j, i), comps, comp_id, genfns): the classes
+    """One pass over the windows (j, i), in the order given, holding one
+    window at a time: yields ((j, i), comps, comp_id, vectors), the classes
     under the involutions j..i as _components lists them, each object's
-    class index, and each class's generating function of the statistics
-    restricted to the window.  Each distinct statistic is restricted once per
-    window, classes with the same multiset of restricted statistics share one
-    generating function, and only one window is held at a time.
-    """
-    distinct = set(g.stats)
+    class index, and each class's window vector (degree, sorted masks of
+    the restricted statistics), one shared object per distinct vector.  A
+    window (j, i) after (j, i-1) extends its union-find."""
+    mask_of = {s: _mask(s) for s in set(g.stats)}
+    shared, last = {}, None
     for j, i in windows:
-        comps, comp_id = _components(g.size, [g.invs[k] for k in range(j, i + 1)])
+        if last != (j, i - 1):
+            parent, start = list(range(g.size)), j
+        tables = [g.invs[k] for k in range(start, i + 1)]
+        comps, comp_id = _components(g.size, tables, parent)
+        last, start = (j, i), i + 1
         degree, restrict = _window(g, j, i, literal)
-        restricted = {s: restrict(s) for s in distinct}
-        shared = {}
-        genfns = []
-        for comp in comps:
-            stats = Counter([restricted[g.stats[x]] for x in comp])
-            key = frozenset(stats.items())
-            if key not in shared:
-                shared[key] = _genfn(g.stat_kind, degree, stats)
-            genfns.append(shared[key])
-        yield (j, i), comps, comp_id, genfns
+        restricted = {s: restrict(m) for s, m in mask_of.items()}
+        r = [restricted[s] for s in g.stats]
+        vectors = ((degree, tuple(sorted([r[x] for x in comp]))) for comp in comps)
+        yield (j, i), comps, comp_id, [shared.setdefault(v, v) for v in vectors]
+
+
+def _vector_genfn(g: DEGround, vector):
+    """The generating function of a window vector from _window_classes."""
+    return _genfn(g.stat_kind, vector[0], Counter(map(_members, vector[1])))
 
 
 @dataclass
@@ -455,40 +469,38 @@ def _window_label(j, i):
     return f"({j},{i})"
 
 
-def _check_window_expansions(g, acc, window, comps, genfns, require):
-    """Expand the generating function of each class of one window; require
-    is "unit" (a single coefficient-1 term) or "positive"."""
+def _expansion_detail(g, require, vector):
+    """Why a window vector fails condition (iv), or None when it passes:
+    require is "unit" (a single coefficient-1 term) or "positive"."""
     expander = expand_in_schur if g.stat_kind == DES else expand_in_P
     wanted = SchurExpansion if g.stat_kind == DES else PExpansion
+    expansion = expander(_vector_genfn(g, vector))
+    if not isinstance(expansion, wanted):
+        return f"expansion failed with witness {sorted(expansion.witness)}"
+    if require == "unit" and expansion.unit_shape() is None:
+        return "not a unit vector: " + ", ".join(expansion.render())
+    if not expansion.is_nonnegative_integral():  # unit vectors always are
+        return "negative coefficient: " + ", ".join(expansion.render())
+
+
+def _check_window_expansions(g, acc, window, comps, vectors, details):
+    """Fail each window class whose vector has a detail in the memo details."""
     where = f"window {_window_label(*window)}"
-    for comp, genfn in zip(comps, genfns):
-        expansion = expander(genfn)
-        if not isinstance(expansion, wanted):
-            acc.fail(
-                (g.labels[comp[0]],),
-                f"{where}: expansion failed with witness {sorted(expansion.witness)}",
-            )
-        elif require == "unit":
-            if expansion.unit_shape() is None:
-                acc.fail(
-                    (g.labels[comp[0]],),
-                    f"{where}: not a unit vector: " + ", ".join(expansion.render()),
-                )
-        elif not expansion.is_nonnegative_integral():
-            acc.fail(
-                (g.labels[comp[0]],),
-                f"{where}: negative coefficient: " + ", ".join(expansion.render()),
-            )
+    for comp, vector in zip(comps, vectors):
+        detail = details(vector)
+        if detail is not None:
+            acc.fail((g.labels[comp[0]],), f"{where}: {detail}")
 
 
 def _check_unit_windows(g, report, max_span, literal=False):
     """Condition (iv) of the strong and shifted systems: every class of every
     window of 2..max_span+1 consecutive involutions has a unit expansion."""
     acc = _Acc(report, "iv")
+    details = cache(partial(_expansion_detail, g, "unit"))
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
-    for window, comps, _, genfns in _window_classes(g, windows, literal):
-        _check_window_expansions(g, acc, window, comps, genfns, "unit")
+    for window, comps, _, vectors in _window_classes(g, windows, literal):
+        _check_window_expansions(g, acc, window, comps, vectors, details)
 
 
 def verify_strong(g: DEGround) -> VerificationReport:
@@ -522,17 +534,16 @@ def verify_weak(g: DEGround) -> VerificationReport:
     _check_commutation(g, report, 3)
     R = list(g.index_range())
 
-    # The windows (i-1, i) in order.  A class's generating function on a
-    # window of two involutions is the Counter of its restricted descent
-    # sets at degree 4, so equal QSymF's are equal multisets: (iv-a)'s
-    # multiset clause compares x's classes in the previous window (i-1, i)
-    # and the current one (i, i+1).
+    # The windows (i-1, i) in order.  A window vector holds its class's
+    # multiset of restricted descent sets, so (iv-a)'s multiset clause
+    # compares x's vectors in the previous window (i-1, i) and this one.
+    details = cache(partial(_expansion_detail, g, "positive"))
     acc_a = _Acc(report, "iv-a")
     acc_m = _Acc(report, "iv-a-multisets")
     previous = None
     windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
-    for window, comps, comp_id, genfns in _window_classes(g, windows_a):
-        _check_window_expansions(g, acc_a, window, comps, genfns, "positive")
+    for window, comps, comp_id, vectors in _window_classes(g, windows_a):
+        _check_window_expansions(g, acc_a, window, comps, vectors, details)
         if previous is not None:
             i = window[0]
             left_id, left = previous
@@ -543,19 +554,19 @@ def verify_weak(g: DEGround) -> VerificationReport:
             for x in range(g.size):
                 if excluded[x] or excluded[table[x]]:
                     continue
-                if left[left_id[x]] != genfns[comp_id[x]]:
+                if left[left_id[x]] != vectors[comp_id[x]]:
                     acc_m.fail(
                         (g.labels[x],),
                         f"windows {_window_label(i - 1, i)} vs "
                         f"{_window_label(i, i + 1)}: "
                         "restricted statistic multisets differ",
                     )
-        previous = comp_id, genfns
+        previous = comp_id, vectors
 
     acc_b = _Acc(report, "iv-b")
     windows_b = [(i - 2, i) for i in R if i - 2 in g.invs]
-    for window, comps, _, genfns in _window_classes(g, windows_b):
-        _check_window_expansions(g, acc_b, window, comps, genfns, "positive")
+    for window, comps, _, vectors in _window_classes(g, windows_b):
+        _check_window_expansions(g, acc_b, window, comps, vectors, details)
 
     acc_c = _Acc(report, "iv-b-chain")
     for i in R:
@@ -625,7 +636,7 @@ def relabel_peak_minus_one(g: DEGround) -> DEGround:
     ).validate()
 
 
-def subground(g: DEGround, members, window=None, literal=False) -> DEGround:
+def subground(g: DEGround, members, window=None) -> DEGround:
     """Restrict a ground to a class.  members must be closed under the
     relevant involutions.  With window=(j, i) the involutions are relabelled
     to 2..i-j+2 and the statistics restricted to the window."""
@@ -640,8 +651,8 @@ def subground(g: DEGround, members, window=None, literal=False) -> DEGround:
         j, i = window
         indices = range(j, i + 1)
         shift = j - 2
-        degree, restrict = _window(g, j, i, literal)
-        stats = tuple(map(restrict, stats))
+        degree, restrict = _window(g, j, i)
+        stats = tuple(_members(restrict(_mask(s))) for s in stats)
     invs = {}
     for k in indices:
         table = g.invs[k]
@@ -781,14 +792,16 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
     report = VerificationReport("lemma-axiom4", g.desc, {})
     R = list(g.index_range())
 
+    @cache
+    def unit_shape(vector):
+        expansion = expand_in_P(_vector_genfn(g, vector))
+        return expansion.unit_shape() if isinstance(expansion, PExpansion) else None
+
     acc_v = _Acc(report, "v")
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
-    for window, comps, _, genfns in _window_classes(g, windows):
-        for comp, genfn in zip(comps, genfns):
-            expansion = expand_in_P(genfn)
-            shape = (
-                expansion.unit_shape() if isinstance(expansion, PExpansion) else None
-            )
+    for window, comps, _, vectors in _window_classes(g, windows):
+        for comp, vector in zip(comps, vectors):
+            shape = unit_shape(vector)
             if shape is None:
                 acc_v.fail(
                     (g.labels[comp[0]],),
@@ -854,6 +867,8 @@ def parse_deg(src) -> DEGround:
         raise DegParseError(no2, f"bad degree {parts[1]!r}") from None
     if n < 0:
         raise DegParseError(no2, "degree must be nonnegative")
+    if n > DEG_MAX_DEGREE:
+        raise DegParseError(no2, f"degree {n} is above the limit {DEG_MAX_DEGREE}")
     stat_kind = parts[3]
     if stat_kind not in (DES, PEAK):
         raise DegParseError(no2, f"unknown stat kind {stat_kind!r}")

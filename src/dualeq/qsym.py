@@ -189,15 +189,20 @@ def _peel(vec, shapes, basis_vector):
     return coeffs, None
 
 
+@lru_cache(maxsize=None)
+def _shapes(n, strict):
+    return tuple((strict_partitions_of if strict else partitions_of)(n))
+
+
 def expand_in_schur(f: QSymF):
     """Expand an F-vector in Schur functions, or report NotSymmetric."""
-    coeffs, bad = _peel(f, partitions_of(f.n), schur_in_F)
+    coeffs, bad = _peel(f, _shapes(f.n, False), schur_in_F)
     return NotSymmetric(*bad) if bad else SchurExpansion(f.n, coeffs)
 
 
 def expand_in_P(g: QSymG):
     """Expand a G-vector in Schur-P functions, or report NotInSpan."""
-    coeffs, bad = _peel(g, strict_partitions_of(g.n), P_in_G)
+    coeffs, bad = _peel(g, _shapes(g.n, True), P_in_G)
     return NotInSpan(*bad) if bad else PExpansion(g.n, coeffs)
 
 

@@ -163,7 +163,7 @@ def test_criterion_06_weak_axioms_hold_on_46080_signed_permutations():
 
 
 def test_criterion_07_weak_axioms_and_positivity_for_signed_tableaux_to_seven():
-    with budget(300):
+    with budget(10):
         for n in range(1, 8):
             for lam in strict_partitions_of(n):
                 g = build_ground(("signed-shsyt", lam, "psi"))
@@ -180,7 +180,7 @@ def test_criterion_07_weak_axioms_and_positivity_for_signed_tableaux_to_seven():
 
 
 def test_criterion_08_shifted_axioms_and_unit_certificates_to_eight():
-    with budget(300):
+    with budget(10):
         for n in range(2, 9):
             for lam in strict_partitions_of(n):
                 g = build_ground(("shsyt", lam, "b"))

@@ -94,6 +94,18 @@ def test_degree_zero_deg_files(tmp_path):
     assert "line 2: degree must be nonnegative" in err
 
 
+def test_oversized_deg_file_exits_two(tmp_path):
+    # refused when parsed, before any table is built or any pair checked
+    f = tmp_path / "huge.deg"
+    f.write_text("deg 1\nn 2000000 stat des\nvertex a { }\n")
+    code, out, err = run("verify", "--axioms", "weak", "--file", str(f))
+    assert (code, out) == (2, "")
+    assert "line 2: degree 2000000 is above the limit 16" in err
+    f.write_text("deg 1\nn 16 stat des\nvertex a { }\n")
+    code, out, err = run("verify", "--axioms", "weak", "--file", str(f))
+    assert (code, out.splitlines()[-1], err) == (0, "result: pass", "")
+
+
 def test_enumerate_standard_porcelain():
     code, out, _ = run("enumerate", "syt", "[2,1]", "--porcelain")
     assert (code, out.splitlines()) == (0, ["213", "312", "count 2"])

@@ -12,6 +12,7 @@ condition's witnesses in order.
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +24,9 @@ from dualeq.core import (
     strict_partitions_of,
 )
 from dualeq.engine import (
+    _WITNESS_CAP,
     DES,
+    PEAK,
     DEGround,
     VerificationReport,
     _Acc,
@@ -33,7 +36,10 @@ from dualeq.engine import (
     _check_peak_transport,
     _components,
     _fix_tables,
+    _mask,
+    _members,
     _shifted_target,
+    _window,
     build_ground,
     find_isomorphism,
     lemma_axiom4_check,
@@ -346,3 +352,68 @@ def test_mutated_window_checks_match_reference():
         ("weak", "iv-b"), ("shifted", "iv"),
         ("shifted-literal", "iv"), ("lemma", "v"),
     }, sorted(failed)
+
+
+def copies(g, k):
+    """k disjoint copies of g: each window vector of g recurs in k classes."""
+    return DEGround(
+        g.stat_kind,
+        g.n,
+        tuple(f"{c}:{label}" for c in range(k) for label in g.labels),
+        g.stats * k,
+        {
+            i: tuple(c * g.size + y for c in range(k) for y in table)
+            for i, table in g.invs.items()
+        },
+        f"{g.desc} x{k}",
+    ).validate()
+
+
+def test_classes_sharing_a_failing_vector_are_each_counted_and_witnessed():
+    # the fourth seeded mutant of perm 5 fails every windowed weak and
+    # strong condition, the first of (5,3,1) shifted iv and lemma v
+    failed = set()
+    for desc, pick in [(("perm", 5, "d"), 3), (("shsyt", (5, 3, 1), "b"), 0)]:
+        rng = random.Random(3)
+        base = [mutant(build_ground(desc), rng) for _ in range(pick + 1)][-1]
+        many = copies(base, 5)
+        compare(many)
+        for name, verify, _ in checks_of(base):
+            one, five = verify(base), verify(many)
+            for cond in ("iv", "iv-a", "iv-a-multisets", "iv-b", "v"):
+                if one.counts.get(cond):
+                    failed.add((name, cond))
+                    assert five.counts[cond] == 5 * one.counts[cond], (name, cond)
+                    assert len(five.witnesses_for(cond)) == _WITNESS_CAP
+    assert failed >= {
+        ("strong", "iv"), ("weak", "iv-a"), ("weak", "iv-a-multisets"),
+        ("weak", "iv-b"), ("shifted", "iv"), ("lemma", "v"),
+    }, sorted(failed)
+
+
+def test_repeated_runs_give_equal_reports():
+    rng = random.Random(5)
+    for desc in [("perm", 5, "d"), ("signed-shsyt", (4, 2), "psi"),
+                 ("shsyt", (5, 3, 1), "b")]:
+        g = build_ground(desc)
+        for h in (g, mutant(g, rng)):
+            for name, verify, _ in checks_of(h):
+                assert summary(verify(h)) == summary(verify(h)), (h.desc, name)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_mask_restriction_matches_core(n):
+    subsets = [frozenset(c) for k in range(n) for c in combinations(range(1, n), k)]
+    for kind, literals in ((DES, (False,)), (PEAK, (False, True))):
+        g = DEGround(kind, n, (), (), {})
+        R = g.index_range()
+        for j, i in [(j, i) for j in R for i in R if j <= i]:
+            for literal in literals:
+                degree, restrict = _window(g, j, i, literal)
+                assert degree == i - j + (3 if kind == DES else 4)
+                for s in subsets:
+                    want = ref_restrict(g, s, j, i, literal)
+                    assert _members(restrict(_mask(s))) == want, (kind, s, j, i)
+        for j, i in [(3, 2), (1, 1), (2, n)]:
+            with pytest.raises(ValueError):
+                _window(g, j, i)
