@@ -26,14 +26,18 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from itertools import permutations, product
+from math import factorial, prod
 
 from .core import (
     InternalInvariantError,
+    InvalidShapeError,
+    is_partition,
     is_peak_set,
+    is_strict_partition,
     partition_str,
     peak_of,
 )
-from .involutions import b, d, phi, psi
+from .involutions import _b, _d, _phi, _reading_columns
 from .qsym import (
     PExpansion,
     QSymF,
@@ -43,6 +47,7 @@ from .qsym import (
     expand_in_schur,
 )
 from .tableaux import (
+    _inverse,
     descent_set_word,
     enumerate_shsyt,
     enumerate_signed_standard,
@@ -125,32 +130,35 @@ def _index_range(stat_kind, n):
     return range(2, n if stat_kind == DES else n - 1)
 
 
-def _materialize(stat_kind, n, words, labels, stats, apply_inv, desc):
-    """Tabulate the involutions over the words.  The lookup of each image is
-    the validity check: an image that is not one of the words is not in the
-    ground, and raises InternalInvariantError."""
+def _materialize(stat_kind, n, words, labels, stats, move, desc):
+    """Tabulate the involutions word by word, as move(i, w, pos) on each
+    word's inverse pos.  The lookup of each image is the validity check: an
+    image that is not a word of the ground raises InternalInvariantError."""
     index_of = {w: k for k, w in enumerate(words)}
+    indices = _index_range(stat_kind, n)
+    tables = {i: [None] * len(words) for i in indices}
+    for k, w in enumerate(words):
+        pos = _inverse(w)
+        for i in indices:
+            tables[i][k] = index_of.get(move(i, w, pos))
     invs = {}
-    for i in _index_range(stat_kind, n):
-        table = tuple(index_of.get(apply_inv(i, w)) for w in words)
+    for i in indices:  # each list goes as its tuple is made
+        invs[i] = table = tuple(tables.pop(i))
         if None in table:
             raise InternalInvariantError(
                 f"involution {i} of {desc} sends {labels[table.index(None)]} "
                 "outside the ground"
             )
-        invs[i] = table
     return DEGround(stat_kind, n, tuple(labels), tuple(stats), invs, desc).validate()
 
 
 # (ground, family) -> (stat kind, the valid words of the parameter, the
-# involution on words for the parameter).  The parameter is n for the
-# permutation grounds and a shape for the tableau grounds, whose words are
-# the reading words of the enumerated tableaux.  The lambdas look the
-# functions up when a ground is built, so a wrapper installed on a module
-# name (bench/tracer.py) sees every call.
+# involution core move(i, w, pos) for the parameter).  The parameter is n for
+# the permutation grounds and a shape for the tableau grounds, whose words
+# are the reading words of the enumerated tableaux.
 BUILTIN_GROUNDS = {
-    ("perm", "d"): (DES, lambda n: list(permutations(range(1, n + 1))), lambda n: d),
-    ("perm", "b"): (PEAK, lambda n: list(permutations(range(1, n + 1))), lambda n: b),
+    ("perm", "d"): (DES, lambda n: list(permutations(range(1, n + 1))), lambda n: _d),
+    ("perm", "b"): (PEAK, lambda n: list(permutations(range(1, n + 1))), lambda n: _b),
     ("signedperm", "phi"): (
         DES,
         lambda n: [
@@ -158,39 +166,67 @@ BUILTIN_GROUNDS = {
             for w in permutations(range(1, n + 1))
             for signed in product(*((v, -v) for v in w))
         ],
-        lambda n: phi,
+        lambda n: _phi,
     ),
     ("syt", "d"): (
         DES,
         lambda shape: [reading_word(T) for T in enumerate_syt(shape)],
-        lambda shape: d,
+        lambda shape: _d,
     ),
     ("shsyt", "b"): (
         PEAK,
         lambda shape: [reading_word(T) for T in enumerate_shsyt(shape)],
-        lambda shape: b,
+        lambda shape: _b,
     ),
     ("signed-shsyt", "psi"): (
         DES,
         lambda shape: [
             reading_word(T) for T in enumerate_signed_standard(shape, False)
         ],
-        lambda shape: partial(psi, shape=shape),
+        lambda shape: partial(_phi, col=_reading_columns(tuple(shape))),
     ),
 }
+
+# build_ground refuses a ground of more objects than this (ground_size)
+MAX_GROUND_OBJECTS = 1_000_000
+
+
+def ground_size(desc) -> int:
+    """The number of objects of a builtin ground, counted without enumerating:
+    n!, n!*2^n, the hook-length formula for syt (Frobenius's form, on parts
+    shape[k] + rows - k - 1), Thrall's formula for shsyt, times 2^(n - rows)
+    for signed-shsyt (off-diagonal cells may be primed)."""
+    kind, param, family = desc
+    if (kind, family) not in BUILTIN_GROUNDS:
+        raise ValueError(f"unknown ground descriptor {desc!r}")
+    n = param if isinstance(param, int) else sum(param)
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    if kind in ("perm", "signedperm"):
+        return factorial(n) << (n if kind == "signedperm" else 0)
+    shape, strict, rows = tuple(param), kind != "syt", len(param)
+    if not (is_strict_partition if strict else is_partition)(shape):
+        raise InvalidShapeError(f"not a {'strict ' * strict}partition: {shape}")
+    parts = shape if strict else [p + rows - k - 1 for k, p in enumerate(shape)]
+    pairs = [(p, q) for k, p in enumerate(parts) for q in parts[k + 1 :]]
+    sums = prod(p + q for p, q in pairs) if strict else 1
+    count = factorial(n) * prod(p - q for p, q in pairs)
+    count //= prod(map(factorial, parts)) * sums
+    return count << (n - rows) if kind == "signed-shsyt" else count
 
 
 def build_ground(desc) -> DEGround:
     """Build a builtin ground from a descriptor (ground, parameter, family)
     such as ("perm", 4, "d") or ("shsyt", (4, 2), "b"); BUILTIN_GROUNDS
-    lists the pairs."""
+    lists the pairs.  A ground of more than MAX_GROUND_OBJECTS objects is
+    refused before any enumeration."""
     kind, param, family = desc
-    if (kind, family) not in BUILTIN_GROUNDS:
-        raise ValueError(f"unknown ground descriptor {desc!r}")
+    size = ground_size(desc)
+    if size > MAX_GROUND_OBJECTS:
+        raise ValueError(f"ground {kind} {param} has {size} objects, "
+                         f"above the limit {MAX_GROUND_OBJECTS}")
     stat_kind, valid_words, involution = BUILTIN_GROUNDS[kind, family]
     n = param if isinstance(param, int) else sum(param)
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
     words = valid_words(param)
     stats = [descent_set_word(w) for w in words]
     if stat_kind == PEAK:

@@ -10,18 +10,20 @@ values are 1..n; a tableau is acted on through its reading word:
                      the shape, 1 < i < n: phi plus one same-column clause.
 
 Each family is an involution; d/phi/psi commute at distance >= 3, b at
-distance >= 4.  d_tab and b_tab apply d and b to a tableau and rebuild it,
-re-checking that the image is standard.
+distance >= 4.  The cores _d, _b, _phi(i, w, pos[, col]) read only i-1..i+2
+in the word's inverse pos, which a ground computes once per word.  d_tab and
+b_tab apply d and b to a tableau and rebuild it, re-checking the image.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import InternalInvariantError, spike_of
+from .core import InternalInvariantError
 from .tableaux import (
     Tableau,
-    descent_set_word,
+    _inverse,
+    _is_descent,
     is_standard,
     reading_word,
     tableau,
@@ -29,13 +31,24 @@ from .tableaux import (
 )
 
 
-def _positions(w):
-    return {abs(e): p for p, e in enumerate(w)}
-
-
 def _check_index(i, n, hi_offset):
     if not 1 < i < n - hi_offset:
         raise ValueError(f"index {i} out of range for a word of length {n}")
+
+
+def _swap(w, p, q):
+    out = list(w)
+    out[p], out[q] = out[q], out[p]
+    return tuple(out)
+
+
+def _d(i, w, pos):
+    a, m, c = pos[i - 1], pos[i], pos[i + 1]
+    if (a < m) == (m < c):  # i is in the positional middle
+        return w
+    if (m < a) == (a < c):  # i-1 is: swap i and i+1
+        return _swap(w, m, c)
+    return _swap(w, a, m)
 
 
 def d(i, w):
@@ -46,24 +59,27 @@ def d(i, w):
     i+1, swap i-1 and i.
     """
     _check_index(i, len(w), 0)
-    pos = _positions(w)
-    middle = sorted((i - 1, i, i + 1), key=pos.__getitem__)[1]
-    if middle == i:
-        return tuple(w)
-    u, v = (i, i + 1) if middle == i - 1 else (i - 1, i)
-    out = list(w)
-    out[pos[u]], out[pos[v]] = out[pos[v]], out[pos[u]]
-    return tuple(out)
+    return _d(i, tuple(w), _inverse(w))
 
 
-# Candidate moves for b(i, .): swap the values (x, y) when c sits positionally
-# between them and d sits to the left of c.  {x, y, c, d} = {i-1, i, i+1, i+2}.
-_B_MOVES = (
-    lambda i: (i - 1, i, i + 1, i + 2),
-    lambda i: (i, i + 1, i - 1, i + 2),
-    lambda i: (i, i + 1, i + 2, i - 1),
-    lambda i: (i + 1, i + 2, i, i - 1),
-)
+# Candidate moves for b(i, .), offsets from i-1: swap the values (x, y) when c
+# sits positionally between them and d left of c.  {x, y, c, d} = i-1..i+2.
+_B_MOVES = ((0, 1, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0), (2, 3, 1, 0))
+
+
+def _b(i, w, pos):
+    p = pos[i - 1 : i + 3]
+    results = [
+        _swap(w, p[x], p[y])
+        for x, y, c, dd in _B_MOVES
+        if (p[x] < p[c]) == (p[c] < p[y]) and p[dd] < p[c]
+    ]
+    if len(set(results)) > 1:
+        raise InternalInvariantError(
+            f"disagreeing candidate moves for b({i}, {word_str(w)}): "
+            + ", ".join(word_str(r) for r in results)
+        )
+    return results[0] if results else w
 
 
 def b(i, w):
@@ -73,24 +89,23 @@ def b(i, w):
     applies the word is fixed.
     """
     _check_index(i, len(w), 1)
-    pos = _positions(w)
-    results = []
-    for move in _B_MOVES:
-        x, y, c, dd = move(i)
-        lo, hi = sorted((pos[x], pos[y]))
-        if lo < pos[c] < hi and pos[dd] < pos[c]:
-            out = list(w)
-            out[pos[x]], out[pos[y]] = out[pos[y]], out[pos[x]]
-            results.append(tuple(out))
-    if not results:
-        return tuple(w)
-    first = results[0]
-    if any(r != first for r in results[1:]):
-        raise InternalInvariantError(
-            f"disagreeing candidate moves for b({i}, {word_str(w)}): "
-            + ", ".join(word_str(r) for r in results)
-        )
-    return first
+    return _b(i, tuple(w), _inverse(w))
+
+
+def _phi(i, w, pos, col=None):
+    """phi's core; given the reading columns col of a shape, psi's."""
+    if _is_descent(i - 1, w, pos) == _is_descent(i, w, pos):  # i is no spike
+        return w
+    pa, pb, pc = sorted((pos[i - 1], pos[i], pos[i + 1]))
+    out = list(w)
+    if col is not None and col[pa] == col[pc] != col[pb]:
+        out[pc] = -out[pc]
+    elif (out[pb] < 0) != (out[pc] < 0):
+        out[pb], out[pc] = -out[pb], -out[pc]
+    else:  # swap the values of a and c, primes staying in place
+        a, c = abs(out[pa]), abs(out[pc])
+        out[pa], out[pc] = (-c if out[pa] < 0 else c), (-a if out[pc] < 0 else a)
+    return tuple(out)
 
 
 def phi(i, w):
@@ -101,19 +116,8 @@ def phi(i, w):
     b, c is primed, swap their primes; otherwise swap the values of a and c,
     leaving primes on their positions.
     """
-    n = len(w)
-    _check_index(i, n, 0)
-    if i not in spike_of(descent_set_word(w), n):
-        return tuple(w)
-    pa, pb, pc = sorted(_positions(w)[v] for v in (i - 1, i, i + 1))
-    out = list(w)
-    if (out[pb] < 0) != (out[pc] < 0):
-        out[pb], out[pc] = -out[pb], -out[pc]
-    else:
-        sa = -1 if out[pa] < 0 else 1
-        sc = -1 if out[pc] < 0 else 1
-        out[pa], out[pc] = sa * abs(out[pc]), sc * abs(out[pa])
-    return tuple(out)
+    _check_index(i, len(w), 0)
+    return _phi(i, tuple(w), _inverse(w))
 
 
 def _rebuild(T: Tableau, word) -> Tableau:
@@ -170,11 +174,4 @@ def psi(i, w, shape):
         raise ValueError(
             f"shape {list(shape)} has {len(col)} cells but the word has length {n}"
         )
-    if i not in spike_of(descent_set_word(w), n):
-        return tuple(w)
-    pa, pb, pc = sorted(_positions(w)[v] for v in (i - 1, i, i + 1))
-    if col[pa] == col[pc] != col[pb]:
-        out = list(w)
-        out[pc] = -out[pc]
-        return tuple(out)
-    return phi(i, w)
+    return _phi(i, tuple(w), _inverse(w), col)

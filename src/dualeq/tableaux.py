@@ -131,11 +131,24 @@ def is_valid_tableau(T: Tableau) -> bool:
 
 
 def is_standard(T: Tableau) -> bool:
-    """Valid, with absolute values exactly 1..n, each once (primes allowed if shifted)."""
-    if not is_valid_tableau(T):
+    """Valid, with absolute values exactly 1..n, each once (primes allowed if
+    shifted).  For distinct values check_tableau asks for rows increasing and
+    each cell above a smaller one (row[j] sits on index j+1 if shifted)."""
+    shifted, n = T.kind == SHIFTED, T.size
+    partition = is_strict_partition if shifted else is_partition
+    if not (shifted or T.kind == STRAIGHT) or not partition(T.shape):
         return False
-    values = sorted(abs(e) for row in T.rows for e in row)
-    return values == list(range(1, T.size + 1))
+    seen, below = [False] * (n + 1), ()
+    for row in T.rows:
+        left = 0
+        for j, e in enumerate(row):
+            v = abs(e)
+            if (not left < v <= n or seen[v] or e < 0 and not shifted
+                    or below and abs(below[j + shifted]) >= v):
+                return False
+            seen[v], left = True, v
+        below = row
+    return True
 
 
 def reading_word(T: Tableau):
@@ -146,48 +159,42 @@ def reading_word(T: Tableau):
     return tuple(word)
 
 
+def _inverse(w):
+    """pos[v] = the position in w of the letter of absolute value v."""
+    pos = [0] * (len(w) + 1)
+    for p, e in enumerate(w):
+        pos[-e if e < 0 else e] = p
+    return pos
+
+
+def _is_descent(j, w, pos):
+    """Whether j is a descent of w, whose inverse is pos."""
+    p, q = pos[j], pos[j + 1]
+    return w[p] > 0 if p > q else w[q] < 0
+
+
 def descent_set_word(w):
     """Descent set of a signed word whose absolute values are a permutation.
 
     i is a descent when i is unprimed and sits to the right of i+1, or when
     i+1 is primed and sits to the right of i.
     """
-    pos = {}
-    for idx, e in enumerate(w):
-        pos[abs(e)] = (idx, e < 0)
-    n = len(w)
-    out = set()
-    for i in range(1, n):
-        pi, primed_i = pos[i]
-        pj, primed_j = pos[i + 1]
-        if (not primed_i and pi > pj) or (primed_j and pj > pi):
-            out.add(i)
-    return frozenset(out)
+    pos = _inverse(w)
+    # copied from a set, a frozenset is sized to its members; grown from a
+    # generator it can take half as much memory again, once per object
+    return frozenset({j for j in range(1, len(w)) if _is_descent(j, w, pos)})
 
 
 def descent_set_tab(T: Tableau):
     """Descent set of a standard (possibly signed) tableau.
 
     i is a descent when i is unprimed and lies in a strictly lower row than
-    i+1, or when i+1 is primed and lies in a weakly lower row than i.
-    Agrees with descent_set_word(reading_word(T)).
+    i+1, or when i+1 is primed and lies in a weakly lower row than i.  Rows
+    are read top row first, so this is descent_set_word(reading_word(T)).
     """
     if not is_standard(T):
         raise ValueError("descent_set_tab requires a standard tableau")
-    row_of = {}
-    primed = {}
-    for r, row in enumerate(T.rows, 1):
-        for e in row:
-            row_of[abs(e)] = r
-            primed[abs(e)] = e < 0
-    n = T.size
-    out = set()
-    for i in range(1, n):
-        if not primed[i] and row_of[i] < row_of[i + 1]:
-            out.add(i)
-        elif primed[i + 1] and row_of[i + 1] <= row_of[i]:
-            out.add(i)
-    return frozenset(out)
+    return descent_set_word(reading_word(T))
 
 
 def monomial_weight(T: Tableau):

@@ -91,7 +91,7 @@ def test_criterion_02_schur_p_31_expansion_and_schur_content():
 
 
 def test_criterion_03_g_route_matches_f_route_and_schur_positive_to_eight():
-    with budget(120):
+    with budget(10):
         for n in range(1, 9):
             for lam in strict_partitions_of(n):
                 assert G_to_F(P_in_G(lam)) == P_in_F(lam), lam
@@ -101,7 +101,7 @@ def test_criterion_03_g_route_matches_f_route_and_schur_positive_to_eight():
 
 
 def test_criterion_04_specializations_agree_to_size_six():
-    with budget(60):
+    with budget(10):
         for n in range(1, 7):
             for k in (1, 2, 3):
                 for lam in partitions_of(n):
@@ -209,7 +209,7 @@ def test_criterion_09_triple_edge_identity_on_six_cells():
 
 
 def test_criterion_10_two_row_isomorphisms_and_three_row_obstruction():
-    with budget(60):
+    with budget(5):
         for r, s in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]:
             src = relabel_peak_minus_one(build_ground(("shsyt", (r, s), "b")))
             dst = build_ground(("syt", (r - 1, s), "d"))

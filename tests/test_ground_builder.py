@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from dualeq import tableaux
 from dualeq.core import (
     InternalInvariantError,
     partitions_of,
@@ -20,11 +21,11 @@ from dualeq.engine import (
     build_ground,
     classes,
     classify_shifted_class,
+    ground_size,
     lemma_axiom4_check,
 )
 from dualeq.involutions import b, b_tab, d, d_tab, phi
 from dualeq.tableaux import (
-    descent_set_tab,
     descent_set_word,
     enumerate_shsyt,
     enumerate_signed_standard,
@@ -34,6 +35,24 @@ from dualeq.tableaux import (
     tableau,
     word_str,
 )
+
+
+def descent_set_tab(T):
+    """The descent set read off the rows of a standard tableau: i unprimed
+    in a strictly lower row than i+1, or i+1 primed in a weakly lower row."""
+    row_of = {}
+    primed = {}
+    for r, row in enumerate(T.rows, 1):
+        for e in row:
+            row_of[abs(e)] = r
+            primed[abs(e)] = e < 0
+    out = set()
+    for i in range(1, T.size):
+        if not primed[i] and row_of[i] < row_of[i + 1]:
+            out.add(i)
+        elif primed[i + 1] and row_of[i + 1] <= row_of[i]:
+            out.add(i)
+    return frozenset(out)
 
 
 def psi_tab(i, S):
@@ -118,6 +137,7 @@ def reference_ground(kind, param, family):
 
 def assert_matches_reference(kind, param, family):
     got = build_ground((kind, param, family))
+    assert got.size == ground_size((kind, param, family))
     stat_kind, n, labels, stats, invs = reference_ground(kind, param, family)
     assert (got.stat_kind, got.n) == (stat_kind, n)
     assert got.labels == labels
@@ -153,10 +173,18 @@ def test_builtin_ground_matches_reference(kind, param, family):
     assert_matches_reference(kind, param, family)
 
 
+@pytest.mark.parametrize("kind", sorted(TABLEAUX))
+def test_descent_set_tab_matches_the_rows(kind):
+    for n in range(8):
+        for lam in strict_partitions_of(n) if kind != "syt" else partitions_of(n):
+            for T in TABLEAUX[kind](lam):
+                assert tableaux.descent_set_tab(T) == descent_set_tab(T), T
+
+
 def test_image_outside_the_ground_raises_internal_error():
     words = [(1, 2, 3), (2, 1, 3)]
 
-    def leaks(i, w):
+    def leaks(i, w, pos):
         return (3, 2, 1) if w == (2, 1, 3) else w
 
     with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\)"):
