@@ -13,11 +13,12 @@ cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
-Every windowed condition (strong and shifted iv, weak iv-a and iv-b, lemma
-v) reads one pass of _window_classes: window by window, the classes under
-the window's involutions and each class's restricted statistics, as integer
-masks.  _window is the one place that knows a window's degree and
-restriction.  Each verifier call expands each distinct window vector once.
+Each call takes the statistics as integer masks once.  Every windowed
+condition (strong and shifted iv, weak iv-a and iv-b, lemma v) reads one
+pass of _window_classes: window by window, the classes under the window's
+involutions, labelled by one walk through their tables, and each class's
+restricted statistics.  _window knows a window's degree and restriction.
+Each verifier call expands each distinct window vector once.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ from .qsym import (
     expand_in_schur,
 )
 from .tableaux import (
+    _descent_set,
     _inverse,
-    descent_set_word,
     enumerate_shsyt,
     enumerate_signed_standard,
     enumerate_syt,
@@ -130,15 +131,18 @@ def _index_range(stat_kind, n):
     return range(2, n if stat_kind == DES else n - 1)
 
 
-def _materialize(stat_kind, n, words, labels, stats, move, desc):
-    """Tabulate the involutions word by word, as move(i, w, pos) on each
-    word's inverse pos.  The lookup of each image is the validity check: an
-    image that is not a word of the ground raises InternalInvariantError."""
+def _materialize(stat_kind, n, words, labels, move, desc):
+    """Tabulate word by word, from one inverse pos per word, its statistic
+    (descent set, or peak set) and its images move(i, w, pos).  The lookup of
+    an image is its check: one outside the ground raises InternalInvariantError."""
     index_of = {w: k for k, w in enumerate(words)}
     indices = _index_range(stat_kind, n)
     tables = {i: [None] * len(words) for i in indices}
+    stats = [None] * len(words)
     for k, w in enumerate(words):
         pos = _inverse(w)
+        descents = _descent_set(w, pos)
+        stats[k] = peak_of(descents) if stat_kind == PEAK else descents
         for i in indices:
             tables[i][k] = index_of.get(move(i, w, pos))
     invs = {}
@@ -187,7 +191,7 @@ BUILTIN_GROUNDS = {
     ),
 }
 
-# build_ground refuses a ground of more objects than this (ground_size)
+# the most objects build_ground builds (ground_size) and parse_deg reads
 MAX_GROUND_OBJECTS = 1_000_000
 
 
@@ -228,52 +232,42 @@ def build_ground(desc) -> DEGround:
     stat_kind, valid_words, involution = BUILTIN_GROUNDS[kind, family]
     n = param if isinstance(param, int) else sum(param)
     words = valid_words(param)
-    stats = [descent_set_word(w) for w in words]
-    if stat_kind == PEAK:
-        stats = [peak_of(D) for D in stats]
     return _materialize(
-        stat_kind, n, words, [word_str(w) for w in words], stats,
-        involution(param), f"({kind},{param},{family})",
+        stat_kind, n, words, [word_str(w) for w in words], involution(param),
+        f"({kind},{param},{family})",
     )
 
 
-def _components(size, tables, parent=None):
-    """Connected components under the given lookup tables.
+def _components(size, tables):
+    """Connected components under the given involution tables.
 
     Returns (components, comp_id): components are tuples of object positions
     sorted ascending, listed by smallest member; comp_id maps positions to
-    their component's index in that list.  A given parent, a union-find
-    forest left by an earlier call, is extended in place.
+    their component's index in that list.  The objects are taken in
+    increasing order, and each one not yet labelled starts a component: a
+    walk through every table labels its members.
     """
-    parent = list(range(size)) if parent is None else parent
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for table in tables:
-        for x, y in enumerate(table):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-    groups = defaultdict(list)
-    for x in range(size):
-        groups[find(x)].append(x)
-    comps = sorted((tuple(members) for members in groups.values()), key=lambda c: c[0])
-    comp_id = [0] * size
-    for idx, comp in enumerate(comps):
-        for x in comp:
-            comp_id[x] = idx
+    comps, comp_id = [], [-1] * size
+    for start in range(size):
+        if comp_id[start] >= 0:
+            continue
+        idx = comp_id[start] = len(comps)
+        members = [start]
+        for x in members:  # the walk appends to the list it reads
+            for table in tables:
+                y = table[x]
+                if comp_id[y] < 0:
+                    comp_id[y] = idx
+                    members.append(y)
+        members.sort()
+        comps.append(tuple(members))
     return comps, comp_id
 
 
 def classes(g: DEGround):
     """Equivalence classes under all involutions of the ground, as tuples of
     object positions, ordered by smallest member."""
-    comps, _ = _components(g.size, list(g.invs.values()))
-    return comps
+    return _components(g.size, list(g.invs.values()))[0]
 
 
 def restricted_class(g: DEGround, t: int, j: int, i: int):
@@ -283,16 +277,14 @@ def restricted_class(g: DEGround, t: int, j: int, i: int):
     for k in (j, i):
         if k not in g.invs:
             raise ValueError(f"index {k} outside the involution range")
-    seen = {t}
-    stack = [t]
-    while stack:
-        x = stack.pop()
+    seen, members = {t}, [t]
+    for x in members:  # the walk appends to the list it reads
         for k in range(j, i + 1):
             y = g.invs[k][x]
             if y not in seen:
                 seen.add(y)
-                stack.append(y)
-    return tuple(sorted(seen))
+                members.append(y)
+    return tuple(sorted(members))
 
 
 def _window(g: DEGround, j, i, literal=False):
@@ -340,24 +332,26 @@ def class_genfn(g: DEGround, members, window=None, literal=False):
     return _genfn(g.stat_kind, degree, Counter(stats))
 
 
-def _window_classes(g: DEGround, windows, literal=False):
+def _stat_masks(g: DEGround):
+    """Each object's statistic as an integer mask, one _mask per distinct
+    statistic; a verifier call takes them once, for all its conditions."""
+    mask_of = {s: _mask(s) for s in set(g.stats)}
+    return [mask_of[s] for s in g.stats]
+
+
+def _window_classes(g: DEGround, windows, masks, literal=False):
     """One pass over the windows (j, i), in the order given, holding one
     window at a time: yields ((j, i), comps, comp_id, vectors), the classes
     under the involutions j..i as _components lists them, each object's
     class index, and each class's window vector (degree, sorted masks of
-    the restricted statistics), one shared object per distinct vector.  A
-    window (j, i) after (j, i-1) extends its union-find."""
-    mask_of = {s: _mask(s) for s in set(g.stats)}
-    shared, last = {}, None
+    the restricted statistics), one shared object per distinct vector.
+    masks are the objects' statistics from _stat_masks."""
+    shared, distinct = {}, set(masks)
     for j, i in windows:
-        if last != (j, i - 1):
-            parent, start = list(range(g.size)), j
-        tables = [g.invs[k] for k in range(start, i + 1)]
-        comps, comp_id = _components(g.size, tables, parent)
-        last, start = (j, i), i + 1
+        comps, comp_id = _components(g.size, [g.invs[k] for k in range(j, i + 1)])
         degree, restrict = _window(g, j, i, literal)
-        restricted = {s: restrict(m) for s, m in mask_of.items()}
-        r = [restricted[s] for s in g.stats]
+        restricted = {m: restrict(m) for m in distinct}
+        r = [restricted[m] for m in masks]
         vectors = ((degree, tuple(sorted([r[x] for x in comp]))) for comp in comps)
         yield (j, i), comps, comp_id, [shared.setdefault(v, v) for v in vectors]
 
@@ -411,48 +405,48 @@ def _fix_tables(g):
     return {i: tuple(t[x] == x for x, _ in enumerate(t)) for i, t in g.invs.items()}
 
 
-def _check_fixed_law(g, report, law):
+def _check_fixed_law(g, report, masks, law):
+    """Condition (i): an object is fixed by involution i iff law(mask, i)
+    holds of its statistic mask."""
     acc = _Acc(report, "i")
+    distinct = set(masks)
     for i in g.index_range():
         table = g.invs[i]
-        for x in range(g.size):
-            if (table[x] == x) != law(g.stats[x], i):
+        fixed = {m for m in distinct if law(m, i)}
+        for x, m in enumerate(masks):
+            if (table[x] == x) != (m in fixed):
                 acc.fail((g.labels[x],), f"fixed-point law fails at index {i}")
 
 
-def _check_descent_transport(g, report, fix):
+def _check_descent_transport(g, report, fix, masks):
     """Descent-kind condition (ii): positions i-1, i flip; i-2 / i+1 may flip
     only when the neighbouring involution does not fix the object; everything
-    else is preserved."""
+    else is preserved.  A witness names the first illegal position in the
+    statistics' frozenset difference, whose order is not always ascending."""
     acc = _Acc(report, "ii")
     for i in g.index_range():
         table = g.invs[i]
-        for x in range(g.size):
-            y = table[x]
+        flip, low, high = 3 << (i - 1), 1 << (i - 2), 1 << (i + 1)
+        for x, y in enumerate(table):
             if y == x:
                 continue
-            diff = g.stats[x] ^ g.stats[y]
-            if i - 1 not in diff or i not in diff:
-                acc.fail(
-                    (g.labels[x], g.labels[y]),
-                    f"index {i}: positions {i - 1},{i} must both flip",
-                )
+            diff = masks[x] ^ masks[y]
+            illegal = diff & ~flip
+            if illegal & low and not fix[i - 1][x]:
+                illegal ^= low
+            if illegal & high and not fix[i + 1][x]:
+                illegal ^= high
+            if diff & flip != flip:
+                detail = f"positions {i - 1},{i} must both flip"
+            elif illegal:
+                h = next(h for h in g.stats[x] ^ g.stats[y] if illegal >> h & 1)
+                detail = f"position {h} changed illegally"
+            else:
                 continue
-            for h in diff:
-                if h in (i - 1, i):
-                    continue
-                if h == i - 2 and not fix[i - 1][x]:
-                    continue
-                if h == i + 1 and not fix[i + 1][x]:
-                    continue
-                acc.fail(
-                    (g.labels[x], g.labels[y]),
-                    f"index {i}: position {h} changed illegally",
-                )
-                break
+            acc.fail((g.labels[x], g.labels[y]), f"index {i}: {detail}")
 
 
-def _check_peak_transport(g, report):
+def _check_peak_transport(g, report, masks):
     """Peak-kind condition (ii): i is a peak before iff i+1 is after, and
     far peaks are untouched.
 
@@ -467,21 +461,17 @@ def _check_peak_transport(g, report):
     acc = _Acc(report, "ii")
     for i in g.index_range():
         table = g.invs[i]
-        for x in range(g.size):
-            y = table[x]
+        far = ~(63 << (i - 2))  # every position outside i-2..i+3
+        for x, y in enumerate(table):
             if y == x:
                 continue
-            if (i in g.stats[x]) != (i + 1 in g.stats[y]):
-                acc.fail(
-                    (g.labels[x], g.labels[y]),
-                    f"index {i}: peak at {i} not transported to {i + 1}",
-                )
+            if masks[x] >> i & 1 != masks[y] >> (i + 1) & 1:
+                detail = f"peak at {i} not transported to {i + 1}"
+            elif (masks[x] ^ masks[y]) & far:
+                detail = f"peak outside {{{i - 2}..{i + 3}}} changed"
+            else:
                 continue
-            if any(h < i - 2 or h > i + 3 for h in g.stats[x] ^ g.stats[y]):
-                acc.fail(
-                    (g.labels[x], g.labels[y]),
-                    f"index {i}: peak outside {{{i - 2}..{i + 3}}} changed",
-                )
+            acc.fail((g.labels[x], g.labels[y]), f"index {i}: {detail}")
 
 
 def _check_commutation(g, report, distance):
@@ -528,14 +518,14 @@ def _check_window_expansions(g, acc, window, comps, vectors, details):
             acc.fail((g.labels[comp[0]],), f"{where}: {detail}")
 
 
-def _check_unit_windows(g, report, max_span, literal=False):
+def _check_unit_windows(g, report, masks, max_span, literal=False):
     """Condition (iv) of the strong and shifted systems: every class of every
     window of 2..max_span+1 consecutive involutions has a unit expansion."""
     acc = _Acc(report, "iv")
     details = cache(partial(_expansion_detail, g, "unit"))
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
-    for window, comps, _, vectors in _window_classes(g, windows, literal):
+    for window, comps, _, vectors in _window_classes(g, windows, masks, literal):
         _check_window_expansions(g, acc, window, comps, vectors, details)
 
 
@@ -547,11 +537,11 @@ def verify_strong(g: DEGround) -> VerificationReport:
     if g.stat_kind != DES:
         raise ValueError("strong axioms apply to descent-kind grounds")
     report = VerificationReport("strong", g.desc, {})
-    fix = _fix_tables(g)
-    _check_fixed_law(g, report, lambda s, i: (i - 1 in s) == (i in s))
-    _check_descent_transport(g, report, fix)
+    fix, masks = _fix_tables(g), _stat_masks(g)
+    _check_fixed_law(g, report, masks, lambda m, i: m >> (i - 1) & 3 in (0, 3))
+    _check_descent_transport(g, report, fix, masks)
     _check_commutation(g, report, 3)
-    _check_unit_windows(g, report, 3)
+    _check_unit_windows(g, report, masks, 3)
     return report
 
 
@@ -564,9 +554,9 @@ def verify_weak(g: DEGround) -> VerificationReport:
     if g.stat_kind != DES:
         raise ValueError("weak axioms apply to descent-kind grounds")
     report = VerificationReport("weak", g.desc, {})
-    fix = _fix_tables(g)
-    _check_fixed_law(g, report, lambda s, i: (i - 1 in s) == (i in s))
-    _check_descent_transport(g, report, fix)
+    fix, masks = _fix_tables(g), _stat_masks(g)
+    _check_fixed_law(g, report, masks, lambda m, i: m >> (i - 1) & 3 in (0, 3))
+    _check_descent_transport(g, report, fix, masks)
     _check_commutation(g, report, 3)
     R = list(g.index_range())
 
@@ -578,7 +568,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
     acc_m = _Acc(report, "iv-a-multisets")
     previous = None
     windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
-    for window, comps, comp_id, vectors in _window_classes(g, windows_a):
+    for window, comps, comp_id, vectors in _window_classes(g, windows_a, masks):
         _check_window_expansions(g, acc_a, window, comps, vectors, details)
         if previous is not None:
             i = window[0]
@@ -601,7 +591,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
 
     acc_b = _Acc(report, "iv-b")
     windows_b = [(i - 2, i) for i in R if i - 2 in g.invs]
-    for window, comps, _, vectors in _window_classes(g, windows_b):
+    for window, comps, _, vectors in _window_classes(g, windows_b, masks):
         _check_window_expansions(g, acc_b, window, comps, vectors, details)
 
     acc_c = _Acc(report, "iv-b-chain")
@@ -649,10 +639,11 @@ def verify_shifted(g: DEGround, literal_peak_window=False) -> VerificationReport
     if g.stat_kind != PEAK:
         raise ValueError("shifted axioms apply to peak-kind grounds")
     report = VerificationReport("shifted", g.desc, {})
-    _check_fixed_law(g, report, lambda s, i: i not in s and i + 1 not in s)
-    _check_peak_transport(g, report)
+    masks = _stat_masks(g)
+    _check_fixed_law(g, report, masks, lambda m, i: not m >> i & 3)
+    _check_peak_transport(g, report, masks)
     _check_commutation(g, report, 4)
-    _check_unit_windows(g, report, 4, literal_peak_window)
+    _check_unit_windows(g, report, masks, 4, literal_peak_window)
     return report
 
 
@@ -835,7 +826,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
 
     acc_v = _Acc(report, "v")
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
-    for window, comps, _, vectors in _window_classes(g, windows):
+    for window, comps, _, vectors in _window_classes(g, windows, _stat_masks(g)):
         for comp, vector in zip(comps, vectors):
             shape = unit_shape(vector)
             if shape is None:
@@ -881,7 +872,8 @@ def parse_deg(src) -> DEGround:
     Line 1: "deg 1".  Line 2: "n <degree> stat <des|peak>".  Then any number
     of "vertex <id> { <comma-separated ints> }" lines followed by
     "edge <i> <id1> <id2>" lines.  Unpaired vertices are fixed points.
-    Malformed input raises DegParseError with the offending line number.
+    Malformed or oversized input raises DegParseError with the offending line
+    number.
     """
     text = src.read() if hasattr(src, "read") else src
     lines = text.splitlines()
@@ -916,6 +908,8 @@ def parse_deg(src) -> DEGround:
     indices = _index_range(stat_kind, n)
     for no, line in significant[2:]:
         if line.startswith("vertex"):
+            if len(labels) == MAX_GROUND_OBJECTS:
+                raise DegParseError(no, f"more than {MAX_GROUND_OBJECTS} vertices")
             head, brace, rest = line.partition("{")
             if not brace or not rest.rstrip().endswith("}"):
                 raise DegParseError(no, "vertex line needs a { ... } statistic")

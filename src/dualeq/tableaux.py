@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import (
     SHIFTED,
@@ -28,6 +29,7 @@ def entry_key(e: int) -> int:
     return 2 * abs(e) - (1 if e < 0 else 0)
 
 
+@lru_cache(maxsize=1024)  # word_str takes one string per letter value
 def entry_str(e: int) -> str:
     return f"{abs(e)}'" if e < 0 else str(abs(e))
 
@@ -173,16 +175,20 @@ def _is_descent(j, w, pos):
     return w[p] > 0 if p > q else w[q] < 0
 
 
+def _descent_set(w, pos):
+    """Descent set of w, whose inverse is pos."""
+    # copied from a set, a frozenset is sized to its members; grown from a
+    # generator it can take half as much memory again, once per object
+    return frozenset({j for j in range(1, len(w)) if _is_descent(j, w, pos)})
+
+
 def descent_set_word(w):
     """Descent set of a signed word whose absolute values are a permutation.
 
     i is a descent when i is unprimed and sits to the right of i+1, or when
     i+1 is primed and sits to the right of i.
     """
-    pos = _inverse(w)
-    # copied from a set, a frozenset is sized to its members; grown from a
-    # generator it can take half as much memory again, once per object
-    return frozenset({j for j in range(1, len(w)) if _is_descent(j, w, pos)})
+    return _descent_set(w, _inverse(w))
 
 
 def descent_set_tab(T: Tableau):
@@ -403,8 +409,8 @@ def word_str(w) -> str:
     """Compact form "312'" when every value is one digit, else the comma form
     "10',3,2".  A one-entry comma form ends in a comma: "12" would read back
     as the two entries 1, 2."""
-    toks = [entry_str(e) for e in w]
-    if w and max(abs(e) for e in w) > 9:
+    toks = list(map(entry_str, w))
+    if w and (max(w) > 9 or min(w) < -9):
         return ",".join(toks) + ("," if len(toks) == 1 else "")
     return "".join(toks)
 

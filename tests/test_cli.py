@@ -3,6 +3,7 @@ import contextlib
 
 import pytest
 
+from dualeq import engine
 from dualeq.cli import main
 from dualeq.qsym import parse_expansion
 
@@ -104,6 +105,20 @@ def test_oversized_deg_file_exits_two(tmp_path):
     f.write_text("deg 1\nn 16 stat des\nvertex a { }\n")
     code, out, err = run("verify", "--axioms", "weak", "--file", str(f))
     assert (code, out.splitlines()[-1], err) == (0, "result: pass", "")
+
+
+def test_deg_file_with_too_many_vertices_exits_two(tmp_path, monkeypatch):
+    # refused on the first vertex line past the limit, whatever follows it
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", 5)
+    f = tmp_path / "many.deg"
+    vertices = "".join(f"vertex v{k} {{ }}\n" for k in range(5))
+    f.write_text("deg 1\nn 3 stat des\n" + vertices)
+    code, out, err = run("verify", "--axioms", "weak", "--file", str(f))
+    assert (code, out.splitlines()[-1], err) == (0, "result: pass", "")
+    f.write_text("deg 1\nn 3 stat des\n" + vertices + "vertex v5 {\nedge 9\n")
+    code, out, err = run("verify", "--axioms", "weak", "--file", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: line 8: more than 5 vertices\n"
 
 
 def test_enumerate_standard_porcelain():

@@ -188,8 +188,7 @@ def test_image_outside_the_ground_raises_internal_error():
         return (3, 2, 1) if w == (2, 1, 3) else w
 
     with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\)"):
-        _materialize(DES, 3, words, ["123", "213"], [frozenset(), frozenset({1})],
-                     leaks, "(toy)")
+        _materialize(DES, 3, words, ["123", "213"], leaks, "(toy)")
 
 
 def test_shifted_target_is_built_once_and_never_changed():

@@ -157,6 +157,22 @@ def test_word_str_parse_word_roundtrip():
     assert parse_word("10',3,2,1,4,5,6,7,8,9") == (-10, 3, 2, 1, 4, 5, 6, 7, 8, 9)
 
 
+@pytest.mark.parametrize("w, text", [
+    ((), ""),
+    ((3, 1, 2), "312"),
+    ((-3, 1, -2), "3'12'"),
+    ((9, -9), "99'"),
+    ((-10,), "10',"),
+    ((12,), "12,"),
+    ((10, -3), "10,3'"),
+    ((-3, 10, 1), "3',10,1"),
+])
+def test_word_str_forms(w, text):
+    # the comma form as soon as one letter, primed or not, has two digits
+    assert word_str(w) == text
+    assert parse_word(text) == w
+
+
 def test_check_tableau_rejects_bad_fillings():
     with pytest.raises(ValueError):
         check_tableau(tableau("straight", ((2, 1),)))

@@ -2,19 +2,23 @@
 window readings, lemma v) against a reference that restricts every object
 of every window class on its own, one window at a time.
 
-The reference is the straightforward form of the checks: the classes of a
-window come from a fresh union-find, each class's generating function is
-built from the restricted statistic of each member, and the iv-a multiset
-condition compares sorted tuples of restricted descent sets.  Reports must
-agree exactly: condition order, pass/fail, counts, notes and each
-condition's witnesses in order.
+The reference is the straightforward form of the checks, sharing no code
+with the verifiers under test: the classes of a window come from a fresh
+union-find, conditions (i) and (ii) read the frozenset statistics, each
+class's generating function is built from the restricted statistic of each
+member, and the iv-a multiset condition compares sorted tuples of
+restricted descent sets.  Reports must agree exactly: condition order,
+pass/fail, counts, notes and each condition's witnesses in order.  The
+labelling walk of engine._components is also compared with the union-find
+on random involution tables.
 """
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualeq.core import (
     partition_str,
@@ -31,11 +35,7 @@ from dualeq.engine import (
     VerificationReport,
     _Acc,
     _check_commutation,
-    _check_descent_transport,
-    _check_fixed_law,
-    _check_peak_transport,
     _components,
-    _fix_tables,
     _mask,
     _members,
     _shifted_target,
@@ -59,6 +59,88 @@ from dualeq.qsym import (
 
 
 # --- reference -------------------------------------------------------------
+
+
+def ref_components(size, tables):
+    """Components by union-find, listed by smallest member, and each
+    object's component index."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for table in tables:
+        for x, y in enumerate(table):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[ry] = rx
+    groups = defaultdict(list)
+    for x in range(size):
+        groups[find(x)].append(x)
+    comps = sorted((tuple(members) for members in groups.values()), key=lambda c: c[0])
+    comp_id = [0] * size
+    for idx, comp in enumerate(comps):
+        for x in comp:
+            comp_id[x] = idx
+    return comps, comp_id
+
+
+def ref_fix_tables(g):
+    return {i: tuple(t[x] == x for x in range(g.size)) for i, t in g.invs.items()}
+
+
+def ref_fixed_law(g, report, law):
+    acc = _Acc(report, "i")
+    for i in g.index_range():
+        table = g.invs[i]
+        for x in range(g.size):
+            if (table[x] == x) != law(g.stats[x], i):
+                acc.fail((g.labels[x],), f"fixed-point law fails at index {i}")
+
+
+def ref_descent_transport(g, report, fix):
+    acc = _Acc(report, "ii")
+    for i in g.index_range():
+        table = g.invs[i]
+        for x in range(g.size):
+            y = table[x]
+            if y == x:
+                continue
+            diff = g.stats[x] ^ g.stats[y]
+            if i - 1 not in diff or i not in diff:
+                acc.fail((g.labels[x], g.labels[y]),
+                         f"index {i}: positions {i - 1},{i} must both flip")
+                continue
+            for h in diff:  # frozenset order, not always ascending
+                if h in (i - 1, i):
+                    continue
+                if h == i - 2 and not fix[i - 1][x]:
+                    continue
+                if h == i + 1 and not fix[i + 1][x]:
+                    continue
+                acc.fail((g.labels[x], g.labels[y]),
+                         f"index {i}: position {h} changed illegally")
+                break
+
+
+def ref_peak_transport(g, report):
+    acc = _Acc(report, "ii")
+    for i in g.index_range():
+        table = g.invs[i]
+        for x in range(g.size):
+            y = table[x]
+            if y == x:
+                continue
+            if (i in g.stats[x]) != (i + 1 in g.stats[y]):
+                acc.fail((g.labels[x], g.labels[y]),
+                         f"index {i}: peak at {i} not transported to {i + 1}")
+                continue
+            if any(h < i - 2 or h > i + 3 for h in g.stats[x] ^ g.stats[y]):
+                acc.fail((g.labels[x], g.labels[y]),
+                         f"index {i}: peak outside {{{i - 2}..{i + 3}}} changed")
 
 
 def ref_restrict(g, s, j, i, literal=False):
@@ -96,7 +178,7 @@ def ref_subground(g, members, j, i):
 
 
 def ref_window(g, j, i):
-    return _components(g.size, [g.invs[k] for k in range(j, i + 1)])
+    return ref_components(g.size, [g.invs[k] for k in range(j, i + 1)])
 
 
 def ref_expansions(g, report, condition, windows, require, literal=False):
@@ -121,8 +203,8 @@ def ref_expansions(g, report, condition, windows, require, literal=False):
 
 def ref_descent_start(g, name):
     report = VerificationReport(name, g.desc, {})
-    _check_fixed_law(g, report, lambda s, i: (i - 1 in s) == (i in s))
-    _check_descent_transport(g, report, _fix_tables(g))
+    ref_fixed_law(g, report, lambda s, i: (i - 1 in s) == (i in s))
+    ref_descent_transport(g, report, ref_fix_tables(g))
     _check_commutation(g, report, 3)
     return report
 
@@ -146,7 +228,7 @@ def ref_multisets(g, j, i):
 
 def ref_weak(g):
     report = ref_descent_start(g, "weak")
-    fix = _fix_tables(g)
+    fix = ref_fix_tables(g)
     R = list(g.index_range())
     ref_expansions(g, report, "iv-a",
                    [(i - 1, i) for i in R if i - 1 in g.invs], "positive")
@@ -193,8 +275,8 @@ def ref_weak(g):
 
 def ref_shifted(g, literal=False):
     report = VerificationReport("shifted", g.desc, {})
-    _check_fixed_law(g, report, lambda s, i: i not in s and i + 1 not in s)
-    _check_peak_transport(g, report)
+    ref_fixed_law(g, report, lambda s, i: i not in s and i + 1 not in s)
+    ref_peak_transport(g, report)
     _check_commutation(g, report, 4)
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 4]
@@ -417,3 +499,56 @@ def test_mask_restriction_matches_core(n):
         for j, i in [(3, 2), (1, 1), (2, n)]:
             with pytest.raises(ValueError):
                 _window(g, j, i)
+
+
+def test_a_failing_transport_names_the_position_frozensets_name_first():
+    # index 3 exchanges {2,8} and {1,3}: 2 and 3 flip, 1 and 8 may not (the
+    # objects are fixed by involutions 2 and 4); the difference iterates
+    # 8 before 1, and the witness keeps naming 8
+    n = 10
+    stats = (frozenset({2, 8}), frozenset({1, 3}))
+    assert list(stats[0] ^ stats[1]) == [8, 1, 2, 3]
+    invs = {i: (1, 0) if i == 3 else (0, 1) for i in range(2, n)}
+    g = DEGround(DES, n, ("x", "y"), stats, invs, "two objects").validate()
+    compare(g)
+    for verify in (verify_strong, verify_weak):
+        report = verify(g)
+        assert [(w.labels, w.detail) for w in report.witnesses_for("ii")] == [
+            (("x", "y"), "index 3: position 8 changed illegally"),
+            (("y", "x"), "index 3: position 8 changed illegally"),
+        ]
+
+
+@st.composite
+def involution_tables(draw):
+    """1-5 random involution tables on 0-60 objects, with fixed points."""
+    size = draw(st.integers(0, 60))
+    tables = []
+    for _ in range(draw(st.integers(1, 5))):
+        order = draw(st.permutations(range(size)))
+        pairs = draw(st.integers(0, size // 2))
+        table = list(range(size))
+        for k in range(pairs):
+            x, y = order[2 * k], order[2 * k + 1]
+            table[x], table[y] = y, x
+        tables.append(tuple(table))
+    return size, tables
+
+
+@given(involution_tables())
+@settings(max_examples=300, deadline=None)
+def test_components_match_union_find_on_random_involutions(case):
+    size, tables = case
+    assert _components(size, tables) == ref_components(size, tables)
+
+
+def test_components_match_union_find_on_small_builtin_windows():
+    grounds = [g for g in map(build_ground, builtin_grounds()) if g.size <= 60]
+    windows = 0
+    for g in grounds:
+        R = g.index_range()
+        for j, i in [(j, i) for j in R for i in R if 0 <= i - j <= 4]:
+            tables = [g.invs[k] for k in range(j, i + 1)]
+            assert _components(g.size, tables) == ref_components(g.size, tables)
+            windows += 1
+    assert windows > 100

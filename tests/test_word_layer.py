@@ -5,8 +5,8 @@ checks a tableau in one pass.  Here d, b, phi, psi and descent_set_word are
 compared with the earlier dict-based versions, kept below as the reference,
 on every word of an exhaustive small range, and is_standard with the
 check_tableau-based definition.  Also: ground_size refuses oversized grounds
-before any enumeration, and the build calls is_standard and descent_set_word
-once per object.
+before any enumeration, and the build calls is_standard and _inverse once per
+object.
 """
 
 import sys
@@ -383,7 +383,10 @@ def test_shifted_build_checks_each_tableau_once(monkeypatch):
 
 
 def test_signed_build_takes_each_descent_set_once(monkeypatch):
-    calls = count_calls(monkeypatch, "descent_set_word")
+    # the statistic comes from the inverse the moves read: one per word
+    calls = count_calls(monkeypatch, "_inverse")
     g = build_ground(("signedperm", 4, "phi"))
     assert g.size == 384
-    assert sorted(calls) == sorted(parse_word(label) for label in g.labels)
+    words = [parse_word(label) for label in g.labels]
+    assert sorted(calls) == sorted(words)
+    assert list(g.stats) == [descent_set_word(w) for w in words]
