@@ -26,10 +26,12 @@ from .core import (
 from .engine import (
     BUILTIN_GROUNDS,
     ClassificationFailure,
+    _within_limit,
     build_ground,
     class_genfn,
     classes,
     classify_shifted_class,
+    ground_size,
     lemma_axiom4_check,
     parse_deg,
     verify_shifted,
@@ -51,13 +53,13 @@ from .qsym import (
     schur_in_F,
 )
 from .tableaux import (
+    _standard_words,
     enumerate_shssyt,
     enumerate_shsyt,
     enumerate_signed_standard,
     enumerate_ssyt,
     enumerate_syt,
     format_tableau,
-    reading_word,
     word_str,
 )
 
@@ -106,10 +108,27 @@ def _expansion_summary(exp):
     return f"{kind} witness {subset_str(exp.witness)} residual {exp.residual}"
 
 
+def _refuse_oversized(kind, shape, strict, signed=None):
+    """Refuse, before any work, a request that reads more standard tableaux
+    than MAX_GROUND_OBJECTS, counted for the arguments _standard_words takes:
+    signed ones (2^rows times as many with primed diagonals, signed=True)
+    when signed is not None."""
+    ground = "signed-shsyt" if signed is not None else "shsyt" if strict else "syt"
+    family = {"syt": "d", "shsyt": "b", "signed-shsyt": "psi"}[ground]
+    count = ground_size((ground, shape, family)) << len(shape) * bool(signed)
+    _within_limit(f"{kind} {partition_str(shape)}", count)
+
+
 def cmd_expand(args, parser):
     shape = _shape(args.shape)
     if args.kind in ("P", "Q") and not is_strict_partition(shape):
         parser.error(f"{args.kind} needs a strict partition, got {args.shape}")
+    by_peaks = args.basis == "G" and not args.schur_of
+    if by_peaks and args.kind == "schur":
+        parser.error("Schur functions have no G-basis expansion here")
+    # P_in_G reads the shifted tableaux, Q_in_F also those with primed diagonals
+    signed = None if by_peaks or args.kind == "schur" else args.kind == "Q"
+    _refuse_oversized(args.kind, shape, args.kind != "schur", signed)
     # built per call, so a wrapper installed on a module name sees the call
     in_F = {"schur": schur_in_F, "P": P_in_F, "Q": Q_in_F}[args.kind]
     if args.schur_of:
@@ -120,9 +139,7 @@ def cmd_expand(args, parser):
         for line in exp.render():
             print(line)
         return 0
-    if args.basis == "G":
-        if args.kind == "schur":
-            parser.error("Schur functions have no G-basis expansion here")
+    if by_peaks:
         vec = P_in_G(shape)
         if args.kind == "Q":
             vec = vec.scaled(2 ** len(shape))
@@ -143,26 +160,26 @@ def cmd_enumerate(args, parser):
     kind = args.kind
     if kind in ("ssyt", "shssyt") and args.max is None:
         parser.error(f"enumerate {kind} needs --max (largest entry allowed)")
-    if kind == "syt":
-        tabs = enumerate_syt(shape)
-    elif kind == "shsyt":
-        tabs = enumerate_shsyt(shape)
-    elif kind == "ssyt":
+    if kind == "ssyt":
         tabs = enumerate_ssyt(shape, args.max)
     elif kind == "shssyt":
         tabs = enumerate_shssyt(shape, args.max, args.diagonal_primes)
-    else:  # signed
-        tabs = enumerate_signed_standard(shape, args.diagonal_primes)
-    standard = kind in ("syt", "shsyt", "signed")
-    count = 0
-    for T in tabs:
-        count += 1
-        if args.porcelain:
-            print(word_str(reading_word(T)) if standard else _inline_tableau(T))
+    else:
+        strict = kind != "syt"
+        signed = args.diagonal_primes if kind == "signed" else None
+        _refuse_oversized(kind, shape, strict, signed)
+        if args.porcelain:  # the reading words, without making tableaux
+            tabs = _standard_words(shape, strict, signed)
+        elif kind == "signed":
+            tabs = enumerate_signed_standard(shape, signed)
         else:
-            print(format_tableau(T))
-            print()
-    print(f"count {count}")
+            tabs = (enumerate_shsyt if strict else enumerate_syt)(shape)
+    for T in tabs:
+        if not args.porcelain:
+            print(format_tableau(T) + "\n")
+        else:
+            print(_inline_tableau(T) if kind in ("ssyt", "shssyt") else word_str(T))
+    print(f"count {len(tabs)}")
     return 0
 
 

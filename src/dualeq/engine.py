@@ -47,15 +47,7 @@ from .qsym import (
     expand_in_P,
     expand_in_schur,
 )
-from .tableaux import (
-    _descent_set,
-    _inverse,
-    enumerate_shsyt,
-    enumerate_signed_standard,
-    enumerate_syt,
-    reading_word,
-    word_str,
-)
+from .tableaux import _descent_set, _inverse, _standard_words, word_str
 
 DES = "des"
 PEAK = "peak"
@@ -172,21 +164,11 @@ BUILTIN_GROUNDS = {
         ],
         lambda n: _phi,
     ),
-    ("syt", "d"): (
-        DES,
-        lambda shape: [reading_word(T) for T in enumerate_syt(shape)],
-        lambda shape: _d,
-    ),
-    ("shsyt", "b"): (
-        PEAK,
-        lambda shape: [reading_word(T) for T in enumerate_shsyt(shape)],
-        lambda shape: _b,
-    ),
+    ("syt", "d"): (DES, lambda shape: _standard_words(shape, False), lambda shape: _d),
+    ("shsyt", "b"): (PEAK, lambda shape: _standard_words(shape, True), lambda shape: _b),
     ("signed-shsyt", "psi"): (
         DES,
-        lambda shape: [
-            reading_word(T) for T in enumerate_signed_standard(shape, False)
-        ],
+        lambda shape: _standard_words(shape, True, False),
         lambda shape: partial(_phi, col=_reading_columns(tuple(shape))),
     ),
 }
@@ -219,16 +201,21 @@ def ground_size(desc) -> int:
     return count << (n - rows) if kind == "signed-shsyt" else count
 
 
+def _within_limit(what, size):
+    """Refuse a request of more than MAX_GROUND_OBJECTS objects."""
+    if size > MAX_GROUND_OBJECTS:
+        raise ValueError(
+            f"{what} has {size} objects, above the limit {MAX_GROUND_OBJECTS}"
+        )
+
+
 def build_ground(desc) -> DEGround:
     """Build a builtin ground from a descriptor (ground, parameter, family)
     such as ("perm", 4, "d") or ("shsyt", (4, 2), "b"); BUILTIN_GROUNDS
     lists the pairs.  A ground of more than MAX_GROUND_OBJECTS objects is
     refused before any enumeration."""
     kind, param, family = desc
-    size = ground_size(desc)
-    if size > MAX_GROUND_OBJECTS:
-        raise ValueError(f"ground {kind} {param} has {size} objects, "
-                         f"above the limit {MAX_GROUND_OBJECTS}")
+    _within_limit(f"ground {kind} {param}", ground_size(desc))
     stat_kind, valid_words, involution = BUILTIN_GROUNDS[kind, family]
     n = param if isinstance(param, int) else sum(param)
     words = valid_words(param)

@@ -24,9 +24,9 @@ from .tableaux import (
     Tableau,
     _inverse,
     _is_descent,
+    _split,
     is_standard,
     reading_word,
-    tableau,
     word_str,
 )
 
@@ -122,12 +122,7 @@ def phi(i, w):
 
 def _rebuild(T: Tableau, word) -> Tableau:
     """Same shape as T, entries replaced in reading order; validity re-checked."""
-    rows = []
-    idx = 0
-    for width in reversed(T.shape):
-        rows.append(word[idx : idx + width])
-        idx += width
-    out = tableau(T.kind, reversed(rows))
+    out = _split(T.kind, T.shape, word)
     if not is_standard(out):
         raise InternalInvariantError(
             f"involution produced an invalid tableau from word {word_str(word)}"

@@ -6,7 +6,8 @@ Generating functions live in one of two bases:
 * QSymG — peak basis G_P, keyed by peak sets (degree n).
 
 Schur, Schur-P and Schur-Q functions are produced as F-expansions (or
-G-expansions for P) by enumerating the relevant tableaux.  Expanding an
+G-expansions for P) from the reading words of the relevant standard
+tableaux, which are enumerated as words, not Tableaux.  Expanding an
 arbitrary F-vector back into Schur functions, or a G-vector into P's, peels
 off one shape at a time (both bases are unitriangular, see _peel); failures
 return NotSymmetric / NotInSpan reports carrying a witness key, they never
@@ -39,14 +40,11 @@ from .core import (
     subset_str,
 )
 from .tableaux import (
+    _standard_words,
     descent_set_word,
     enumerate_shssyt,
-    enumerate_shsyt,
-    enumerate_signed_standard,
     enumerate_ssyt,
-    enumerate_syt,
     monomial_weight,
-    reading_word,
 )
 
 
@@ -208,30 +206,25 @@ def expand_in_P(g: QSymG):
 
 def schur_in_F(shape) -> QSymF:
     """Schur function s_shape as a sum of F_D over standard Young tableaux."""
-    return QSymF(sum(shape), _word_descents(enumerate_syt(shape)))
+    return QSymF(sum(shape), _word_descents(_standard_words(shape, False)))
 
 
-def _word_descents(tabs):
-    """Descent sets of enumerated tableaux, which were validated when they
-    were made, read off their reading words without validating again."""
-    return Counter(descent_set_word(reading_word(T)) for T in tabs)
+def _word_descents(words):
+    """The descent sets of reading words, counted."""
+    return Counter(map(descent_set_word, words))
 
 
 def P_in_F(shape) -> QSymF:
     """Schur-P function as a sum of F_D over signed standard shifted tableaux
     with unprimed diagonal."""
-    tabs = enumerate_signed_standard(shape, False)
-    return QSymF(sum(shape), _word_descents(tabs))
+    return QSymF(sum(shape), _word_descents(_standard_words(shape, True, False)))
 
 
 def Q_in_F(shape) -> QSymF:
     """Schur-Q function: 2^length * P, cross-checked against the direct
     enumeration with primed diagonals allowed."""
     scaled = P_in_F(shape).scaled(2 ** len(tuple(shape)))
-    direct = QSymF(
-        sum(shape),
-        _word_descents(enumerate_signed_standard(shape, True)),
-    )
+    direct = QSymF(sum(shape), _word_descents(_standard_words(shape, True, True)))
     if scaled != direct:
         raise InternalInvariantError(
             f"Q_in_F routes disagree for shape {tuple(shape)}"
@@ -252,8 +245,8 @@ def P_in_G(shape) -> QSymG:
     shape = tuple(shape)
     least = max(len(shape) - 1, 0)
     acc = Counter()
-    for T in enumerate_shsyt(shape):
-        P = peak_of(descent_set_word(reading_word(T)))
+    for w in _standard_words(shape, True):
+        P = peak_of(descent_set_word(w))
         acc[P] += 2 ** (len(P) - least)
     return QSymG(sum(shape), acc)
 

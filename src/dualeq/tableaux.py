@@ -6,6 +6,11 @@ The total order on entries is 1' < 1 < 2' < 2 < ... (see entry_key).
 A Tableau stores its rows bottom-up: rows[0] is row 1.  Shifted rows are
 *not* stored with padding; the column of rows[r-1][j] is j+1 for straight
 shapes and r+j for shifted ones.
+
+Standard tableaux are enumerated as reading words (_standard_words), each
+subshape's words made once and every word checked once by the one
+standardness check, _is_standard_word, which is_standard also applies.
+The enumerate_* functions split the checked words into Tableaux.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .core import (
     SHIFTED,
@@ -134,14 +140,26 @@ def is_valid_tableau(T: Tableau) -> bool:
 
 def is_standard(T: Tableau) -> bool:
     """Valid, with absolute values exactly 1..n, each once (primes allowed if
-    shifted).  For distinct values check_tableau asks for rows increasing and
-    each cell above a smaller one (row[j] sits on index j+1 if shifted)."""
-    shifted, n = T.kind == SHIFTED, T.size
+    shifted): a tableau of its kind whose reading word is standard."""
+    shifted = T.kind == SHIFTED
     partition = is_strict_partition if shifted else is_partition
     if not (shifted or T.kind == STRAIGHT) or not partition(T.shape):
         return False
-    seen, below = [False] * (n + 1), ()
-    for row in T.rows:
+    return _is_standard_word(reading_word(T), T.shape, shifted)
+
+
+def _is_standard_word(w, shape, shifted) -> bool:
+    """Whether w is the reading word of a standard tableau of the shape, a
+    partition (strict if shifted): absolute values 1..n each once, primes
+    only if shifted.  For distinct values check_tableau asks for rows
+    increasing and each cell above a smaller one (row[j] sits on index j+1
+    of the row below if shifted)."""
+    n = len(w)
+    if sum(shape) != n:
+        return False
+    seen, below, end = [False] * (n + 1), (), n
+    for width in shape:  # bottom row first: the last letters of w
+        row, end = w[end - width : end], end - width
         left = 0
         for j, e in enumerate(row):
             v = abs(e)
@@ -206,10 +224,7 @@ def descent_set_tab(T: Tableau):
 def monomial_weight(T: Tableau):
     """Exponent vector of x^T: entry v or v' contributes to x_v."""
     counts = Counter(abs(e) for row in T.rows for e in row)
-    if not counts:
-        return ()
-    top = max(counts)
-    return tuple(counts.get(v, 0) for v in range(1, top + 1))
+    return tuple(counts[v] for v in range(1, max(counts, default=0) + 1))
 
 
 def _raise_if_bad_max(k):
@@ -241,72 +256,84 @@ def enumerate_ssyt(shape, k):
             fill(nr, nj)
         rows[r][j] = 0
 
-    if shape:
-        fill(0, 0)
-    else:
-        results.append(tableau(STRAIGHT, ()))
+    fill(0, 0)  # the empty shape has one tableau, found at once
     return results
 
 
-def _removal_rows(shape, strict):
-    """Rows from which the largest entry of a standard tableau may be removed."""
-    rows = []
-    for r in range(len(shape)):
-        w = shape[r] - 1
-        if r + 1 < len(shape):
-            nxt = shape[r + 1]
-            ok = w >= nxt + 1 if strict else w >= nxt
-        else:
-            ok = w >= 0
-        if ok:
-            rows.append(r)
-    return rows
+def _standard_words(shape, strict, diagonal_primes=None):
+    """Reading words of the standard tableaux of a partition (shifted, of a
+    strict partition, if strict), each checked once.
 
-
-def _standard_fillings(shape, strict):
-    """Row index (0-based) of each of 1..n, for every standard filling of shape."""
+    A word of shape with n in row r is a word of shape - e_r with n inserted
+    at the end of row r, position sum(shape[r+1:]) + shape[r] - 1; the words
+    of each subshape are made once.  Rows r come in increasing order, each
+    followed through the words of its subshape.  With diagonal_primes False
+    or True (strict only), each word is followed by its signed variants:
+    the values on the free cells (off the diagonal, or any cell) are
+    primed by the bits of each mask in turn, bit b priming the b-th
+    smallest free value."""
     shape = tuple(shape)
-    n = sum(shape)
-    if n == 0:
-        return [()]
-    out = []
-    for r in _removal_rows(shape, strict):
-        smaller = tuple(
-            p - 1 if idx == r else p for idx, p in enumerate(shape) if idx != r or p > 1
-        )
-        for placement in _standard_fillings(smaller, strict):
-            out.append(placement + (r,))
-    return out
+    if not (is_strict_partition if strict else is_partition)(shape):
+        raise InvalidShapeError(f"not a {'strict ' * strict}partition: {shape}")
+    memo = {(): [()]}
+
+    def words(sh):
+        found = memo.get(sh)
+        if found is None:
+            memo[sh] = found = []
+            n = sum(sh)
+            for r, part in enumerate(sh):
+                rest = sh[r + 1 :]
+                if rest and part - 1 < rest[0] + strict:
+                    continue  # n cannot end row r: shape - e_r is no shape
+                p = sum(rest) + part - 1
+                smaller = sh[:r] + (part - 1,) * (part > 1) + rest
+                found.extend(w[:p] + (n,) + w[p:] for w in words(smaller))
+        return found
+
+    out = words(shape)
+    if diagonal_primes is not None:
+        diagonal = set(accumulate(reversed(shape[1:]), initial=0))
+        free = [p for p in range(sum(shape)) if diagonal_primes or p not in diagonal]
+        unsigned, out = out, []
+        for w in unsigned:
+            variants = [w]
+            for p in sorted(free, key=w.__getitem__):
+                variants += [v[:p] + (-v[p],) + v[p + 1 :] for v in variants]
+            out += variants
+    return _checked_words(out, shape, strict)
 
 
-def _from_placement(kind, shape, placement, signs=None):
-    """The tableau with value v in row placement[v-1] (0-based), primed when
-    v is in signs.  Every enumerated standard tableau is made here, and
-    validated here once."""
-    rows = [[] for _ in shape]
-    for value, r in enumerate(placement, 1):
-        e = -value if signs and value in signs else value
-        rows[r].append(e)
-    T = tableau(kind, rows)
-    if not is_standard(T):
-        raise InternalInvariantError(f"placement is not a standard tableau: {T}")
-    return T
+def _checked_words(words, shape, shifted):
+    """The words, each checked once by _is_standard_word; a word that fails
+    is an enumeration bug."""
+    for w in words:
+        if not _is_standard_word(w, shape, shifted):
+            raise InternalInvariantError(
+                f"{word_str(w)} is not a standard reading word of shape {shape}"
+            )
+    return words
+
+
+def _split(kind, shape, w) -> Tableau:
+    """The tableau of the shape whose reading word is w."""
+    rows, end = [], len(w)
+    for width in shape:
+        rows.append(w[end - width : end])
+        end -= width
+    return Tableau(kind, tuple(rows))
 
 
 def enumerate_syt(shape):
     """All standard Young tableaux of a straight shape."""
     shape = tuple(shape)
-    if not is_partition(shape):
-        raise InvalidShapeError(f"not a partition: {shape}")
-    return [_from_placement(STRAIGHT, shape, p) for p in _standard_fillings(shape, False)]
+    return [_split(STRAIGHT, shape, w) for w in _standard_words(shape, False)]
 
 
 def enumerate_shsyt(shape):
     """All standard shifted tableaux of a strict shape (no primed entries)."""
     shape = tuple(shape)
-    if not is_strict_partition(shape):
-        raise InvalidShapeError(f"not a strict partition: {shape}")
-    return [_from_placement(SHIFTED, shape, p) for p in _standard_fillings(shape, True)]
+    return [_split(SHIFTED, shape, w) for w in _standard_words(shape, True)]
 
 
 def enumerate_shssyt(shape, k, diagonal_primes):
@@ -339,15 +366,10 @@ def enumerate_shssyt(shape, k, diagonal_primes):
                 continue  # the first cell of each row is the diagonal cell
             if primed and e in rows[r][:j]:
                 continue  # one primed copy per row
-            if not primed:
-                clash = False  # one unprimed copy per column
-                for rr in range(r):
-                    cj = (r - rr) + j
-                    if cj < len(rows[rr]) and rows[rr][cj] == e:
-                        clash = True
-                        break
-                if clash:
-                    continue
+            if not primed and any(  # one unprimed copy per column
+                rows[rr][r - rr + j] == e for rr in range(r) if r - rr + j < len(rows[rr])
+            ):
+                continue
             found.append(e)
         return found
 
@@ -361,10 +383,7 @@ def enumerate_shssyt(shape, k, diagonal_primes):
             fill(nr, nj)
         rows[r][j] = 0
 
-    if shape:
-        fill(0, 0)
-    else:
-        results.append(tableau(SHIFTED, ()))
+    fill(0, 0)
     return results
 
 
@@ -372,21 +391,8 @@ def enumerate_signed_standard(shape, diagonal_primes):
     """All signed standard shifted tableaux: standard fillings with any subset
     of cells primed (diagonal cells only when diagonal_primes=True)."""
     shape = tuple(shape)
-    if not is_strict_partition(shape):
-        raise InvalidShapeError(f"not a strict partition: {shape}")
-    out = []
-    for placement in _standard_fillings(shape, True):
-        free = []
-        col_pos = [0] * len(shape)
-        for value, r in enumerate(placement, 1):
-            col = (r + 1) + col_pos[r]
-            col_pos[r] += 1
-            if diagonal_primes or col != r + 1:
-                free.append(value)
-        for mask in range(1 << len(free)):
-            signs = {free[b] for b in range(len(free)) if mask >> b & 1}
-            out.append(_from_placement(SHIFTED, shape, placement, signs))
-    return out
+    words = _standard_words(shape, True, bool(diagonal_primes))
+    return [_split(SHIFTED, shape, w) for w in words]
 
 
 def standardize(w):

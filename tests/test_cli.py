@@ -3,7 +3,7 @@ import contextlib
 
 import pytest
 
-from dualeq import engine
+from dualeq import cli, engine, qsym, tableaux
 from dualeq.cli import main
 from dualeq.qsym import parse_expansion
 
@@ -119,6 +119,42 @@ def test_deg_file_with_too_many_vertices_exits_two(tmp_path, monkeypatch):
     code, out, err = run("verify", "--axioms", "weak", "--file", str(f))
     assert (code, out) == (2, "")
     assert err == "error: line 8: more than 5 vertices\n"
+
+
+@pytest.mark.parametrize("argv, count", [
+    # [3,1]: 3 syt, 2 shifted, 8 signed, 32 with primes on the diagonal too
+    (("expand", "schur", "[3,1]"), 3),
+    (("expand", "schur", "[3,1]", "--schur-of"), 3),
+    (("expand", "P", "[3,1]"), 8),
+    (("expand", "P", "[3,1]", "--basis", "G"), 2),
+    (("expand", "Q", "[3,1]"), 32),
+    (("expand", "Q", "[3,1]", "--basis", "G"), 2),
+    (("expand", "Q", "[3,1]", "--schur-of"), 32),
+    (("enumerate", "syt", "[3,1]"), 3),
+    (("enumerate", "shsyt", "[3,1]", "--porcelain"), 2),
+    (("enumerate", "signed", "[3,1]", "--porcelain"), 8),
+    (("enumerate", "signed", "[3,1]", "--diagonal-primes"), 32),
+])
+def test_oversized_expand_or_enumerate_exits_two_before_any_work(
+    argv, count, monkeypatch
+):
+    enumerated = []
+    original = tableaux._standard_words
+
+    def recorded(*args):
+        enumerated.append(args)
+        return original(*args)
+
+    for module in (cli, engine, qsym, tableaux):
+        monkeypatch.setattr(module, "_standard_words", recorded)
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count)
+    assert run(*argv)[0] == 0
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
+    enumerated.clear()
+    code, out, err = run(*argv)
+    assert (code, out, enumerated) == (2, "", [])
+    assert err == (f"error: {argv[1]} [3,1] has {count} objects, "
+                   f"above the limit {count - 1}\n")
 
 
 def test_enumerate_standard_porcelain():

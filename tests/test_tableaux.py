@@ -6,7 +6,8 @@ import pytest
 from dualeq.core import InternalInvariantError, strict_partitions_of, partitions_of
 from dualeq.tableaux import (
     Tableau,
-    _from_placement,
+    _checked_words,
+    _standard_words,
     check_tableau,
     descent_set_tab,
     descent_set_word,
@@ -194,10 +195,18 @@ def test_parse_word_compact_form_parses_each_entry(text):
         parse_word(text)
 
 
-def test_from_placement_rejects_a_nonstandard_placement():
-    # 1 in row 2 above 2 in row 1: the column does not increase upward
-    with pytest.raises(InternalInvariantError):
-        _from_placement("straight", (1, 1), (1, 0))
+def test_word_check_rejects_a_nonstandard_word():
+    good = [(2, 1)]  # 1 below 2 in the straight shape (1, 1)
+    assert _checked_words(good, (1, 1), False) is good
+    for word, shape, shifted in [
+        ((1, 2), (1, 1), False),  # 1 in row 2 above 2 in row 1
+        ((2, 1, 3), (2, 1), True),  # 2 in row 2 above the 3 of row 1
+        ((-1, 2), (2,), False),  # a prime on a straight shape
+        ((1, 1), (2,), True),  # a repeated value
+        ((1, 2), (3,), False),  # too short for the shape
+    ]:
+        with pytest.raises(InternalInvariantError):
+            _checked_words([word], shape, shifted)
 
 
 @given(st.one_of(st.text(max_size=20), st.text("0123456789' ,", max_size=20)))
@@ -209,3 +218,106 @@ def test_parse_word_raises_only_value_errors(text):
         return
     assert 0 not in w
     assert parse_word(word_str(w)) == w
+
+
+# --- the enumerators against the placement path they replaced ---
+
+
+def _removal_rows_ref(shape, strict):
+    rows = []
+    for r in range(len(shape)):
+        w = shape[r] - 1
+        if r + 1 < len(shape):
+            nxt = shape[r + 1]
+            ok = w >= nxt + 1 if strict else w >= nxt
+        else:
+            ok = w >= 0
+        if ok:
+            rows.append(r)
+    return rows
+
+
+def _standard_fillings_ref(shape, strict):
+    """Row index (0-based) of each of 1..n, for every standard filling of shape."""
+    shape = tuple(shape)
+    n = sum(shape)
+    if n == 0:
+        return [()]
+    out = []
+    for r in _removal_rows_ref(shape, strict):
+        smaller = tuple(
+            p - 1 if idx == r else p for idx, p in enumerate(shape) if idx != r or p > 1
+        )
+        for placement in _standard_fillings_ref(smaller, strict):
+            out.append(placement + (r,))
+    return out
+
+
+def _from_placement_ref(kind, shape, placement, signs=None):
+    """The tableau with value v in row placement[v-1] (0-based), primed when
+    v is in signs, checked against check_tableau."""
+    rows = [[] for _ in shape]
+    for value, r in enumerate(placement, 1):
+        e = -value if signs and value in signs else value
+        rows[r].append(e)
+    T = tableau(kind, rows)
+    assert is_valid_tableau(T)
+    return T
+
+
+def _signed_ref(shape, diagonal_primes):
+    out = []
+    for placement in _standard_fillings_ref(shape, True):
+        free = []
+        col_pos = [0] * len(shape)
+        for value, r in enumerate(placement, 1):
+            col = (r + 1) + col_pos[r]
+            col_pos[r] += 1
+            if diagonal_primes or col != r + 1:
+                free.append(value)
+        for mask in range(1 << len(free)):
+            signs = {free[b] for b in range(len(free)) if mask >> b & 1}
+            out.append(_from_placement_ref("shifted", shape, placement, signs))
+    return out
+
+
+def _same_lists(ref, tabs, words):
+    # in order: the tableaux, and the reading words they are split from
+    assert [reading_word(T) for T in ref] == words
+    assert tabs == ref
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_syt_match_the_placement_path(n):
+    for lam in partitions_of(n):
+        ref = [_from_placement_ref("straight", lam, p)
+               for p in _standard_fillings_ref(lam, False)]
+        _same_lists(ref, enumerate_syt(lam), _standard_words(lam, False))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_shsyt_match_the_placement_path(n):
+    for lam in strict_partitions_of(n):
+        ref = [_from_placement_ref("shifted", lam, p)
+               for p in _standard_fillings_ref(lam, True)]
+        _same_lists(ref, enumerate_shsyt(lam), _standard_words(lam, True))
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("diagonal_primes", [False, True])
+def test_signed_standard_match_the_placement_path(n, diagonal_primes):
+    for lam in strict_partitions_of(n):
+        _same_lists(
+            _signed_ref(lam, diagonal_primes),
+            enumerate_signed_standard(lam, diagonal_primes),
+            _standard_words(lam, True, diagonal_primes),
+        )
+
+
+def test_the_empty_shape_has_one_empty_word():
+    for strict, signed in [(False, None), (True, None), (True, False), (True, True)]:
+        assert _standard_words((), strict, signed) == [()]
+    assert enumerate_syt(()) == [tableau("straight", ())]
+    assert enumerate_shsyt(()) == enumerate_signed_standard((), True) == [
+        tableau("shifted", ())
+    ]

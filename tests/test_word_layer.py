@@ -5,8 +5,8 @@ checks a tableau in one pass.  Here d, b, phi, psi and descent_set_word are
 compared with the earlier dict-based versions, kept below as the reference,
 on every word of an exhaustive small range, and is_standard with the
 check_tableau-based definition.  Also: ground_size refuses oversized grounds
-before any enumeration, and the build calls is_standard and _inverse once per
-object.
+before any enumeration, and the build calls the word check (is_standard's
+core) and _inverse once per object.
 """
 
 import sys
@@ -366,9 +366,9 @@ def count_calls(monkeypatch, name):
     original = getattr(tableaux, name)
     calls = []
 
-    def counted(arg):
+    def counted(arg, *rest):
         calls.append(arg)
-        return original(arg)
+        return original(arg, *rest)
 
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "dualeq" and getattr(module, name, None) is original:
@@ -377,9 +377,11 @@ def count_calls(monkeypatch, name):
 
 
 def test_shifted_build_checks_each_tableau_once(monkeypatch):
-    calls = count_calls(monkeypatch, "is_standard")
+    # is_standard applies the same word check, so this counts it too
+    calls = count_calls(monkeypatch, "_is_standard_word")
     g = build_ground(("shsyt", (6, 4, 2), "b"))
     assert len(calls) == g.size == ground_size(("shsyt", (6, 4, 2), "b"))
+    assert sorted(calls) == sorted(parse_word(label) for label in g.labels)
 
 
 def test_signed_build_takes_each_descent_set_once(monkeypatch):
