@@ -31,7 +31,6 @@ from .engine import (
     classes,
     classify_shifted_class,
     find_isomorphism,
-    find_isomorphisms,
     lemma_axiom4_check,
     parse_deg,
     relabel_peak_minus_one,

@@ -53,6 +53,7 @@ from .qsym import (
     schur_in_F,
 )
 from .tableaux import (
+    _semistandard_fillings,
     _standard_words,
     enumerate_shssyt,
     enumerate_shsyt,
@@ -158,12 +159,14 @@ def _inline_tableau(T):
 def cmd_enumerate(args, parser):
     shape = _shape(args.shape)
     kind = args.kind
-    if kind in ("ssyt", "shssyt") and args.max is None:
-        parser.error(f"enumerate {kind} needs --max (largest entry allowed)")
-    if kind == "ssyt":
-        tabs = enumerate_ssyt(shape, args.max)
-    elif kind == "shssyt":
-        tabs = enumerate_shssyt(shape, args.max, args.diagonal_primes)
+    if kind in ("ssyt", "shssyt"):
+        if args.max is None:
+            parser.error(f"enumerate {kind} needs --max (largest entry allowed)")
+        k, primes = args.max, args.diagonal_primes
+        fillings = _semistandard_fillings(shape, k, kind == "shssyt", primes)
+        _within_limit(f"{kind} {partition_str(shape)}", fillings)
+        tabs = (enumerate_ssyt(shape, k) if kind == "ssyt"
+                else enumerate_shssyt(shape, k, primes))
     else:
         strict = kind != "syt"
         signed = args.diagonal_primes if kind == "signed" else None
@@ -302,6 +305,8 @@ def cmd_specialize(args, parser):
     if kind in ("P", "Q") and not is_strict_partition(shape):
         parser.error(f"{kind} needs a strict partition, got {args.shape}")
     if via == "monomial":
+        fillings = _semistandard_fillings(shape, k, kind != "s", kind == "Q")
+        _within_limit(f"{kind} {partition_str(shape)}", fillings)
         poly = monomial_series(kind, shape, k)
     elif via == "F":
         f = {"s": schur_in_F, "P": P_in_F, "Q": Q_in_F}[kind](shape)

@@ -60,19 +60,7 @@ def partitions_of(n):
 
 def strict_partitions_of(n):
     """All strict partitions of n, as tuples, in decreasing lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = []
-
-    def grow(remaining, bound, prefix):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(remaining, bound), 0, -1):
-            grow(remaining - part, part - 1, prefix + (part,))
-
-    grow(n, n, ())
-    return out
+    return [p for p in partitions_of(n) if is_strict_partition(p)]
 
 
 def shape_cells(shape, kind):

@@ -19,6 +19,8 @@ pass of _window_classes: window by window, the classes under the window's
 involutions, labelled by one walk through their tables, and each class's
 restricted statistics.  _window knows a window's degree and restriction.
 Each verifier call expands each distinct window vector once.
+Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
+isomorphism of classes by comparing canonical codes (_class_code).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import factorial, prod
 
 from .core import (
@@ -125,16 +127,18 @@ def _index_range(stat_kind, n):
 
 def _materialize(stat_kind, n, words, labels, move, desc):
     """Tabulate word by word, from one inverse pos per word, its statistic
-    (descent set, or peak set) and its images move(i, w, pos).  The lookup of
-    an image is its check: one outside the ground raises InternalInvariantError."""
+    (descent set, or peak set; one shared frozenset per distinct statistic)
+    and its images move(i, w, pos).  The lookup of an image is its check:
+    one outside the ground raises InternalInvariantError."""
     index_of = {w: k for k, w in enumerate(words)}
     indices = _index_range(stat_kind, n)
     tables = {i: [None] * len(words) for i in indices}
-    stats = [None] * len(words)
+    stats, interned = [None] * len(words), {}
     for k, w in enumerate(words):
         pos = _inverse(w)
-        descents = _descent_set(w, pos)
-        stats[k] = peak_of(descents) if stat_kind == PEAK else descents
+        stat = _descent_set(w, pos)
+        stat = peak_of(stat) if stat_kind == PEAK else stat
+        stats[k] = interned.setdefault(stat, stat)
         for i in indices:
             tables[i][k] = index_of.get(move(i, w, pos))
     invs = {}
@@ -202,11 +206,15 @@ def ground_size(desc) -> int:
 
 
 def _within_limit(what, size):
-    """Refuse a request of more than MAX_GROUND_OBJECTS objects."""
-    if size > MAX_GROUND_OBJECTS:
-        raise ValueError(
-            f"{what} has {size} objects, above the limit {MAX_GROUND_OBJECTS}"
-        )
+    """Refuse a request of more than MAX_GROUND_OBJECTS objects: size is
+    their number, or an iterator over them, walked only past the limit."""
+    if not isinstance(size, int):
+        if next(islice(size, MAX_GROUND_OBJECTS, None), None) is None:
+            return
+        size = f"more than {MAX_GROUND_OBJECTS}"
+    elif size <= MAX_GROUND_OBJECTS:
+        return
+    raise ValueError(f"{what} has {size} objects, above the limit {MAX_GROUND_OBJECTS}")
 
 
 def build_ground(desc) -> DEGround:
@@ -328,11 +336,12 @@ def _stat_masks(g: DEGround):
 
 def _window_classes(g: DEGround, windows, masks, literal=False):
     """One pass over the windows (j, i), in the order given, holding one
-    window at a time: yields ((j, i), comps, comp_id, vectors), the classes
-    under the involutions j..i as _components lists them, each object's
-    class index, and each class's window vector (degree, sorted masks of
-    the restricted statistics), one shared object per distinct vector.
-    masks are the objects' statistics from _stat_masks."""
+    window at a time: yields ((j, i), comps, comp_id, vectors, r), the
+    classes under the involutions j..i as _components lists them, each
+    object's class index, each class's window vector (degree, sorted masks
+    of the restricted statistics), one shared object per distinct vector,
+    and each object's restricted mask.  masks are the objects' statistics
+    from _stat_masks."""
     shared, distinct = {}, set(masks)
     for j, i in windows:
         comps, comp_id = _components(g.size, [g.invs[k] for k in range(j, i + 1)])
@@ -340,7 +349,7 @@ def _window_classes(g: DEGround, windows, masks, literal=False):
         restricted = {m: restrict(m) for m in distinct}
         r = [restricted[m] for m in masks]
         vectors = ((degree, tuple(sorted([r[x] for x in comp]))) for comp in comps)
-        yield (j, i), comps, comp_id, [shared.setdefault(v, v) for v in vectors]
+        yield (j, i), comps, comp_id, [shared.setdefault(v, v) for v in vectors], r
 
 
 def _vector_genfn(g: DEGround, vector):
@@ -512,7 +521,7 @@ def _check_unit_windows(g, report, masks, max_span, literal=False):
     details = cache(partial(_expansion_detail, g, "unit"))
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
-    for window, comps, _, vectors in _window_classes(g, windows, masks, literal):
+    for window, comps, _, vectors, _ in _window_classes(g, windows, masks, literal):
         _check_window_expansions(g, acc, window, comps, vectors, details)
 
 
@@ -555,7 +564,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
     acc_m = _Acc(report, "iv-a-multisets")
     previous = None
     windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
-    for window, comps, comp_id, vectors in _window_classes(g, windows_a, masks):
+    for window, comps, comp_id, vectors, _ in _window_classes(g, windows_a, masks):
         _check_window_expansions(g, acc_a, window, comps, vectors, details)
         if previous is not None:
             i = window[0]
@@ -578,7 +587,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
 
     acc_b = _Acc(report, "iv-b")
     windows_b = [(i - 2, i) for i in R if i - 2 in g.invs]
-    for window, comps, _, vectors in _window_classes(g, windows_b, masks):
+    for window, comps, _, vectors, _ in _window_classes(g, windows_b, masks):
         _check_window_expansions(g, acc_b, window, comps, vectors, details)
 
     acc_c = _Acc(report, "iv-b-chain")
@@ -640,14 +649,9 @@ def relabel_peak_minus_one(g: DEGround) -> DEGround:
     unchanged (both ranges are 2..n-2)."""
     if g.stat_kind != PEAK:
         raise ValueError("expected a peak-kind ground")
-    return DEGround(
-        DES,
-        g.n - 1,
-        g.labels,
-        tuple(frozenset(p - 1 for p in s) for s in g.stats),
-        dict(g.invs),
-        f"{g.desc} as Peak-1",
-    ).validate()
+    down = {s: frozenset(p - 1 for p in s) for s in set(g.stats)}
+    stats, desc = tuple(down[s] for s in g.stats), f"{g.desc} as Peak-1"
+    return DEGround(DES, g.n - 1, g.labels, stats, dict(g.invs), desc).validate()
 
 
 def subground(g: DEGround, members, window=None) -> DEGround:
@@ -657,88 +661,73 @@ def subground(g: DEGround, members, window=None) -> DEGround:
     members = tuple(sorted(members))
     pos = {x: k for k, x in enumerate(members)}
     stats = tuple(g.stats[x] for x in members)
-    if window is None:
-        indices = g.index_range()
-        shift = 0
-        degree = g.n
-    else:
-        j, i = window
-        indices = range(j, i + 1)
-        shift = j - 2
-        degree, restrict = _window(g, j, i)
+    indices, degree = g.index_range(), g.n
+    if window is not None:
+        degree, restrict = _window(g, *window)
+        indices = range(window[0], window[1] + 1)
         stats = tuple(_members(restrict(_mask(s))) for s in stats)
-    invs = {}
-    for k in indices:
-        table = g.invs[k]
-        invs[k - shift] = tuple(pos[table[x]] for x in members)
-    return DEGround(
-        g.stat_kind,
-        degree,
-        tuple(g.labels[x] for x in members),
-        stats,
-        invs,
-        f"{g.desc}|{g.labels[members[0]] if members else ''}",
-    ).validate()
+    invs = {
+        k - indices.start + 2: tuple(pos[g.invs[k][x]] for x in members)
+        for k in indices
+    }
+    labels = tuple(g.labels[x] for x in members)
+    desc = f"{g.desc}|{labels[0] if members else ''}"
+    return DEGround(g.stat_kind, degree, labels, stats, invs, desc).validate()
 
 
-def find_isomorphisms(g1: DEGround, g2: DEGround):
-    """Yield every statistic-preserving bijection commuting with all the
-    involutions, as {position in g1: position in g2} dicts.  Yields nothing
-    when the grounds are structurally incomparable."""
-    if g1.stat_kind != g2.stat_kind or g1.n != g2.n or g1.size != g2.size:
-        return
-    if list(g1.index_range()) != list(g2.index_range()):
-        return
-    if sorted(map(sorted, g1.stats)) != sorted(map(sorted, g2.stats)):
-        return
-    R = list(g1.index_range())
-    comps = classes(g1)
-    by_stat = defaultdict(list)
-    for idx, s in enumerate(g2.stats):
-        by_stat[s].append(idx)
+def _class_code(members, tables, label):
+    """The canonical code of a class and the walk that produced it.
 
-    def propagate(root, cand, used):
-        if g1.stats[root] != g2.stats[cand] or cand in used:
-            return None
-        amap = {root: cand}
-        image = {cand}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            v = amap[u]
-            for i in R:
-                uu, vv = g1.invs[i][u], g2.invs[i][v]
-                if uu in amap:
-                    if amap[uu] != vv:
-                        return None
-                    continue
-                if vv in used or vv in image or g1.stats[uu] != g2.stats[vv]:
-                    return None
-                amap[uu] = vv
-                image.add(vv)
-                stack.append(uu)
-        return amap
-
-    def extend(ci, used, acc):
-        if ci == len(comps):
-            yield dict(acc)
-            return
-        root = comps[ci][0]
-        for cand in by_stat[g1.stats[root]]:
-            amap = propagate(root, cand, used)
-            if amap is None:
-                continue
-            acc.update(amap)
-            yield from extend(ci + 1, used | set(amap.values()), acc)
-            for u in amap:
-                del acc[u]
-
-    yield from extend(0, frozenset(), {})
+    A class is a graph on members with one edge colour per table and the
+    label label[x] on each vertex x.  From each root of the rarest label
+    (least (count, label)) a breadth-first walk takes the tables in order
+    and numbers the vertices as found; its code lists per vertex, in that
+    order, (label, its neighbours' numbers).  The code is the least over
+    the roots.  An isomorphism is fixed by the image of one vertex, so two
+    connected classes are isomorphic exactly when their codes are equal,
+    and their walks align into the isomorphism.  (None, None) when members
+    is not connected under the tables."""
+    counts = Counter(label[x] for x in members)
+    rare = min(counts, key=lambda lab: (counts[lab], lab))
+    best = None, None
+    for root in (x for x in members if label[x] == rare):
+        number, walk, code = {root: 0}, [root], []
+        for x in walk:  # the walk appends to the list it reads
+            neighbours = []
+            for table in tables:
+                y = table[x]
+                if y not in number:
+                    number[y] = len(walk)
+                    walk.append(y)
+                neighbours.append(number[y])
+            code.append((label[x], tuple(neighbours)))
+        code = tuple(code)
+        if len(walk) < len(members):
+            return None, None
+        if best[0] is None or code < best[0]:
+            best = code, walk
+    return best
 
 
 def find_isomorphism(g1: DEGround, g2: DEGround):
-    """First isomorphism between the grounds, or None."""
-    return next(find_isomorphisms(g1, g2), None)
+    """A statistic-preserving bijection commuting with all the involutions,
+    as {position in g1: position in g2}, or None.  The classes of the two
+    grounds are matched by _class_code and the matched walks aligned."""
+    if (g1.stat_kind, g1.n, g1.size) != (g2.stat_kind, g2.n, g2.size):
+        return None
+    coded = []
+    for g in (g1, g2):
+        tables, masks = [g.invs[i] for i in g.index_range()], _stat_masks(g)
+        coded.append([_class_code(comp, tables, masks) for comp in classes(g)])
+    unmatched = defaultdict(list)
+    for code, walk in coded[1]:
+        unmatched[code].append(walk)
+    iso = {}
+    for code, walk in coded[0]:
+        if not unmatched[code]:
+            return None
+        iso.update(zip(walk, unmatched[code].pop()))
+    return iso
 
 
 @dataclass
@@ -762,10 +751,20 @@ def _shifted_target(shape) -> DEGround:
     return build_ground(("shsyt", shape, "b"))
 
 
+@lru_cache(maxsize=None)
+def _target_code(shape):
+    """_class_code of the whole of _shifted_target(shape), labelled by the
+    statistic masks: (None, None) for a target that is not connected."""
+    target = _shifted_target(shape)
+    tables = [target.invs[i] for i in target.index_range()]
+    return _class_code(range(target.size), tables, _stat_masks(target))
+
+
 def classify_shifted_class(g: DEGround, members):
     """Identify a class of a peak-kind ground: its generating function must
     expand to a unit Schur-P vector, and the class must be isomorphic to the
-    standard shifted ground of that shape.  Either failure is reported."""
+    standard shifted ground of that shape (equal _class_code); the mapping
+    aligns the two walks.  Either failure is reported."""
     if g.stat_kind != PEAK:
         raise ValueError("classification applies to peak-kind grounds")
     expansion = expand_in_P(class_genfn(g, members))
@@ -780,16 +779,17 @@ def classify_shifted_class(g: DEGround, members):
             "generating function is not a unit Schur-P vector",
             ", ".join(expansion.render()),
         )
-    sub = subground(g, members)
-    target = _shifted_target(shape)
-    iso = find_isomorphism(sub, target)
-    if iso is None:
+    tables = [g.invs[i] for i in g.index_range()]
+    code, walk = _class_code(members, tables, {x: _mask(g.stats[x]) for x in members})
+    target_code, target_walk = _target_code(shape)
+    if code is None or code != target_code:
         return ClassificationFailure(
             f"class is not isomorphic to the standard shifted ground of "
             f"shape {partition_str(shape)}",
             shape,
         )
-    mapping = {sub.labels[a]: target.labels[bb] for a, bb in iso.items()}
+    labels = _shifted_target(shape).labels
+    mapping = {g.labels[x]: labels[y] for x, y in zip(walk, target_walk)}
     return ClassClassification(shape, mapping)
 
 
@@ -800,11 +800,15 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
     isomorphic to a standard shifted ground (shsyt, lambda, b).
 
     (vi) [experimental]: objects in different classes under the involutions
-    2..i have nonisomorphic windows (i-4, i)."""
+    2..i have nonisomorphic windows (i-4, i).
+
+    Both compare the _class_code of each window class, labelled by the
+    restricted statistics, with a target's code or with each other."""
     if g.stat_kind != PEAK:
         raise ValueError("this check applies to peak-kind grounds")
     report = VerificationReport("lemma-axiom4", g.desc, {})
     R = list(g.index_range())
+    masks = _stat_masks(g)
 
     @cache
     def unit_shape(vector):
@@ -813,41 +817,41 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
 
     acc_v = _Acc(report, "v")
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
-    for window, comps, _, vectors in _window_classes(g, windows, _stat_masks(g)):
+    for (j, i), comps, _, vectors, r in _window_classes(g, windows, masks):
+        tables = [g.invs[k] for k in range(j, i + 1)]
         for comp, vector in zip(comps, vectors):
             shape = unit_shape(vector)
             if shape is None:
                 acc_v.fail(
                     (g.labels[comp[0]],),
-                    f"window {_window_label(*window)}: generating function is "
+                    f"window {_window_label(j, i)}: generating function is "
                     "not a unit Schur-P vector",
                 )
-            elif find_isomorphism(
-                subground(g, comp, window), _shifted_target(shape)
-            ) is None:
+            elif _class_code(comp, tables, r)[0] != _target_code(shape)[0]:
                 acc_v.fail(
                     (g.labels[comp[0]],),
-                    f"window {_window_label(*window)}: not isomorphic to "
+                    f"window {_window_label(j, i)}: not isomorphic to "
                     f"(shsyt,{partition_str(shape)},b)",
                 )
 
     if include_vi:
         acc_vi = _Acc(report, "vi")
-        applicable = [i for i in R if i - 4 >= 2]
-        if not applicable:
+        windows = [(i - 4, i) for i in R if i - 4 >= 2]
+        if not windows:
             report.notes["vi"] = "vacuous: no window (i-4, i) fits the index range"
-        for i in applicable:
+        for (j, i), comps, _, _, r in _window_classes(g, windows, masks):
             _, big_id = _components(g.size, [g.invs[k] for k in range(2, i + 1)])
-            comps, _ = _components(g.size, [g.invs[k] for k in range(i - 4, i + 1)])
-            subs = [subground(g, comp, (i - 4, i)) for comp in comps]
-            for a in range(len(comps)):
-                for bb in range(a + 1, len(comps)):
-                    if big_id[comps[a][0]] == big_id[comps[bb][0]]:
-                        continue
-                    if find_isomorphism(subs[a], subs[bb]) is not None:
+            tables = [g.invs[k] for k in range(j, i + 1)]
+            same = defaultdict(list)  # code -> its classes, in order
+            groups = [same[_class_code(comp, tables, r)[0]] for comp in comps]
+            for a, group in enumerate(groups):
+                group.append(a)
+            for a, group in enumerate(groups):  # pairs in (a, bb) order
+                for bb in group:
+                    if bb > a and big_id[comps[a][0]] != big_id[comps[bb][0]]:
                         acc_vi.fail(
                             (g.labels[comps[a][0]], g.labels[comps[bb][0]]),
-                            f"windows {_window_label(i - 4, i)}: isomorphic "
+                            f"windows {_window_label(j, i)}: isomorphic "
                             f"despite different classes under 2..{i}",
                         )
     return report
@@ -889,7 +893,7 @@ def parse_deg(src) -> DEGround:
         raise DegParseError(no2, f"unknown stat kind {stat_kind!r}")
 
     labels = []
-    stats = []
+    stats, interned = [], {}  # one shared frozenset per distinct statistic
     position = {}
     pairings = defaultdict(dict)  # index -> {position: (partner, line_no)}
     indices = _index_range(stat_kind, n)
@@ -927,7 +931,7 @@ def parse_deg(src) -> DEGround:
                 )
             position[vid] = len(labels)
             labels.append(vid)
-            stats.append(members)
+            stats.append(interned.setdefault(members, members))
         elif line.startswith("edge"):
             parts = line.split()
             if len(parts) != 4:

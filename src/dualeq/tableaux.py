@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 from .core import (
@@ -232,32 +232,75 @@ def _raise_if_bad_max(k):
         raise ValueError("max entry must be nonnegative")
 
 
+def _fillings(shape, candidates):
+    """Fill the cells of a shape one at a time, row 1 first, left to right,
+    cell (r, j) with each of candidates(rows, r, j) in turn (read from the
+    cells filled before it); yields rows, one list of rows reused for every
+    complete filling."""
+    rows = [[0] * width for width in shape]
+    cells = [(r, j) for r, width in enumerate(shape) for j in range(width)]
+
+    def fill(c):
+        if c == len(cells):
+            yield rows  # the empty shape has one tableau, found at once
+            return
+        r, j = cells[c]
+        for e in candidates(rows, r, j):
+            rows[r][j] = e
+            yield from fill(c + 1)
+
+    return fill(0)
+
+
+def _straight_candidates(k, rows, r, j):
+    lo = rows[r][j - 1] if j > 0 else 1  # weak along the row
+    if r > 0:
+        lo = max(lo, rows[r - 1][j] + 1)  # strict up the column
+    return range(lo, k + 1)
+
+
+def _shifted_candidates(k, diagonal_primes, rows, r, j):
+    # cell (row r+1, column r+1+j); the cell below it, in row r, is one
+    # slot further right in its own row since shifted rows shift left
+    # going down — its index there is j+1.
+    lo = 1  # minimum entry_key
+    if j > 0:
+        lo = max(lo, entry_key(rows[r][j - 1]))
+    if r > 0 and j + 1 < len(rows[r - 1]):
+        lo = max(lo, entry_key(rows[r - 1][j + 1]))
+    found = []
+    for key in range(lo, 2 * k + 1):
+        v, primed = (key + 1) // 2, key % 2 == 1
+        e = -v if primed else v
+        if primed and j == 0 and not diagonal_primes:
+            continue  # the first cell of each row is the diagonal cell
+        if primed and e in rows[r][:j]:
+            continue  # one primed copy per row
+        if not primed and any(  # one unprimed copy per column
+            rows[rr][r - rr + j] == e for rr in range(r) if r - rr + j < len(rows[rr])
+        ):
+            continue
+        found.append(e)
+    return found
+
+
+def _semistandard_fillings(shape, k, shifted, diagonal_primes=False):
+    """The _fillings walk over the semistandard tableaux of a partition
+    (shifted, of a strict partition, with primes off the diagonal or, with
+    diagonal_primes, anywhere) with values <= k; the arguments are checked
+    at once, before any step of the walk."""
+    shape = tuple(shape)
+    if not (is_strict_partition if shifted else is_partition)(shape):
+        raise InvalidShapeError(f"not a {'strict ' * shifted}partition: {shape}")
+    _raise_if_bad_max(k)
+    if shifted:
+        return _fillings(shape, partial(_shifted_candidates, k, diagonal_primes))
+    return _fillings(shape, partial(_straight_candidates, k))
+
+
 def enumerate_ssyt(shape, k):
     """All straight semistandard tableaux of the given shape with entries <= k."""
-    shape = tuple(shape)
-    if not is_partition(shape):
-        raise InvalidShapeError(f"not a partition: {shape}")
-    _raise_if_bad_max(k)
-    results = []
-    rows = [[0] * width for width in shape]
-
-    def fill(r, j):
-        if r == len(shape):
-            results.append(tableau(STRAIGHT, rows))
-            return
-        nr, nj = (r, j + 1) if j + 1 < shape[r] else (r + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[r][j - 1])  # weak along the row
-        if r > 0:
-            lo = max(lo, rows[r - 1][j] + 1)  # strict up the column
-        for v in range(lo, k + 1):
-            rows[r][j] = v
-            fill(nr, nj)
-        rows[r][j] = 0
-
-    fill(0, 0)  # the empty shape has one tableau, found at once
-    return results
+    return [tableau(STRAIGHT, rows) for rows in _semistandard_fillings(shape, k, False)]
 
 
 def _standard_words(shape, strict, diagonal_primes=None):
@@ -342,49 +385,8 @@ def enumerate_shssyt(shape, k, diagonal_primes):
     Entries may be primed; with diagonal_primes=False the diagonal cells
     (col == row) must be unprimed.
     """
-    shape = tuple(shape)
-    if not is_strict_partition(shape):
-        raise InvalidShapeError(f"not a strict partition: {shape}")
-    _raise_if_bad_max(k)
-    results = []
-    rows = [[0] * width for width in shape]
-
-    def candidates(r, j):
-        # cell (row r+1, column r+1+j); the cell below it, in row r, is one
-        # slot further right in its own row since shifted rows shift left
-        # going down — its index there is j+1.
-        lo = 1  # minimum entry_key
-        if j > 0:
-            lo = max(lo, entry_key(rows[r][j - 1]))
-        if r > 0 and j + 1 < len(rows[r - 1]):
-            lo = max(lo, entry_key(rows[r - 1][j + 1]))
-        found = []
-        for key in range(lo, 2 * k + 1):
-            v, primed = (key + 1) // 2, key % 2 == 1
-            e = -v if primed else v
-            if primed and j == 0 and not diagonal_primes:
-                continue  # the first cell of each row is the diagonal cell
-            if primed and e in rows[r][:j]:
-                continue  # one primed copy per row
-            if not primed and any(  # one unprimed copy per column
-                rows[rr][r - rr + j] == e for rr in range(r) if r - rr + j < len(rows[rr])
-            ):
-                continue
-            found.append(e)
-        return found
-
-    def fill(r, j):
-        if r == len(shape):
-            results.append(tableau(SHIFTED, rows))
-            return
-        nr, nj = (r, j + 1) if j + 1 < shape[r] else (r + 1, 0)
-        for e in candidates(r, j):
-            rows[r][j] = e
-            fill(nr, nj)
-        rows[r][j] = 0
-
-    fill(0, 0)
-    return results
+    fillings = _semistandard_fillings(shape, k, True, diagonal_primes)
+    return [tableau(SHIFTED, rows) for rows in fillings]
 
 
 def enumerate_signed_standard(shape, diagonal_primes):

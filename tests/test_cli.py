@@ -157,6 +157,38 @@ def test_oversized_expand_or_enumerate_exits_two_before_any_work(
                    f"above the limit {count - 1}\n")
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("enumerate", "ssyt", "[2,1]", "--max", "3"), 8),
+    (("enumerate", "shssyt", "[2,1]", "--max", "2"), 2),
+    (("enumerate", "shssyt", "[2,1]", "--max", "2", "--diagonal-primes"), 8),
+    (("specialize", "--kind", "s", "--shape", "[2,1]", "--vars", "3"), 8),
+    (("specialize", "--kind", "P", "--shape", "[2,1]", "--vars", "2"), 2),
+    (("specialize", "--kind", "Q", "--shape", "[2,1]", "--vars", "2"), 8),
+])
+def test_oversized_semistandard_request_exits_two_before_enumerating(
+    argv, count, monkeypatch
+):
+    enumerated = []
+    for name in ("enumerate_ssyt", "enumerate_shssyt"):
+        original = getattr(tableaux, name)
+
+        def recorded(*args, original=original):
+            enumerated.append(args)
+            return original(*args)
+
+        for module in (cli, qsym):
+            monkeypatch.setattr(module, name, recorded)
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count)
+    assert run(*argv)[0] == 0 and len(enumerated) == 1
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
+    enumerated.clear()
+    code, out, err = run(*argv)
+    assert (code, out, enumerated) == (2, "", [])
+    kind = argv[1] if argv[0] == "enumerate" else argv[2]
+    assert err == (f"error: {kind} [2,1] has more than {count - 1} objects, "
+                   f"above the limit {count - 1}\n")
+
+
 def test_enumerate_standard_porcelain():
     code, out, _ = run("enumerate", "syt", "[2,1]", "--porcelain")
     assert (code, out.splitlines()) == (0, ["213", "312", "count 2"])

@@ -1,6 +1,6 @@
 """The windowed axiom checks (strong iv, weak iv-a/iv-b, shifted iv in both
-window readings, lemma v) against a reference that restricts every object
-of every window class on its own, one window at a time.
+window readings, lemma v and vi) against a reference that restricts every
+object of every window class on its own, one window at a time.
 
 The reference is the straightforward form of the checks, sharing no code
 with the verifiers under test: the classes of a window come from a fresh
@@ -11,6 +11,11 @@ restricted descent sets.  Reports must agree exactly: condition order,
 pass/fail, counts, notes and each condition's witnesses in order.  The
 labelling walk of engine._components is also compared with the union-find
 on random involution tables.
+
+The reference for isomorphism is a backtracking search over the classes of
+a subground, propagated from one root per class; engine decides
+isomorphism by comparing canonical class codes, and the two must agree on
+every window class, every target and every classification.
 """
 
 import random
@@ -31,16 +36,21 @@ from dualeq.engine import (
     _WITNESS_CAP,
     DES,
     PEAK,
+    ClassClassification,
     DEGround,
     VerificationReport,
     _Acc,
     _check_commutation,
+    _class_code,
     _components,
     _mask,
     _members,
     _shifted_target,
+    _target_code,
     _window,
     build_ground,
+    classes,
+    classify_shifted_class,
     find_isomorphism,
     lemma_axiom4_check,
     relabel_peak_minus_one,
@@ -160,21 +170,86 @@ def ref_genfn(g, members, j, i, literal=False):
     return QSymG(i - j + 4, acc)
 
 
-def ref_subground(g, members, j, i):
+def ref_subground(g, members, j=None, i=None):
+    """The class members of g as a ground of its own: the involutions j..i
+    relabelled from 2 and the statistics restricted to window (j, i), or
+    everything kept when no window is given."""
     members = tuple(sorted(members))
     pos = {x: k for k, x in enumerate(members)}
-    degree = i - j + 3 if g.stat_kind == DES else i - j + 4
+    if j is None:
+        degree, shift, indices = g.n, 0, g.index_range()
+        stats = tuple(g.stats[x] for x in members)
+    else:
+        degree = i - j + 3 if g.stat_kind == DES else i - j + 4
+        shift, indices = j - 2, range(j, i + 1)
+        stats = tuple(ref_restrict(g, g.stats[x], j, i) for x in members)
     invs = {
-        k - (j - 2): tuple(pos[g.invs[k][x]] for x in members)
-        for k in range(j, i + 1)
+        k - shift: tuple(pos[g.invs[k][x]] for x in members) for k in indices
     }
     return DEGround(
-        g.stat_kind,
-        degree,
-        tuple(g.labels[x] for x in members),
-        tuple(ref_restrict(g, g.stats[x], j, i) for x in members),
-        invs,
+        g.stat_kind, degree, tuple(g.labels[x] for x in members), stats, invs
     ).validate()
+
+
+def ref_find_isomorphisms(g1, g2):
+    """Yield every statistic-preserving bijection commuting with all the
+    involutions, as {position in g1: position in g2} dicts: per class of
+    g1, every candidate image of its smallest member with the same
+    statistic, propagated through the tables."""
+    if g1.stat_kind != g2.stat_kind or g1.n != g2.n or g1.size != g2.size:
+        return
+    if list(g1.index_range()) != list(g2.index_range()):
+        return
+    if sorted(map(sorted, g1.stats)) != sorted(map(sorted, g2.stats)):
+        return
+    R = list(g1.index_range())
+    comps = ref_components(g1.size, [g1.invs[i] for i in R])[0]
+    by_stat = defaultdict(list)
+    for idx, s in enumerate(g2.stats):
+        by_stat[s].append(idx)
+
+    def propagate(root, cand, used):
+        if g1.stats[root] != g2.stats[cand] or cand in used:
+            return None
+        amap = {root: cand}
+        image = {cand}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            v = amap[u]
+            for i in R:
+                uu, vv = g1.invs[i][u], g2.invs[i][v]
+                if uu in amap:
+                    if amap[uu] != vv:
+                        return None
+                    continue
+                if vv in used or vv in image or g1.stats[uu] != g2.stats[vv]:
+                    return None
+                amap[uu] = vv
+                image.add(vv)
+                stack.append(uu)
+        return amap
+
+    def extend(ci, used, acc):
+        if ci == len(comps):
+            yield dict(acc)
+            return
+        root = comps[ci][0]
+        for cand in by_stat[g1.stats[root]]:
+            amap = propagate(root, cand, used)
+            if amap is None:
+                continue
+            acc.update(amap)
+            yield from extend(ci + 1, used | set(amap.values()), acc)
+            for u in amap:
+                del acc[u]
+
+    yield from extend(0, frozenset(), {})
+
+
+def ref_find_isomorphism(g1, g2):
+    """The first isomorphism ref_find_isomorphisms finds, or None."""
+    return next(ref_find_isomorphisms(g1, g2), None)
 
 
 def ref_window(g, j, i):
@@ -300,8 +375,8 @@ def ref_lemma(g):
                     acc_v.fail((g.labels[comp[0]],),
                                f"window ({j},{i}): generating function is "
                                "not a unit Schur-P vector")
-                elif find_isomorphism(ref_subground(g, comp, j, i),
-                                      _shifted_target(shape)) is None:
+                elif ref_find_isomorphism(ref_subground(g, comp, j, i),
+                                          _shifted_target(shape)) is None:
                     acc_v.fail((g.labels[comp[0]],),
                                f"window ({j},{i}): not isomorphic to "
                                f"(shsyt,{partition_str(shape)},b)")
@@ -317,11 +392,32 @@ def ref_lemma(g):
             for bb in range(a + 1, len(comps)):
                 if big_id[comps[a][0]] == big_id[comps[bb][0]]:
                     continue
-                if find_isomorphism(subs[a], subs[bb]) is not None:
+                if ref_find_isomorphism(subs[a], subs[bb]) is not None:
                     acc_vi.fail((g.labels[comps[a][0]], g.labels[comps[bb][0]]),
                                 f"windows ({i - 4},{i}): isomorphic despite "
                                 f"different classes under 2..{i}")
     return report
+
+
+def ref_classify(g, members):
+    """classify_shifted_class by the reference search: the shape of the
+    class's unit Schur-P expansion and the first isomorphism onto the
+    standard shifted ground of that shape, as a label map; None when the
+    expansion is not a unit vector or no isomorphism exists."""
+    stats = [g.stats[x] for x in members]
+    m = min(map(len, stats))
+    genfn = Counter()
+    for P in stats:
+        genfn[P] += 2 ** (len(P) - m)
+    expansion = expand_in_P(QSymG(g.n, genfn))
+    shape = expansion.unit_shape() if isinstance(expansion, PExpansion) else None
+    if shape is None:
+        return None
+    sub, target = ref_subground(g, members), build_ground(("shsyt", shape, "b"))
+    iso = ref_find_isomorphism(sub, target)
+    if iso is None:
+        return None
+    return shape, {sub.labels[a]: target.labels[bb] for a, bb in iso.items()}
 
 
 # --- comparison ------------------------------------------------------------
@@ -552,3 +648,142 @@ def test_components_match_union_find_on_small_builtin_windows():
             assert _components(g.size, tables) == ref_components(g.size, tables)
             windows += 1
     assert windows > 100
+
+
+# --- canonical class codes ---------------------------------------------------
+
+
+def check_codes(g):
+    """Assert on a peak-kind ground g that equal class codes are exactly the
+    isomorphisms the reference search finds, on every class of every window
+    of 2-5 involutions: between the classes of one window, and against the
+    standard shifted target of each class with a unit expansion.  Returns
+    the number of unit classes not isomorphic to their target."""
+    R = list(g.index_range())
+    misses = 0
+    for j, i in [(j, i) for j in R for i in R if 1 <= i - j <= 4]:
+        r = [_mask(ref_restrict(g, s, j, i)) for s in g.stats]
+        tables = [g.invs[k] for k in range(j, i + 1)]
+        reps = []  # (code, subground) of one class per distinct code
+        for comp in ref_window(g, j, i)[0]:
+            code = _class_code(comp, tables, r)[0]
+            sub = ref_subground(g, comp, j, i)
+            for rep_code, rep in reps:
+                found = ref_find_isomorphism(sub, rep) is not None
+                assert (code == rep_code) == found, (g.desc, (j, i), comp)
+            if all(code != rep_code for rep_code, _ in reps):
+                reps.append((code, sub))
+            expansion = expand_in_P(ref_genfn(g, comp, j, i))
+            if isinstance(expansion, PExpansion) and expansion.unit_shape():
+                shape = expansion.unit_shape()
+                found = ref_find_isomorphism(sub, _shifted_target(shape)) is not None
+                assert (code == _target_code(shape)[0]) == found, (g.desc, comp)
+                misses += not found
+    return misses
+
+
+def test_class_code_is_none_for_members_that_are_not_connected():
+    tables = [(0, 1, 3, 2)]  # two fixed points, then a pair
+    assert _class_code((0, 1), tables, [7, 7, 7, 7]) == (None, None)
+    assert _class_code((2, 3), tables, [7, 7, 7, 7]) == (((7, (1,)), (7, (0,))), [2, 3])
+    assert _class_code((2, 3), tables, [7, 7, 7, 5]) == (((5, (1,)), (7, (0,))), [3, 2])
+
+
+def classified(g, comp):
+    """classify_shifted_class in the form ref_classify gives."""
+    res = classify_shifted_class(g, comp)
+    return (res.shape, res.mapping) if isinstance(res, ClassClassification) else None
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_class_codes_agree_with_the_search_on_strict_shapes(n):
+    for lam in strict_partitions_of(n):
+        g = build_ground(("shsyt", lam, "b"))
+        assert check_codes(g) == 0
+        assert classified(g, classes(g)[0]) == ref_classify(g, classes(g)[0])
+
+
+def test_class_codes_agree_with_the_search_on_perm_7_b():
+    g = build_ground(("perm", 7, "b"))
+    assert check_codes(g) == 0
+    maps = [classified(g, comp) for comp in classes(g)]
+    assert maps == [ref_classify(g, comp) for comp in classes(g)]
+    assert None not in maps and len({shape for shape, _ in maps}) > 1
+
+
+def test_class_codes_agree_with_the_search_on_mutants():
+    rng = random.Random(2014)
+    misses, failed = 0, set()
+    for desc in [("perm", 6, "b"), ("shsyt", (5, 3, 1), "b"), ("shsyt", (6, 3, 1), "b")]:
+        g = build_ground(desc)
+        for _ in range(6):
+            h = mutant(g, rng)
+            misses += check_codes(h)
+            report = lemma_axiom4_check(h)
+            assert summary(report) == summary(ref_lemma(h)), h.desc
+            failed |= {cond for cond, ok in report.results.items() if not ok}
+            for comp in classes(h):
+                assert classified(h, comp) == ref_classify(h, comp), h.desc
+    # both verdicts of the code comparison occur, and both lemma conditions fail
+    assert misses > 0 and failed == {"v", "vi"}, (misses, failed)
+
+
+def shuffled(g, rng):
+    """g with its objects in a random order, labels and tables carried along."""
+    p = list(range(g.size))
+    rng.shuffle(p)
+    at = [0] * g.size  # the object at each new position
+    for x, q in enumerate(p):
+        at[q] = x
+    return DEGround(
+        g.stat_kind, g.n, tuple(g.labels[x] for x in at),
+        tuple(g.stats[x] for x in at),
+        {i: tuple(p[t[x]] for x in at) for i, t in g.invs.items()},
+        f"{g.desc} shuffled",
+    ).validate()
+
+
+def is_isomorphism(g1, g2, iso):
+    return (
+        sorted(iso) == list(range(g1.size))
+        and sorted(iso.values()) == list(range(g2.size))
+        and all(g1.stats[x] == g2.stats[y] for x, y in iso.items())
+        and all(iso[t[x]] == g2.invs[i][iso[x]]
+                for i, t in g1.invs.items() for x in range(g1.size))
+    )
+
+
+def union(g1, g2):
+    """The disjoint union of two grounds of one kind and degree."""
+    return DEGround(
+        g1.stat_kind, g1.n,
+        tuple(f"1:{a}" for a in g1.labels) + tuple(f"2:{a}" for a in g2.labels),
+        g1.stats + g2.stats,
+        {i: t + tuple(g1.size + y for y in g2.invs[i]) for i, t in g1.invs.items()},
+        f"{g1.desc} + {g2.desc}",
+    ).validate()
+
+
+def test_find_isomorphism_agrees_with_the_search():
+    # the search is exponential in the number of classes when no
+    # isomorphism exists, so non-isomorphic pairs have at most two classes
+    rng = random.Random(11)
+    pairs = []
+    for desc in [("syt", (4, 2, 1), "d"), ("shsyt", (5, 3, 1), "b"),
+                 ("shsyt", (6, 3, 1), "b")]:
+        g = build_ground(desc)
+        m = mutant(g, rng)
+        pairs += [(g, g), (g, shuffled(g, rng)), (g, m), (shuffled(m, rng), g),
+                  (union(g, m), shuffled(union(m, g), rng)),
+                  (union(g, m), copies(g, 2)), (union(m, m), union(g, m))]
+    for desc in [("perm", 6, "b"), ("perm", 5, "d"), ("signedperm", 4, "phi")]:
+        g = build_ground(desc)
+        pairs += [(g, shuffled(g, rng)), (shuffled(g, rng), g)]
+    found = 0
+    for g1, g2 in pairs:
+        iso, want = find_isomorphism(g1, g2), ref_find_isomorphism(g1, g2)
+        assert (iso is None) == (want is None), (g1.desc, g2.desc)
+        if iso is not None:
+            assert is_isomorphism(g1, g2, iso)
+            found += 1
+    assert found == 3 * 3 + 6
