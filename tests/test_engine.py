@@ -1,6 +1,8 @@
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from test_window_pass import ref_find_isomorphisms
+
 from dualeq.core import partitions_of, strict_partitions_of
 from dualeq.engine import (
     ClassClassification,
@@ -21,8 +23,6 @@ from dualeq.engine import (
     verify_strong,
     verify_weak,
 )
-from test_window_pass import ref_find_isomorphisms
-
 from dualeq.qsym import (
     NotInSpan,
     P_in_F,
