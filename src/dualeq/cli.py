@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import comb
 
 from .core import (
     InvalidShapeError,
@@ -308,15 +309,21 @@ def cmd_specialize(args, parser):
         fillings = _semistandard_fillings(shape, k, kind != "s", kind == "Q")
         _within_limit(f"{kind} {partition_str(shape)}", fillings)
         poly = monomial_series(kind, shape, k)
-    elif via == "F":
-        f = {"s": schur_in_F, "P": P_in_F, "Q": Q_in_F}[kind](shape)
-        poly = qsymf_specialize(f, k)
-    else:  # via G
-        if kind == "s":
+    else:
+        if via == "G" and kind == "s":
             parser.error("Schur functions have no G route")
-        f = G_to_F(P_in_G(shape))
-        if kind == "Q":
-            f = f.scaled(2 ** len(shape))
+        # the same tableaux expand reads, and G_to_F's 2^(n-1) descent sets
+        signed = None if via == "G" or kind == "s" else kind == "Q"
+        _refuse_oversized(kind, shape, kind != "s", signed)
+        if via == "G":
+            _within_limit(f"G to F of degree {sum(shape)}", 1 << max(sum(shape) - 1, 0))
+            f = G_to_F(P_in_G(shape)).scaled(2 ** len(shape) if kind == "Q" else 1)
+        else:
+            f = {"s": schur_in_F, "P": P_in_F, "Q": Q_in_F}[kind](shape)
+        # F_specialize walks the weakly increasing sequences in 1..k of
+        # length n rising at each member of D: comb(k - |D| + n - 1, n)
+        walk = sum(comb(max(k - len(D) + f.n - 1, 0), f.n) for D in f.coeffs)
+        _within_limit(f"the {via} route of {kind} {partition_str(shape)}", walk)
         poly = qsymf_specialize(f, k)
     for line in poly_render(poly):
         print(line)

@@ -86,6 +86,11 @@ def shape_cells(shape, kind):
     raise ValueError(f"unknown diagram kind: {kind!r}")
 
 
+def _members(mask):
+    """An integer mask as a set of positive integers: p for bit p."""
+    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
 def peak_of(D):
     """The peak set of a descent set: members i >= 2 of D with i-1 not in D."""
     return frozenset(i for i in D if i >= 2 and i - 1 not in D)

@@ -34,6 +34,7 @@ from math import factorial, prod
 from .core import (
     InternalInvariantError,
     InvalidShapeError,
+    _members,
     is_partition,
     is_peak_set,
     is_strict_partition,
@@ -49,7 +50,7 @@ from .qsym import (
     expand_in_P,
     expand_in_schur,
 )
-from .tableaux import _descent_set, _inverse, _standard_words, word_str
+from .tableaux import _descent_mask, _inverse, _standard_words, word_str
 
 DES = "des"
 PEAK = "peak"
@@ -97,7 +98,7 @@ class DEGround:
             raise ValueError("labels/stats length mismatch")
         if len(set(self.labels)) != self.size:
             raise ValueError("duplicate labels")
-        for s in self.stats:
+        for s in dict.fromkeys(self.stats):  # each distinct one, first seen first
             if self.stat_kind == DES:
                 if any(not 1 <= x <= self.n - 1 for x in s):
                     raise ValueError(f"descent set {sorted(s)} out of range")
@@ -126,24 +127,31 @@ def _index_range(stat_kind, n):
 
 
 def _materialize(stat_kind, n, words, labels, move, desc):
-    """Tabulate word by word, from one inverse pos per word, its statistic
-    (descent set, or peak set; one shared frozenset per distinct statistic)
-    and its images move(i, w, pos).  The lookup of an image is its check:
-    one outside the ground raises InternalInvariantError."""
+    """Tabulate word by word, from one inverse pos and one descent mask des
+    per word, its statistic (one shared frozenset per distinct statistic,
+    made once per distinct mask) and its images move(i, w, pos, des).  An
+    image that is w itself is the word's own index; the lookup of any other
+    is its check: one outside the ground raises InternalInvariantError."""
     index_of = {w: k for k, w in enumerate(words)}
     indices = _index_range(stat_kind, n)
-    tables = {i: [None] * len(words) for i in indices}
-    stats, interned = [None] * len(words), {}
-    for k, w in enumerate(words):
+    rows = [(i, [None] * len(words)) for i in indices]
+    stats, of_mask, shared = [None] * len(words), {}, {}
+    find = index_of.get
+    for w, k in index_of.items():  # k: the dict's own int, shared by the tables
         pos = _inverse(w)
-        stat = _descent_set(w, pos)
-        stat = peak_of(stat) if stat_kind == PEAK else stat
-        stats[k] = interned.setdefault(stat, stat)
-        for i in indices:
-            tables[i][k] = index_of.get(move(i, w, pos))
+        des = _descent_mask(w, pos)
+        stat = of_mask.get(des)
+        if stat is None:
+            stat = peak_of(_members(des)) if stat_kind == PEAK else _members(des)
+            stat = of_mask[des] = shared.setdefault(stat, stat)
+        stats[k] = stat
+        for i, table in rows:
+            y = move(i, w, pos, des)
+            table[k] = k if y is w else find(y)
     invs = {}
-    for i in indices:  # each list goes as its tuple is made
-        invs[i] = table = tuple(tables.pop(i))
+    while rows:  # each list goes as its tuple is made
+        i, table = rows.pop(0)
+        invs[i] = table = tuple(table)
         if None in table:
             raise InternalInvariantError(
                 f"involution {i} of {desc} sends {labels[table.index(None)]} "
@@ -153,7 +161,7 @@ def _materialize(stat_kind, n, words, labels, move, desc):
 
 
 # (ground, family) -> (stat kind, the valid words of the parameter, the
-# involution core move(i, w, pos) for the parameter).  The parameter is n for
+# involution core move(i, w, pos, des) for the parameter).  The parameter is n for
 # the permutation grounds and a shape for the tableau grounds, whose words
 # are the reading words of the enumerated tableaux.
 BUILTIN_GROUNDS = {
@@ -228,7 +236,7 @@ def build_ground(desc) -> DEGround:
     n = param if isinstance(param, int) else sum(param)
     words = valid_words(param)
     return _materialize(
-        stat_kind, n, words, [word_str(w) for w in words], involution(param),
+        stat_kind, n, words, tuple(map(word_str, words)), involution(param),
         f"({kind},{param},{family})",
     )
 
@@ -297,10 +305,6 @@ def _mask(s):
     return sum(1 << p for p in s)
 
 
-def _members(mask):
-    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
-
-
 def _genfn(stat_kind, degree, stats):
     """QSymF of a class's Counter of descent sets, or QSymG of its Counter of
     peak sets.
@@ -347,8 +351,8 @@ def _window_classes(g: DEGround, windows, masks, literal=False):
         comps, comp_id = _components(g.size, [g.invs[k] for k in range(j, i + 1)])
         degree, restrict = _window(g, j, i, literal)
         restricted = {m: restrict(m) for m in distinct}
-        r = [restricted[m] for m in masks]
-        vectors = ((degree, tuple(sorted([r[x] for x in comp]))) for comp in comps)
+        r = list(map(restricted.__getitem__, masks))
+        vectors = ((degree, tuple(sorted(map(r.__getitem__, comp)))) for comp in comps)
         yield (j, i), comps, comp_id, [shared.setdefault(v, v) for v in vectors], r
 
 
@@ -398,7 +402,7 @@ class _Acc:
 
 
 def _fix_tables(g):
-    return {i: tuple(t[x] == x for x, _ in enumerate(t)) for i, t in g.invs.items()}
+    return {i: [y == x for x, y in enumerate(t)] for i, t in g.invs.items()}
 
 
 def _check_fixed_law(g, report, masks, law):
@@ -407,10 +411,9 @@ def _check_fixed_law(g, report, masks, law):
     acc = _Acc(report, "i")
     distinct = set(masks)
     for i in g.index_range():
-        table = g.invs[i]
         fixed = {m for m in distinct if law(m, i)}
-        for x, m in enumerate(masks):
-            if (table[x] == x) != (m in fixed):
+        for x, (y, m) in enumerate(zip(g.invs[i], masks)):
+            if (y == x) != (m in fixed):
                 acc.fail((g.labels[x],), f"fixed-point law fails at index {i}")
 
 
@@ -423,10 +426,12 @@ def _check_descent_transport(g, report, fix, masks):
     for i in g.index_range():
         table = g.invs[i]
         flip, low, high = 3 << (i - 1), 1 << (i - 2), 1 << (i + 1)
-        for x, y in enumerate(table):
+        for x, (y, m) in enumerate(zip(table, masks)):
             if y == x:
                 continue
-            diff = masks[x] ^ masks[y]
+            diff = m ^ masks[y]
+            if diff == flip:  # the legal move that changes only i-1, i
+                continue
             illegal = diff & ~flip
             if illegal & low and not fix[i - 1][x]:
                 illegal ^= low
@@ -569,14 +574,9 @@ def verify_weak(g: DEGround) -> VerificationReport:
         if previous is not None:
             i = window[0]
             left_id, left = previous
-            excluded = [
-                fix[i - 1][x] or fix[i][x] or fix[i + 1][x] for x in range(g.size)
-            ]
-            table = g.invs[i]
-            for x in range(g.size):
-                if excluded[x] or excluded[table[x]]:
-                    continue
-                if left[left_id[x]] != vectors[comp_id[x]]:
+            excluded = [a or b or c for a, b, c in zip(fix[i - 1], fix[i], fix[i + 1])]
+            for x, (y, lk, k) in enumerate(zip(g.invs[i], left_id, comp_id)):
+                if not (excluded[x] or excluded[y]) and left[lk] != vectors[k]:
                     acc_m.fail(
                         (g.labels[x],),
                         f"windows {_window_label(i - 1, i)} vs "
@@ -595,16 +595,11 @@ def verify_weak(g: DEGround) -> VerificationReport:
         if i - 2 not in g.invs or i + 1 not in g.invs:
             continue
         t_i, t_m2, fix_p1 = g.invs[i], g.invs[i - 2], fix[i + 1]
-        for x in range(g.size):
-            u = t_i[x]
-            if u == x:
-                # the pair (x, u) must be two genuine chain ends; a fixed
-                # point of involution i has only one direction to walk and
-                # the condition below would contradict its own trigger
-                continue
-            if fix_p1[x] or fix_p1[u]:
-                continue
-            if not fix_p1[t_i[t_m2[x]]]:
+        for x, (u, fixed) in enumerate(zip(t_i, fix_p1)):
+            # the pair (x, u) must be two genuine chain ends; a fixed point
+            # of involution i has only one direction to walk and the
+            # condition below would contradict its own trigger
+            if u == x or fixed or fix_p1[u] or not fix_p1[t_i[t_m2[x]]]:
                 continue
             # chain trigger fired: extend the alternating chain from u while
             # every step is genuine; it must never re-enter the fixed set of

@@ -10,9 +10,11 @@ values are 1..n; a tableau is acted on through its reading word:
                      the shape, 1 < i < n: phi plus one same-column clause.
 
 Each family is an involution; d/phi/psi commute at distance >= 3, b at
-distance >= 4.  The cores _d, _b, _phi(i, w, pos[, col]) read only i-1..i+2
-in the word's inverse pos, which a ground computes once per word.  d_tab and
-b_tab apply d and b to a tableau and rebuild it, re-checking the image.
+distance >= 4.  The cores _d, _b, _phi(i, w, pos, des[, col]) read only
+i-1..i+2 in the word's inverse pos, and _phi bits i-1, i of its descent mask
+des (_d and _b ignore it); a ground computes both once per word, and d, b,
+phi and psi compute them per call.  d_tab and b_tab apply d and b to a
+tableau and rebuild it, re-checking the image.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from functools import lru_cache
 from .core import InternalInvariantError
 from .tableaux import (
     Tableau,
+    _descent_mask,
     _inverse,
-    _is_descent,
     _split,
     is_standard,
     reading_word,
@@ -42,7 +44,13 @@ def _swap(w, p, q):
     return tuple(out)
 
 
-def _d(i, w, pos):
+def _apply(move, i, w, *col):
+    """move(i, w, pos, des) on the word w, from its inverse and descent mask."""
+    pos = _inverse(w := tuple(w))
+    return move(i, w, pos, _descent_mask(w, pos), *col)
+
+
+def _d(i, w, pos, des):
     a, m, c = pos[i - 1], pos[i], pos[i + 1]
     if (a < m) == (m < c):  # i is in the positional middle
         return w
@@ -59,7 +67,7 @@ def d(i, w):
     i+1, swap i-1 and i.
     """
     _check_index(i, len(w), 0)
-    return _d(i, tuple(w), _inverse(w))
+    return _apply(_d, i, w)
 
 
 # Candidate moves for b(i, .), offsets from i-1: swap the values (x, y) when c
@@ -67,7 +75,7 @@ def d(i, w):
 _B_MOVES = ((0, 1, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0), (2, 3, 1, 0))
 
 
-def _b(i, w, pos):
+def _b(i, w, pos, des):
     p = pos[i - 1 : i + 3]
     results = [
         _swap(w, p[x], p[y])
@@ -89,22 +97,29 @@ def b(i, w):
     applies the word is fixed.
     """
     _check_index(i, len(w), 1)
-    return _b(i, tuple(w), _inverse(w))
+    return _apply(_b, i, w)
 
 
-def _phi(i, w, pos, col=None):
+def _phi(i, w, pos, des, col=None):
     """phi's core; given the reading columns col of a shape, psi's."""
-    if _is_descent(i - 1, w, pos) == _is_descent(i, w, pos):  # i is no spike
+    if not (des >> (i - 1) ^ des >> i) & 1:  # i is no spike
         return w
-    pa, pb, pc = sorted((pos[i - 1], pos[i], pos[i + 1]))
+    pa, pb, pc = pos[i - 1], pos[i], pos[i + 1]  # put in positional order
+    if pa > pb:
+        pa, pb = pb, pa
+    if pb > pc:
+        pb, pc = pc, pb
+        if pa > pb:
+            pa, pb = pb, pa
+    eb, ec = w[pb], w[pc]
     out = list(w)
     if col is not None and col[pa] == col[pc] != col[pb]:
-        out[pc] = -out[pc]
-    elif (out[pb] < 0) != (out[pc] < 0):
-        out[pb], out[pc] = -out[pb], -out[pc]
+        out[pc] = -ec
+    elif (eb < 0) != (ec < 0):
+        out[pb], out[pc] = -eb, -ec
     else:  # swap the values of a and c, primes staying in place
-        a, c = abs(out[pa]), abs(out[pc])
-        out[pa], out[pc] = (-c if out[pa] < 0 else c), (-a if out[pc] < 0 else a)
+        ea, a, c = w[pa], abs(w[pa]), abs(ec)
+        out[pa], out[pc] = (-c if ea < 0 else c), (-a if ec < 0 else a)
     return tuple(out)
 
 
@@ -117,7 +132,7 @@ def phi(i, w):
     leaving primes on their positions.
     """
     _check_index(i, len(w), 0)
-    return _phi(i, tuple(w), _inverse(w))
+    return _apply(_phi, i, w)
 
 
 def _rebuild(T: Tableau, word) -> Tableau:
@@ -169,4 +184,4 @@ def psi(i, w, shape):
         raise ValueError(
             f"shape {list(shape)} has {len(col)} cells but the word has length {n}"
         )
-    return _phi(i, tuple(w), _inverse(w), col)
+    return _apply(_phi, i, w, col)

@@ -28,6 +28,7 @@ from itertools import accumulate, combinations
 from .core import (
     InternalInvariantError,
     InvalidShapeError,
+    _members,
     is_partition,
     is_peak_set,
     is_strict_partition,
@@ -40,8 +41,9 @@ from .core import (
     subset_str,
 )
 from .tableaux import (
+    _descent_mask,
+    _inverse,
     _standard_words,
-    descent_set_word,
     enumerate_shssyt,
     enumerate_ssyt,
     monomial_weight,
@@ -210,8 +212,10 @@ def schur_in_F(shape) -> QSymF:
 
 
 def _word_descents(words):
-    """The descent sets of reading words, counted."""
-    return Counter(map(descent_set_word, words))
+    """The descent sets of reading words, counted by descent mask: one
+    frozenset per distinct mask."""
+    masks = Counter(map(_descent_mask, words, map(_inverse, words)))
+    return Counter({_members(m): c for m, c in masks.items()})
 
 
 def P_in_F(shape) -> QSymF:
@@ -245,9 +249,9 @@ def P_in_G(shape) -> QSymG:
     shape = tuple(shape)
     least = max(len(shape) - 1, 0)
     acc = Counter()
-    for w in _standard_words(shape, True):
-        P = peak_of(descent_set_word(w))
-        acc[P] += 2 ** (len(P) - least)
+    for D, c in _word_descents(_standard_words(shape, True)).items():
+        P = peak_of(D)
+        acc[P] += c * 2 ** (len(P) - least)
     return QSymG(sum(shape), acc)
 
 

@@ -25,6 +25,7 @@ from .core import (
     STRAIGHT,
     InternalInvariantError,
     InvalidShapeError,
+    _members,
     is_partition,
     is_strict_partition,
 )
@@ -187,17 +188,15 @@ def _inverse(w):
     return pos
 
 
-def _is_descent(j, w, pos):
-    """Whether j is a descent of w, whose inverse is pos."""
-    p, q = pos[j], pos[j + 1]
-    return w[p] > 0 if p > q else w[q] < 0
-
-
-def _descent_set(w, pos):
-    """Descent set of w, whose inverse is pos."""
-    # copied from a set, a frozenset is sized to its members; grown from a
-    # generator it can take half as much memory again, once per object
-    return frozenset({j for j in range(1, len(w)) if _is_descent(j, w, pos)})
+def _descent_mask(w, pos):
+    """Descent set of w, whose inverse is pos, as an integer mask: bit j for
+    the descent j."""
+    des, bit, p = 0, 2, pos[1] if w else None
+    for q in pos[2:]:
+        if w[p] > 0 if p > q else w[q] < 0:
+            des |= bit
+        bit, p = bit + bit, q
+    return des
 
 
 def descent_set_word(w):
@@ -206,7 +205,7 @@ def descent_set_word(w):
     i is a descent when i is unprimed and sits to the right of i+1, or when
     i+1 is primed and sits to the right of i.
     """
-    return _descent_set(w, _inverse(w))
+    return _members(_descent_mask(w, _inverse(w)))
 
 
 def descent_set_tab(T: Tableau):
@@ -413,14 +412,19 @@ def standardize(w):
     return tuple(out)
 
 
+# the letters of the compact form: one digit, primed or not
+_ONE_DIGIT = {e: entry_str(e) for e in range(-9, 10)}
+
+
 def word_str(w) -> str:
     """Compact form "312'" when every value is one digit, else the comma form
     "10',3,2".  A one-entry comma form ends in a comma: "12" would read back
     as the two entries 1, 2."""
-    toks = list(map(entry_str, w))
-    if w and (max(w) > 9 or min(w) < -9):
+    try:
+        return "".join(map(_ONE_DIGIT.__getitem__, w))
+    except KeyError:  # a letter of two or more digits
+        toks = list(map(entry_str, w))
         return ",".join(toks) + ("," if len(toks) == 1 else "")
-    return "".join(toks)
 
 
 def parse_word(text: str):

@@ -1,11 +1,20 @@
 import io
 import contextlib
+import time
 
 import pytest
 
 from dualeq import cli, engine, qsym, tableaux
-from dualeq.cli import main
-from dualeq.qsym import parse_expansion
+from dualeq.cli import _shape, main
+from dualeq.qsym import (
+    F_specialize,
+    G_to_F,
+    P_in_F,
+    P_in_G,
+    Q_in_F,
+    parse_expansion,
+    schur_in_F,
+)
 
 
 def run(*argv):
@@ -361,6 +370,70 @@ def test_specialize_routes_agree():
             "specialize", "--kind", "Q", "--shape", "[4,2]",
             "--vars", "3", "--via", via,
         ) == base
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "s", "--shape", "[2,1]", "--vars", "3", "--via", "F"),
+    ("--kind", "P", "--shape", "[3,1]", "--vars", "3", "--via", "F"),
+    ("--kind", "Q", "--shape", "[3,1]", "--vars", "3", "--via", "G"),
+])
+def test_specialize_via_F_or_G_refuses_a_walk_above_the_limit(argv, monkeypatch):
+    # the walk visits each weakly increasing sequence of each F-key once:
+    # as many as the F_specialize polynomial's coefficients add up to
+    kind, shape, k, via = argv[1], _shape(argv[3]), int(argv[5]), argv[7]
+    f = (G_to_F(P_in_G(shape)) if via == "G"
+         else {"s": schur_in_F, "P": P_in_F, "Q": Q_in_F}[kind](shape))
+    count = sum(sum(F_specialize(D, f.n, k).values()) for D in f.coeffs)
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count)
+    assert run("specialize", *argv)[0] == 0
+    walked = []
+    monkeypatch.setattr(qsym, "F_specialize", lambda *a: walked.append(a))
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
+    code, out, err = run("specialize", *argv)
+    assert (code, out, walked) == (2, "", [])
+    assert err == (f"error: the {via} route of {kind} {argv[3]} has {count} "
+                   f"objects, above the limit {count - 1}\n")
+
+
+@pytest.mark.parametrize("kind, via, count", [
+    ("s", "F", 3), ("P", "F", 8), ("Q", "F", 32), ("P", "G", 2), ("Q", "G", 2),
+])
+def test_specialize_via_F_or_G_refuses_oversized_tableaux_before_enumerating(
+    kind, via, count, monkeypatch
+):
+    # the tableaux of [3,1] that the route's vector reads, as in expand
+    enumerated = []
+    original = tableaux._standard_words
+
+    def recorded(*args):
+        enumerated.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qsym, "_standard_words", recorded)
+    monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
+    code, out, err = run("specialize", "--kind", kind, "--shape", "[3,1]",
+                         "--vars", "1", "--via", via)
+    assert (code, out, enumerated) == (2, "", [])
+    assert err == (f"error: {kind} [3,1] has {count} objects, "
+                   f"above the limit {count - 1}\n")
+
+
+def test_specialize_via_F_refuses_thirty_variables_at_once():
+    start = time.perf_counter()
+    code, out, err = run(
+        "specialize", "--kind", "s", "--shape", "[4,4]", "--vars", "30", "--via", "F"
+    )
+    assert (code, out) == (2, "") and "above the limit" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_specialize_via_G_refuses_a_degree_of_too_many_descent_sets():
+    code, out, err = run(
+        "specialize", "--kind", "P", "--shape", "[25]", "--vars", "2", "--via", "G"
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: G to F of degree 25 has 16777216 objects, "
+                   "above the limit 1000000\n")
 
 
 @pytest.mark.parametrize("via", ["monomial", "F", "G"])

@@ -184,7 +184,7 @@ def test_descent_set_tab_matches_the_rows(kind):
 def test_image_outside_the_ground_raises_internal_error():
     words = [(1, 2, 3), (2, 1, 3)]
 
-    def leaks(i, w, pos):
+    def leaks(i, w, pos, des):
         return (3, 2, 1) if w == (2, 1, 3) else w
 
     with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\)"):

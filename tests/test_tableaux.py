@@ -167,6 +167,9 @@ def test_word_str_parse_word_roundtrip():
     ((12,), "12,"),
     ((10, -3), "10,3'"),
     ((-3, 10, 1), "3',10,1"),
+    ((10,), "10,"),
+    ((-12,), "12',"),
+    ((3, 10), "3,10"),
 ])
 def test_word_str_forms(w, text):
     # the comma form as soon as one letter, primed or not, has two digits
