@@ -42,6 +42,7 @@ from .engine import (
 )
 from .involutions import b, b_tab, d, d_tab, phi, psi
 from .qsym import (
+    G_of_peaks,
     G_to_F,
     NotInSpan,
     NotSymmetric,
@@ -52,6 +53,7 @@ from .qsym import (
     QSymF,
     QSymG,
     SchurExpansion,
+    expand,
     expand_in_P,
     expand_in_schur,
     monomial_series,

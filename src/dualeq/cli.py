@@ -43,11 +43,9 @@ from .qsym import (
     G_to_F,
     P_in_F,
     P_in_G,
-    PExpansion,
+    ExpansionFailure,
     Q_in_F,
-    SchurExpansion,
-    expand_in_P,
-    expand_in_schur,
+    expand,
     monomial_series,
     poly_render,
     qsymf_specialize,
@@ -103,11 +101,9 @@ def _ground_descriptor(args, parser):
 
 
 def _expansion_summary(exp):
-    if isinstance(exp, (PExpansion, SchurExpansion)):
-        return " + ".join(exp.render())
-    # NotSymmetric / NotInSpan
-    kind = "not-symmetric" if type(exp).__name__ == "NotSymmetric" else "not-in-span"
-    return f"{kind} witness {subset_str(exp.witness)} residual {exp.residual}"
+    if isinstance(exp, ExpansionFailure):
+        return f"{exp.name} witness {subset_str(exp.witness)} residual {exp.residual}"
+    return " + ".join(exp.render())
 
 
 def _refuse_oversized(kind, shape, strict, signed=None):
@@ -134,8 +130,8 @@ def cmd_expand(args, parser):
     # built per call, so a wrapper installed on a module name sees the call
     in_F = {"schur": schur_in_F, "P": P_in_F, "Q": Q_in_F}[args.kind]
     if args.schur_of:
-        exp = expand_in_schur(in_F(shape))
-        if not isinstance(exp, SchurExpansion):
+        exp = expand(in_F(shape))
+        if isinstance(exp, ExpansionFailure):
             print(_expansion_summary(exp))
             return 1
         for line in exp.render():
@@ -190,12 +186,10 @@ def cmd_enumerate(args, parser):
 def cmd_classes(args, parser):
     desc = _ground_descriptor(args, parser)
     g = build_ground(desc)
-    peak_kind = g.stat_kind == "peak"
     rows = []
     for idx, comp in enumerate(classes(g), 1):
         genfn = class_genfn(g, comp)
-        exp = expand_in_P(genfn) if peak_kind else expand_in_schur(genfn)
-        rows.append((idx, comp, genfn, exp))
+        rows.append((idx, comp, genfn, expand(genfn)))
     if args.porcelain:
         for idx, comp, genfn, exp in rows:
             members = ",".join(g.labels[m] for m in comp)

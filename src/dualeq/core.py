@@ -63,29 +63,6 @@ def strict_partitions_of(n):
     return [p for p in partitions_of(n) if is_strict_partition(p)]
 
 
-def shape_cells(shape, kind):
-    """The cells of a straight or shifted diagram, row 1 first, left to right.
-
-    Args:
-        shape: a partition (strict when kind == "shifted").
-        kind: "straight" or "shifted".
-
-    Returns:
-        list of (row, col) pairs, 1-based.  For shifted shapes row i is
-        indented so that its first cell sits at column i.
-    """
-    shape = tuple(shape)
-    if kind == STRAIGHT:
-        if not is_partition(shape):
-            raise InvalidShapeError(f"not a partition: {shape}")
-        return [(r, c) for r, width in enumerate(shape, 1) for c in range(1, width + 1)]
-    if kind == SHIFTED:
-        if not is_strict_partition(shape):
-            raise InvalidShapeError(f"not a strict partition: {shape}")
-        return [(r, c) for r, width in enumerate(shape, 1) for c in range(r, r + width)]
-    raise ValueError(f"unknown diagram kind: {kind!r}")
-
-
 def _members(mask):
     """An integer mask as a set of positive integers: p for bit p."""
     return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)

@@ -18,7 +18,8 @@ condition (strong and shifted iv, weak iv-a and iv-b, lemma v) reads one
 pass of _window_classes: window by window, the classes under the window's
 involutions, labelled by one walk through their tables, and each class's
 restricted statistics.  _window knows a window's degree and restriction.
-Each verifier call expands each distinct window vector once.
+Peak sets are weighted by qsym.G_of_peaks and qsym.expand picks the basis;
+each verifier call expands each distinct window vector once.
 Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
 isomorphism of classes by comparing canonical codes (_class_code).
 """
@@ -42,14 +43,7 @@ from .core import (
     peak_of,
 )
 from .involutions import _b, _d, _phi, _reading_columns
-from .qsym import (
-    PExpansion,
-    QSymF,
-    QSymG,
-    SchurExpansion,
-    expand_in_P,
-    expand_in_schur,
-)
+from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand, expand_in_P
 from .tableaux import _descent_mask, _inverse, _standard_words, word_str
 
 DES = "des"
@@ -306,18 +300,9 @@ def _mask(s):
 
 
 def _genfn(stat_kind, degree, stats):
-    """QSymF of a class's Counter of descent sets, or QSymG of its Counter of
-    peak sets.
-
-    Peak statistics carry multiplicities: a member with peak set P counts
-    2^(|P| - m) times, where m is the smallest peak count in the class.  For
-    the full ground of a shape this matches the Schur-P convention, where
-    m = (number of rows) - 1.
-    """
-    if stat_kind == DES:
-        return QSymF(degree, stats)
-    m = min(map(len, stats))
-    return QSymG(degree, {P: c * 2 ** (len(P) - m) for P, c in stats.items()})
+    """QSymF of a class's Counter of descent sets, or G_of_peaks of its
+    Counter of peak sets."""
+    return QSymF(degree, stats) if stat_kind == DES else G_of_peaks(degree, stats)
 
 
 def class_genfn(g: DEGround, members, window=None, literal=False):
@@ -499,10 +484,8 @@ def _window_label(j, i):
 def _expansion_detail(g, require, vector):
     """Why a window vector fails condition (iv), or None when it passes:
     require is "unit" (a single coefficient-1 term) or "positive"."""
-    expander = expand_in_schur if g.stat_kind == DES else expand_in_P
-    wanted = SchurExpansion if g.stat_kind == DES else PExpansion
-    expansion = expander(_vector_genfn(g, vector))
-    if not isinstance(expansion, wanted):
+    expansion = expand(_vector_genfn(g, vector))
+    if isinstance(expansion, ExpansionFailure):
         return f"expansion failed with witness {sorted(expansion.witness)}"
     if require == "unit" and expansion.unit_shape() is None:
         return "not a unit vector: " + ", ".join(expansion.render())

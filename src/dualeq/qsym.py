@@ -7,11 +7,11 @@ Generating functions live in one of two bases:
 
 Schur, Schur-P and Schur-Q functions are produced as F-expansions (or
 G-expansions for P) from the reading words of the relevant standard
-tableaux, which are enumerated as words, not Tableaux.  Expanding an
-arbitrary F-vector back into Schur functions, or a G-vector into P's, peels
-off one shape at a time (both bases are unitriangular, see _peel); failures
-return NotSymmetric / NotInSpan reports carrying a witness key, they never
-raise.
+tableaux, which are enumerated as words, not Tableaux.  G_of_peaks holds the
+Schur-P weighting of peak sets.  expand is the one choice of basis: it takes
+an F-vector to Schur functions and a G-vector to P's, peeling off one shape
+at a time (both bases are unitriangular, see _peel); failures return
+NotSymmetric / NotInSpan reports carrying a witness key, they never raise.
 
 Degree 0 is the empty shape: s_() = P_() = Q_() = F_{} = G_{} = 1.
 
@@ -99,6 +99,9 @@ class QSymG(QSymVector):
 
 @dataclass(frozen=True)
 class SchurExpansion:
+    """An integer combination of Schur functions s_shape."""
+
+    letter = "s"
     n: int
     coeffs: dict  # partition -> int, zero coefficients dropped
 
@@ -121,14 +124,14 @@ class SchurExpansion:
                 return shape
         return None
 
-    def render(self, letter="s"):
-        return [f"{c} {letter}{partition_str(sh)}" for sh, c in self.terms()]
+    def render(self):
+        return [f"{c} {self.letter}{partition_str(sh)}" for sh, c in self.terms()]
 
 
-@dataclass(frozen=True)
 class PExpansion(SchurExpansion):
-    def render(self, letter="P"):
-        return super().render(letter)
+    """An integer combination of Schur-P functions P_shape."""
+
+    letter = "P"
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,13 @@ class ExpansionFailure:
 class NotSymmetric(ExpansionFailure):
     """The F-vector is not in the span of Schur functions."""
 
+    name = "not-symmetric"
+
 
 class NotInSpan(ExpansionFailure):
     """The G-vector is not in the span of Schur-P functions."""
+
+    name = "not-in-span"
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +201,12 @@ def _shapes(n, strict):
     return tuple((strict_partitions_of if strict else partitions_of)(n))
 
 
+def expand(vec):
+    """Expand a QSymF in Schur functions, a QSymG in Schur-P functions; both
+    expanders are looked up at call time, so a wrapper on either sees it."""
+    return (expand_in_P if isinstance(vec, QSymG) else expand_in_schur)(vec)
+
+
 def expand_in_schur(f: QSymF):
     """Expand an F-vector in Schur functions, or report NotSymmetric."""
     coeffs, bad = _peel(f, _shapes(f.n, False), schur_in_F)
@@ -236,23 +249,28 @@ def Q_in_F(shape) -> QSymF:
     return scaled
 
 
+def G_of_peaks(n, peaks) -> QSymG:
+    """The G-vector of degree n of a Counter of peak sets, with the Schur-P
+    weighting: a peak set P counts 2^(|P| - m) times, where m is the least
+    |P| present (Stembridge, Enriched P-partitions)."""
+    m = min(map(len, peaks))
+    return QSymG(n, {P: c << (len(P) - m) for P, c in peaks.items()})
+
+
 def P_in_G(shape) -> QSymG:
-    """Schur-P function as a sum of G at the peak sets of standard shifted
+    """Schur-P function as G_of_peaks of the peak sets of standard shifted
     tableaux.
 
-    A tableau T of an l-row shape contributes with multiplicity
-    2^(|Peak(T)|+1-l): its 2^(n-l) signed variants (unprimed diagonal) have
-    descent sets that cover the 2^(n-1-|Peak(T)|) sets whose spike set
-    contains Peak(T) that many times each.  The multiplicity is 1 exactly
-    when |Peak(T)| = l-1, the minimum over the shape.  The empty shape has
-    one empty tableau and multiplicity 1: P_() = G_{} = 1."""
+    A tableau T of an l-row shape has 2^(n-l) signed variants (unprimed
+    diagonal) whose descent sets cover the 2^(n-1-|Peak(T)|) sets whose
+    spike set contains Peak(T), 2^(|Peak(T)|+1-l) times each; the least
+    |Peak(T)| over the shape is l-1, so that is G_of_peaks' multiplicity.
+    The empty shape has one empty tableau: P_() = G_{} = 1."""
     shape = tuple(shape)
-    least = max(len(shape) - 1, 0)
-    acc = Counter()
+    peaks = Counter()
     for D, c in _word_descents(_standard_words(shape, True)).items():
-        P = peak_of(D)
-        acc[P] += c * 2 ** (len(P) - least)
-    return QSymG(sum(shape), acc)
+        peaks[peak_of(D)] += c
+    return G_of_peaks(sum(shape), peaks)
 
 
 @lru_cache(maxsize=None)

@@ -91,7 +91,7 @@ def test_criterion_02_schur_p_31_expansion_and_schur_content():
 
 
 def test_criterion_03_g_route_matches_f_route_and_schur_positive_to_eight():
-    with budget(10):
+    with budget(2):
         for n in range(1, 9):
             for lam in strict_partitions_of(n):
                 assert G_to_F(P_in_G(lam)) == P_in_F(lam), lam
@@ -101,7 +101,7 @@ def test_criterion_03_g_route_matches_f_route_and_schur_positive_to_eight():
 
 
 def test_criterion_04_specializations_agree_to_size_six():
-    with budget(10):
+    with budget(3):
         for n in range(1, 7):
             for k in (1, 2, 3):
                 for lam in partitions_of(n):
@@ -163,7 +163,7 @@ def test_criterion_06_weak_axioms_hold_on_46080_signed_permutations():
 
 
 def test_criterion_07_weak_axioms_and_positivity_for_signed_tableaux_to_seven():
-    with budget(10):
+    with budget(1):
         for n in range(1, 8):
             for lam in strict_partitions_of(n):
                 g = build_ground(("signed-shsyt", lam, "psi"))
@@ -180,7 +180,7 @@ def test_criterion_07_weak_axioms_and_positivity_for_signed_tableaux_to_seven():
 
 
 def test_criterion_08_shifted_axioms_and_unit_certificates_to_eight():
-    with budget(10):
+    with budget(1):
         for n in range(2, 9):
             for lam in strict_partitions_of(n):
                 g = build_ground(("shsyt", lam, "b"))
@@ -209,7 +209,7 @@ def test_criterion_09_triple_edge_identity_on_six_cells():
 
 
 def test_criterion_10_two_row_isomorphisms_and_three_row_obstruction():
-    with budget(5):
+    with budget(1):
         for r, s in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]:
             src = relabel_peak_minus_one(build_ground(("shsyt", (r, s), "b")))
             dst = build_ground(("syt", (r - 1, s), "d"))

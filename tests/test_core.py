@@ -13,7 +13,6 @@ from dualeq.core import (
     peak_sets,
     restrict_descents,
     restrict_peaks,
-    shape_cells,
     spike_of,
     strict_partitions_of,
     subset_str,
@@ -54,19 +53,6 @@ def test_strict_partitions_of_counts():
 def test_partitions_decreasing_lex_order():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert strict_partitions_of(6) == [(6,), (5, 1), (4, 2), (3, 2, 1)]
-
-
-def test_shape_cells_shifted_diagonal():
-    cells = shape_cells((3, 1), "shifted")
-    assert (1, 1) in cells and (2, 2) in cells and (2, 1) not in cells
-    assert len(cells) == 4
-
-
-def test_shape_cells_rejects_bad_shapes():
-    with pytest.raises(InvalidShapeError):
-        shape_cells((1, 3), "straight")
-    with pytest.raises(InvalidShapeError):
-        shape_cells((2, 2), "shifted")
 
 
 def test_peak_spike_examples():
