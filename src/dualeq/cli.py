@@ -233,6 +233,10 @@ def _print_report(report, porcelain):
 
 
 def cmd_verify(args, parser):
+    if args.literal_peak_window and args.axioms != "shifted":
+        parser.error("--literal-peak-window only applies to --axioms shifted")
+    if args.lemma_vi and args.axioms != "shifted":  # shifted needs a peak ground
+        parser.error("--lemma-vi only applies to peak-kind grounds")
     if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
             g = parse_deg(fh.read())
@@ -246,8 +250,6 @@ def cmd_verify(args, parser):
             f"--axioms {args.axioms} needs a {want}-kind ground, "
             f"got {g.stat_kind}-kind"
         )
-    if args.literal_peak_window and args.axioms != "shifted":
-        parser.error("--literal-peak-window only applies to --axioms shifted")
     if args.axioms == "strong":
         report = verify_strong(g)
     elif args.axioms == "weak":
@@ -256,8 +258,6 @@ def cmd_verify(args, parser):
         report = verify_shifted(g, literal_peak_window=args.literal_peak_window)
     failed = _print_report(report, args.porcelain)
     if args.lemma_vi:
-        if g.stat_kind != "peak":
-            parser.error("--lemma-vi only applies to peak-kind grounds")
         failed = _print_report(lemma_axiom4_check(g), args.porcelain) or failed
     if args.porcelain:
         print(f"result {'fail' if failed else 'pass'}")

@@ -18,6 +18,8 @@ condition (strong and shifted iv, weak iv-a and iv-b, lemma v) reads one
 pass of _window_classes: window by window, the classes under the window's
 involutions, labelled by one walk through their tables, and each class's
 restricted statistics.  _window knows a window's degree and restriction.
+The pass is the only maker of a window's classes: restricted_class reads
+one step of it, and class_genfn and subground take whole classes.
 Peak sets are weighted by qsym.G_of_peaks and qsym.expand picks the basis;
 each verifier call expands each distinct window vector once.
 Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
@@ -268,20 +270,10 @@ def classes(g: DEGround):
 
 
 def restricted_class(g: DEGround, t: int, j: int, i: int):
-    """The class of object t under the involutions j..i only."""
-    if j > i:
-        raise ValueError(f"empty window ({j},{i})")
-    for k in (j, i):
-        if k not in g.invs:
-            raise ValueError(f"index {k} outside the involution range")
-    seen, members = {t}, [t]
-    for x in members:  # the walk appends to the list it reads
-        for k in range(j, i + 1):
-            y = g.invs[k][x]
-            if y not in seen:
-                seen.add(y)
-                members.append(y)
-    return tuple(sorted(members))
+    """The class of object t under the involutions j..i only, read from one
+    step of _window_classes."""
+    _, comps, comp_id, _, _ = next(_window_classes(g, [(j, i)], _stat_masks(g)))
+    return comps[comp_id[t]]
 
 
 def _window(g: DEGround, j, i, literal=False):
@@ -305,15 +297,10 @@ def _genfn(stat_kind, degree, stats):
     return QSymF(degree, stats) if stat_kind == DES else G_of_peaks(degree, stats)
 
 
-def class_genfn(g: DEGround, members, window=None, literal=False):
-    """Generating function of a class: QSymF for descent-kind grounds, QSymG
-    for peak-kind.  With window=(j, i) the statistics are restricted first."""
-    stats = [g.stats[x] for x in members]
-    degree = g.n
-    if window is not None:
-        degree, restrict = _window(g, *window, literal)
-        stats = (_members(restrict(_mask(s))) for s in stats)
-    return _genfn(g.stat_kind, degree, Counter(stats))
+def class_genfn(g: DEGround, members):
+    """Generating function of a whole class: QSymF for descent-kind grounds,
+    QSymG for peak-kind.  A window's classes have theirs from _vector_genfn."""
+    return _genfn(g.stat_kind, g.n, Counter(g.stats[x] for x in members))
 
 
 def _stat_masks(g: DEGround):
@@ -333,8 +320,8 @@ def _window_classes(g: DEGround, windows, masks, literal=False):
     from _stat_masks."""
     shared, distinct = {}, set(masks)
     for j, i in windows:
+        degree, restrict = _window(g, j, i, literal)  # refuses a bad window first
         comps, comp_id = _components(g.size, [g.invs[k] for k in range(j, i + 1)])
-        degree, restrict = _window(g, j, i, literal)
         restricted = {m: restrict(m) for m in distinct}
         r = list(map(restricted.__getitem__, masks))
         vectors = ((degree, tuple(sorted(map(r.__getitem__, comp)))) for comp in comps)
@@ -632,25 +619,16 @@ def relabel_peak_minus_one(g: DEGround) -> DEGround:
     return DEGround(DES, g.n - 1, g.labels, stats, dict(g.invs), desc).validate()
 
 
-def subground(g: DEGround, members, window=None) -> DEGround:
-    """Restrict a ground to a class.  members must be closed under the
-    relevant involutions.  With window=(j, i) the involutions are relabelled
-    to 2..i-j+2 and the statistics restricted to the window."""
+def subground(g: DEGround, members) -> DEGround:
+    """Restrict a ground to a whole class: members must be closed under all
+    its involutions."""
     members = tuple(sorted(members))
     pos = {x: k for k, x in enumerate(members)}
     stats = tuple(g.stats[x] for x in members)
-    indices, degree = g.index_range(), g.n
-    if window is not None:
-        degree, restrict = _window(g, *window)
-        indices = range(window[0], window[1] + 1)
-        stats = tuple(_members(restrict(_mask(s))) for s in stats)
-    invs = {
-        k - indices.start + 2: tuple(pos[g.invs[k][x]] for x in members)
-        for k in indices
-    }
+    invs = {k: tuple(pos[g.invs[k][x]] for x in members) for k in g.index_range()}
     labels = tuple(g.labels[x] for x in members)
     desc = f"{g.desc}|{labels[0] if members else ''}"
-    return DEGround(g.stat_kind, degree, labels, stats, invs, desc).validate()
+    return DEGround(g.stat_kind, g.n, labels, stats, invs, desc).validate()
 
 
 def _class_code(members, tables, label):
@@ -889,7 +867,7 @@ def parse_deg(src) -> DEGround:
             if vid in position:
                 raise DegParseError(no, f"duplicate vertex id {vid!r}")
             tail = rest.rstrip()
-            if not tail.endswith("}") or "}" in tail[:-1] or "{" in tail:
+            if "}" in tail[:-1] or "{" in tail:
                 raise DegParseError(no, "vertex line needs a single { ... } statistic")
             body = tail[:-1].strip()
             try:

@@ -320,6 +320,32 @@ def test_verify_literal_peak_window_fails_42():
     assert "cond iv fail" in out.splitlines()
 
 
+LEMMA_VI = "--lemma-vi only applies to peak-kind grounds"
+LITERAL = "--literal-peak-window only applies to --axioms shifted"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("weak", "--ground", "perm", "--n", "4", "--family", "d", "--lemma-vi"), LEMMA_VI),
+    (("strong", "--ground", "syt", "--shape", "[3,1]", "--family", "d", "--lemma-vi"),
+     LEMMA_VI),
+    (("weak", "--file", "missing.deg", "--lemma-vi", "--porcelain"), LEMMA_VI),
+    (("strong", "--ground", "signedperm", "--n", "6", "--family", "phi",
+      "--literal-peak-window"), LITERAL),
+    (("weak", "--ground", "signedperm", "--n", "6", "--family", "phi",
+      "--literal-peak-window", "--lemma-vi"), LITERAL),
+    (("weak", "--file", "missing.deg", "--literal-peak-window"), LITERAL),
+])
+def test_verify_flag_errors_come_before_any_work(argv, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify built or parsed a ground")
+
+    monkeypatch.setattr(cli, "build_ground", refuse)
+    monkeypatch.setattr(cli, "parse_deg", refuse)
+    code, out, err = run("verify", "--axioms", *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"dualeq: error: {message}"
+
+
 def test_classify_file_outputs(tmp_path):
     f = tmp_path / "pair.deg"
     f.write_text(

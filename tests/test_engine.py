@@ -2,6 +2,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from test_window_pass import ref_find_isomorphisms
+from test_window_reads import window_genfn
 
 from dualeq.core import partitions_of, strict_partitions_of
 from dualeq.engine import (
@@ -145,12 +146,12 @@ def test_class_genfn_matches_P_in_G_up_to_seven():
 def test_windowed_genfn_calibration():
     g = build_ground(("shsyt", (3, 2), "b"))
     c = classes(g)[0]
-    gf = class_genfn(g, c, window=(3, 3))
+    gf = window_genfn(g, c, (3, 3))
     assert gf == QSymG(4, {frozenset({2}): 1, frozenset({3}): 1})
     exp = expand_in_P(gf)
     assert isinstance(exp, PExpansion) and exp.coeffs == {(3, 1): 1}
     # the diagnostic literal window reading leaves an invalid peak set behind
-    lit = class_genfn(g, c, window=(3, 3), literal=True)
+    lit = window_genfn(g, c, (3, 3), literal=True)
     bad = expand_in_P(lit)
     assert isinstance(bad, NotInSpan)
 
@@ -391,15 +392,12 @@ def test_parse_deg_empty_and_fixed_points():
     assert label_classes(g) == {frozenset({"a"}), frozenset({"b"})}
 
 
-def test_subground_window_relabels_involutions():
+def test_subground_of_a_whole_class():
     g = build_ground(("shsyt", (3, 2), "b"))
     c = classes(g)[0]
-    sub = subground(g, c, window=(3, 3))
-    assert sub.n == 4 and list(sub.invs) == [2]
-    assert sorted(map(sorted, sub.stats)) == [[2], [3]]
-    sub.validate()
     full = subground(g, c)
     assert full.n == g.n and full.size == len(c)
+    assert list(full.invs) == list(g.index_range())
     assert sorted(full.labels) == sorted(g.labels[x] for x in c)
 
 

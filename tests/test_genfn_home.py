@@ -8,6 +8,8 @@ from collections import Counter
 
 import pytest
 
+from test_window_reads import window_genfn
+
 from dualeq.cli import _expansion_summary
 from dualeq.core import _members, peak_of, strict_partitions_of
 from dualeq.engine import (
@@ -109,7 +111,7 @@ def test_expand_matches_the_expander_of_the_statistic_kind(desc):
 
 def test_expand_of_the_literal_window_vector_is_not_in_span():
     g = build_ground(("shsyt", (3, 2), "b"))
-    lit = class_genfn(g, classes(g)[0], window=(3, 3), literal=True)
+    lit = window_genfn(g, classes(g)[0], (3, 3), literal=True)
     assert isinstance(expand(lit), NotInSpan)
     assert expand(lit) == expand_in_P(lit)
 
@@ -123,7 +125,7 @@ def test_expansion_summary_names_each_result():
         == "not-symmetric witness {1,3} residual -2"
     )
     g = build_ground(("shsyt", (3, 2), "b"))
-    lit = class_genfn(g, classes(g)[0], window=(3, 3), literal=True)
+    lit = window_genfn(g, classes(g)[0], (3, 3), literal=True)
     assert _expansion_summary(expand(lit)) == "not-in-span witness {2} residual 1"
     assert _expansion_summary(NotInSpan(frozenset(), 3)) == "not-in-span witness {} residual 3"
     assert _expansion_summary(expand(class_genfn(g, classes(g)[0]))) == "1 P[3,2]"
