@@ -14,8 +14,6 @@ from .core import (
     partitions_of,
     peak_of,
     peak_sets,
-    restrict_descents,
-    restrict_peaks,
     spike_of,
     strict_partitions_of,
     subset_str,
@@ -75,7 +73,6 @@ from .tableaux import (
     parse_tableau,
     parse_word,
     reading_word,
-    standardize,
     word_str,
 )
 

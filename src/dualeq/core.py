@@ -1,4 +1,4 @@
-"""Partitions, shifted diagrams, and descent/peak/spike statistics.
+"""Partitions, shifted diagrams, descent/peak/spike statistics, records.
 
 Conventions used throughout the package:
 
@@ -27,6 +27,75 @@ class InvalidShapeError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A structural invariant the library relies on was violated."""
+
+
+class _Record:
+    """A record of named fields, kept in __slots__ (a subclass declares
+    `__slots__ = _fields = (...)`, its own subclasses `__slots__ = ()`).
+
+    Built from positional or keyword fields; _defaults maps a field to a
+    factory called once per instance.  __post_init__ runs after the fields
+    are set.  Records are equal only to records of exactly the same class
+    with equal fields.  A record declared `frozen=True` refuses to set or
+    delete an attribute and hashes its fields; any other is unhashable."""
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+    _frozen = False
+
+    def __init_subclass__(cls, frozen=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if frozen is not None:  # a subclass of a record keeps its choice
+            cls._frozen = frozen
+        if not cls._frozen:
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in self._defaults:
+                value = self._defaults[field]()
+            else:
+                raise TypeError(f"{name} missing field {field!r}")
+            object.__setattr__(self, field, value)
+        if kwargs:
+            raise TypeError(f"{name} got unexpected or repeated {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, field, value):
+        if self._frozen:
+            raise AttributeError(f"cannot assign to field {field!r}")
+        object.__setattr__(self, field, value)
+
+    def __delattr__(self, field):
+        if self._frozen:
+            raise AttributeError(f"cannot delete field {field!r}")
+        object.__delattr__(self, field)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def is_partition(shape) -> bool:
@@ -63,6 +132,11 @@ def strict_partitions_of(n):
     return [p for p in partitions_of(n) if is_strict_partition(p)]
 
 
+def _mask(s):
+    """A set of positive integers as an integer mask: bit p for member p."""
+    return sum(1 << p for p in s)
+
+
 def _members(mask):
     """An integer mask as a set of positive integers: p for bit p."""
     return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
@@ -82,31 +156,6 @@ def spike_of(D, n):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return frozenset(i for i in range(2, n) if (i - 1 in D) != (i in D))
-
-
-def restrict_descents(D, j, i, n):
-    """Restrict a descent set of degree n to the window (j, i) of indices.
-
-    Keeps the members relevant to positions j-1 .. i and shifts them down by
-    j-2, producing a descent set of degree i - j + 3.  Requires 1 < j <= i < n.
-    """
-    if not (1 < j <= i < n):
-        raise ValueError(f"window ({j},{i}) out of range for degree {n}")
-    return frozenset(d - (j - 2) for d in D if j - 1 <= d <= i)
-
-
-def restrict_peaks(P, j, i, n, literal=False):
-    """Restrict a peak set of degree n to the window (j, i) of indices.
-
-    The default keeps members in {j .. i+1} and shifts down by j-2, producing
-    a peak set of degree i - j + 4.  With literal=True the window is
-    {j-1 .. i+1} instead; the result can then contain 1 and need not be a
-    valid peak set (diagnostic use only).  Requires 1 < j <= i < n-1.
-    """
-    if not (1 < j <= i < n - 1):
-        raise ValueError(f"window ({j},{i}) out of range for degree {n}")
-    lo = j - 1 if literal else j
-    return frozenset(p - (j - 2) for p in P if lo <= p <= i + 1)
 
 
 def is_peak_set(P, n) -> bool:

@@ -29,7 +29,6 @@ isomorphism of classes by comparing canonical codes (_class_code).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from itertools import islice, permutations, product
 from math import factorial, prod
@@ -37,7 +36,9 @@ from math import factorial, prod
 from .core import (
     InternalInvariantError,
     InvalidShapeError,
+    _mask,
     _members,
+    _Record,
     is_partition,
     is_peak_set,
     is_strict_partition,
@@ -63,8 +64,7 @@ class DegParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class DEGround:
+class DEGround(_Record, frozen=True):
     """Objects with a subset statistic and indexed involutions.
 
     labels are the stable external ids; stats[k] is the statistic of object k;
@@ -73,12 +73,8 @@ class DEGround:
     peak-kind grounds 2..n-2.
     """
 
-    stat_kind: str
-    n: int
-    labels: tuple
-    stats: tuple
-    invs: dict
-    desc: str = ""
+    __slots__ = _fields = ("stat_kind", "n", "labels", "stats", "invs", "desc")
+    _defaults = {"desc": str}
 
     @property
     def size(self) -> int:
@@ -286,11 +282,6 @@ def _window(g: DEGround, j, i, literal=False):
     return degree, lambda mask: mask >> (j - 2) & keep
 
 
-def _mask(s):
-    """A set of positive integers as an integer mask: bit p for member p."""
-    return sum(1 << p for p in s)
-
-
 def _genfn(stat_kind, degree, stats):
     """QSymF of a class's Counter of descent sets, or G_of_peaks of its
     Counter of peak sets."""
@@ -333,21 +324,13 @@ def _vector_genfn(g: DEGround, vector):
     return _genfn(g.stat_kind, vector[0], Counter(map(_members, vector[1])))
 
 
-@dataclass
-class Witness:
-    condition: str
-    labels: tuple
-    detail: str
+class Witness(_Record):
+    __slots__ = _fields = ("condition", "labels", "detail")
 
 
-@dataclass
-class VerificationReport:
-    kind: str
-    ground: str
-    results: dict
-    witnesses: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
+class VerificationReport(_Record):
+    __slots__ = _fields = ("kind", "ground", "results", "witnesses", "counts", "notes")
+    _defaults = {"witnesses": list, "counts": dict, "notes": dict}
 
     @property
     def passed(self) -> bool:
@@ -686,16 +669,13 @@ def find_isomorphism(g1: DEGround, g2: DEGround):
     return iso
 
 
-@dataclass
-class ClassClassification:
-    shape: tuple
-    mapping: dict  # label in the class -> label in (shsyt, shape, b)
+class ClassClassification(_Record):
+    # mapping: label in the class -> label in (shsyt, shape, b)
+    __slots__ = _fields = ("shape", "mapping")
 
 
-@dataclass
-class ClassificationFailure:
-    reason: str
-    detail: object
+class ClassificationFailure(_Record):
+    __slots__ = _fields = ("reason", "detail")
 
 
 # One target ground per shape for the life of the process.  Sharing is safe

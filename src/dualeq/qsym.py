@@ -21,14 +21,15 @@ All arithmetic is on ints.  No floats or rationals anywhere.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .core import (
     InternalInvariantError,
     InvalidShapeError,
+    _mask,
     _members,
+    _Record,
     is_partition,
     is_peak_set,
     is_strict_partition,
@@ -36,7 +37,6 @@ from .core import (
     partition_str,
     partitions_of,
     peak_of,
-    spike_of,
     strict_partitions_of,
     subset_str,
 )
@@ -55,13 +55,11 @@ def _key_order(key):
     return len(key), sorted(key)
 
 
-@dataclass(frozen=True)
-class QSymVector:
+class QSymVector(_Record, frozen=True):
     """An integer combination of basis functions keyed by subsets, zero
     coefficients dropped; the subclass fixes the basis letter."""
 
-    n: int
-    coeffs: dict
+    __slots__ = _fields = ("n", "coeffs")
 
     def __post_init__(self):
         coeffs = {frozenset(k): v for k, v in self.coeffs.items() if v != 0}
@@ -88,22 +86,22 @@ class QSymVector:
 class QSymF(QSymVector):
     """An integer combination of fundamental quasisymmetric functions F_D."""
 
+    __slots__ = ()
     letter = "F"
 
 
 class QSymG(QSymVector):
     """An integer combination of peak quasisymmetric functions G_P."""
 
+    __slots__ = ()
     letter = "G"
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
+class SchurExpansion(_Record, frozen=True):
     """An integer combination of Schur functions s_shape."""
 
+    __slots__ = _fields = ("n", "coeffs")  # coeffs: partition -> int, no zeros
     letter = "s"
-    n: int
-    coeffs: dict  # partition -> int, zero coefficients dropped
 
     def __post_init__(self):
         coeffs = {sh: c for sh, c in self.coeffs.items() if c != 0}
@@ -131,37 +129,29 @@ class SchurExpansion:
 class PExpansion(SchurExpansion):
     """An integer combination of Schur-P functions P_shape."""
 
+    __slots__ = ()
     letter = "P"
 
 
-@dataclass(frozen=True)
-class ExpansionFailure:
+class ExpansionFailure(_Record, frozen=True):
     """A vector outside the span: the first key, in size-then-lexicographic
     order, where the peel leaves a nonzero residual, and that residual."""
 
-    witness: frozenset
-    residual: int
+    __slots__ = _fields = ("witness", "residual")
 
 
 class NotSymmetric(ExpansionFailure):
     """The F-vector is not in the span of Schur functions."""
 
+    __slots__ = ()
     name = "not-symmetric"
 
 
 class NotInSpan(ExpansionFailure):
     """The G-vector is not in the span of Schur-P functions."""
 
+    __slots__ = ()
     name = "not-in-span"
-
-
-@lru_cache(maxsize=None)
-def descent_subsets(n):
-    """All subsets of {1..n-1}, ordered by size then lexicographically."""
-    universe = range(1, n)
-    return tuple(
-        frozenset(c) for k in range(len(universe) + 1) for c in combinations(universe, k)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -232,14 +222,15 @@ def _word_descents(words):
 
 
 def P_in_F(shape) -> QSymF:
-    """Schur-P function as a sum of F_D over signed standard shifted tableaux
-    with unprimed diagonal."""
-    return QSymF(sum(shape), _word_descents(_standard_words(shape, True, False)))
+    """Schur-P function in the F basis, as G_to_F of P_in_G: the sum of F_D
+    over signed standard shifted tableaux with unprimed diagonal, read from
+    the unsigned ones (Stembridge, Enriched P-partitions)."""
+    return G_to_F(P_in_G(shape))
 
 
 def Q_in_F(shape) -> QSymF:
     """Schur-Q function: 2^length * P, cross-checked against the direct
-    enumeration with primed diagonals allowed."""
+    enumeration of signed tableaux with primed diagonals allowed."""
     scaled = P_in_F(shape).scaled(2 ** len(tuple(shape)))
     direct = QSymF(sum(shape), _word_descents(_standard_words(shape, True, True)))
     if scaled != direct:
@@ -273,19 +264,18 @@ def P_in_G(shape) -> QSymG:
     return G_of_peaks(sum(shape), peaks)
 
 
-@lru_cache(maxsize=None)
-def _spike_table(n):
-    return tuple((D, spike_of(D, n)) for D in descent_subsets(n))
-
-
 def G_to_F(g: QSymG) -> QSymF:
     """Rewrite a G-vector in the F basis: G_P = sum of F_D over descent sets
-    D of the same degree whose spike set contains P."""
-    acc = Counter()
-    for D, spike in _spike_table(g.n):
-        for P, c in g.coeffs.items():
-            if P <= spike:
-                acc[D] += c
+    D of the same degree whose spike set contains P.  Sets are read as
+    masks: bit i of D ^ D << 1 is set when exactly one of i-1, i is in D,
+    so on the bits 2..n-1 a peak set can have, it is the spike set of D."""
+    peaks = [(_mask(P), c) for P, c in g.coeffs.items()]
+    acc = {}
+    for D in range(0, 1 << g.n, 2):  # descent masks: bits 1..n-1
+        spike = D ^ D << 1
+        c = sum(c for P, c in peaks if P & spike == P)
+        if c:
+            acc[_members(D)] = c
     return QSymF(g.n, acc)
 
 

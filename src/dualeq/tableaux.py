@@ -16,7 +16,6 @@ The enumerate_* functions split the checked words into Tableaux.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -26,6 +25,7 @@ from .core import (
     InternalInvariantError,
     InvalidShapeError,
     _members,
+    _Record,
     is_partition,
     is_strict_partition,
 )
@@ -53,10 +53,8 @@ def parse_entry(token: str) -> int:
     return -value if primed else value
 
 
-@dataclass(frozen=True)
-class Tableau:
-    kind: str
-    rows: tuple  # rows[0] = bottom row; entries signed ints
+class Tableau(_Record, frozen=True):
+    __slots__ = _fields = ("kind", "rows")  # rows[0] = bottom row; signed ints
 
     @property
     def shape(self):
@@ -129,14 +127,6 @@ def check_tableau(T: Tableau):
         unprimed_counts = Counter(e for e in entries if e > 0)
         if unprimed_counts and unprimed_counts.most_common(1)[0][1] > 1:
             raise ValueError(f"column {col} repeats an unprimed value")
-
-
-def is_valid_tableau(T: Tableau) -> bool:
-    try:
-        check_tableau(T)
-    except ValueError:
-        return False
-    return True
 
 
 def is_standard(T: Tableau) -> bool:
@@ -394,22 +384,6 @@ def enumerate_signed_standard(shape, diagonal_primes):
     shape = tuple(shape)
     words = _standard_words(shape, True, bool(diagonal_primes))
     return [_split(SHIFTED, shape, w) for w in words]
-
-
-def standardize(w):
-    """Standardize a signed word with repeats into a signed permutation word.
-
-    Entries are ranked in the primed order 1' < 1 < 2' < 2 < ...; among equal
-    entries, primed copies are ranked right to left and unprimed copies left
-    to right.  Primes stay on their positions.
-    """
-    order = sorted(
-        range(len(w)), key=lambda p: (entry_key(w[p]), -p if w[p] < 0 else p)
-    )
-    out = [0] * len(w)
-    for rank, p in enumerate(order, 1):
-        out[p] = -rank if w[p] < 0 else rank
-    return tuple(out)
 
 
 # the letters of the compact form: one digit, primed or not

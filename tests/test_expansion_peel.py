@@ -24,11 +24,11 @@ from dualeq.qsym import (
     QSymF,
     QSymG,
     SchurExpansion,
-    descent_subsets,
     expand_in_P,
     expand_in_schur,
     schur_in_F,
 )
+from test_qsym import descent_subsets
 
 MAX_N = 10
 

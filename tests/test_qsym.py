@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -20,7 +23,6 @@ from dualeq.qsym import (
     QSymF,
     QSymG,
     SchurExpansion,
-    descent_subsets,
     expand_in_P,
     expand_in_schur,
     monomial_series,
@@ -29,6 +31,15 @@ from dualeq.qsym import (
     qsymf_specialize,
     schur_in_F,
 )
+from dualeq.tableaux import descent_set_tab, enumerate_signed_standard
+
+
+def descent_subsets(n):
+    """All subsets of {1..n-1}, ordered by size then lexicographically."""
+    universe = range(1, n)
+    return tuple(
+        frozenset(c) for k in range(len(universe) + 1) for c in combinations(universe, k)
+    )
 
 
 def F(n, *keys):
@@ -78,6 +89,21 @@ def test_G_route_equals_F_route():
             assert G_to_F(P_in_G(lam)) == P_in_F(lam)
 
 
+def direct_P_in_F(shape):
+    """P_in_F as it was: the descent sets of the signed standard shifted
+    tableaux with unprimed diagonal, enumerated directly."""
+    tabs = enumerate_signed_standard(shape, False)
+    return QSymF(sum(shape), Counter(map(descent_set_tab, tabs)))
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_P_in_F_equals_the_direct_enumeration(n):
+    # P_in_F reads the g_lambda unsigned tableaux' peak sets, the direct
+    # route 2^(n - rows) signed variants of each; n = 0 is the empty shape
+    for lam in strict_partitions_of(n):
+        assert P_in_F(lam) == direct_P_in_F(lam), lam
+
+
 def test_P_schur_positive():
     for n in range(1, 8):
         for lam in strict_partitions_of(n):
@@ -88,13 +114,13 @@ def test_P_schur_positive():
 
 def test_G_definition_spike_superset():
     # G_P is the sum of F_D over descent sets whose spike set contains P
-    n = 5
-    for P in peak_sets(n):
-        g = QSymG(n, {P: 1})
-        f = G_to_F(g)
-        for D in descent_subsets(n):
-            want = 1 if spike_of(D, n) >= P else 0
-            assert f.coeffs.get(D, 0) == want
+    for n in range(8):
+        for P in peak_sets(n):
+            g = QSymG(n, {P: 1})
+            f = G_to_F(g)
+            for D in descent_subsets(n):
+                want = 1 if spike_of(D, n) >= P else 0
+                assert f.coeffs.get(D, 0) == want
 
 
 def test_shifted_class_genfns_in_G():

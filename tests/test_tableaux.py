@@ -11,6 +11,7 @@ from dualeq.tableaux import (
     check_tableau,
     descent_set_tab,
     descent_set_word,
+    entry_key,
     enumerate_shssyt,
     enumerate_shsyt,
     enumerate_signed_standard,
@@ -18,15 +19,14 @@ from dualeq.tableaux import (
     enumerate_syt,
     format_tableau,
     is_standard,
-    is_valid_tableau,
     monomial_weight,
     parse_tableau,
     parse_word,
     reading_word,
-    standardize,
     tableau,
     word_str,
 )
+from test_word_layer import is_valid_tableau
 
 
 def hook_count(shape):
@@ -134,6 +134,22 @@ def test_shssyt_q_vs_p_variant_counts():
     p_tabs = enumerate_shssyt((2, 1), 2, False)
     q_tabs = enumerate_shssyt((2, 1), 2, True)
     assert len(q_tabs) == 4 * len(p_tabs)
+
+
+def standardize(w):
+    """Standardize a signed word with repeats into a signed permutation word.
+
+    Entries are ranked in the primed order 1' < 1 < 2' < 2 < ...; among equal
+    entries, primed copies are ranked right to left and unprimed copies left
+    to right.  Primes stay on their positions.
+    """
+    order = sorted(
+        range(len(w)), key=lambda p: (entry_key(w[p]), -p if w[p] < 0 else p)
+    )
+    out = [0] * len(w)
+    for rank, p in enumerate(order, 1):
+        out[p] = -rank if w[p] < 0 else rank
+    return tuple(out)
 
 
 def test_standardize_word_rules():

@@ -28,8 +28,6 @@ from hypothesis import given, settings, strategies as st
 from dualeq.core import (
     partition_str,
     partitions_of,
-    restrict_descents,
-    restrict_peaks,
     strict_partitions_of,
 )
 from dualeq.engine import (
@@ -151,6 +149,31 @@ def ref_peak_transport(g, report):
             if any(h < i - 2 or h > i + 3 for h in g.stats[x] ^ g.stats[y]):
                 acc.fail((g.labels[x], g.labels[y]),
                          f"index {i}: peak outside {{{i - 2}..{i + 3}}} changed")
+
+
+def restrict_descents(D, j, i, n):
+    """Restrict a descent set of degree n to the window (j, i) of indices.
+
+    Keeps the members relevant to positions j-1 .. i and shifts them down by
+    j-2, producing a descent set of degree i - j + 3.  Requires 1 < j <= i < n.
+    """
+    if not (1 < j <= i < n):
+        raise ValueError(f"window ({j},{i}) out of range for degree {n}")
+    return frozenset(d - (j - 2) for d in D if j - 1 <= d <= i)
+
+
+def restrict_peaks(P, j, i, n, literal=False):
+    """Restrict a peak set of degree n to the window (j, i) of indices.
+
+    The default keeps members in {j .. i+1} and shifts down by j-2, producing
+    a peak set of degree i - j + 4.  With literal=True the window is
+    {j-1 .. i+1} instead; the result can then contain 1 and need not be a
+    valid peak set (diagnostic use only).  Requires 1 < j <= i < n-1.
+    """
+    if not (1 < j <= i < n - 1):
+        raise ValueError(f"window ({j},{i}) out of range for degree {n}")
+    lo = j - 1 if literal else j
+    return frozenset(p - (j - 2) for p in P if lo <= p <= i + 1)
 
 
 def ref_restrict(g, s, j, i, literal=False):

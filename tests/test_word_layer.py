@@ -27,10 +27,10 @@ from dualeq.core import (
 from dualeq.engine import build_ground, ground_size
 from dualeq.involutions import _reading_columns, b, d, phi, psi
 from dualeq.tableaux import (
+    check_tableau,
     descent_set_word,
     enumerate_signed_standard,
     is_standard,
-    is_valid_tableau,
     parse_word,
     reading_word,
     tableau,
@@ -228,6 +228,15 @@ def test_psi_errors_are_unchanged(i, w, shape):
 
 
 # --- is_standard ---
+
+
+def is_valid_tableau(T):
+    """check_tableau as a predicate."""
+    try:
+        check_tableau(T)
+    except ValueError:
+        return False
+    return True
 
 
 def is_standard_ref(T):
