@@ -69,14 +69,6 @@ def _add_common(sub):
         action="store_true",
         help="emit stable machine-readable lines",
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        metavar="N",
-        default=None,
-        help="accepted for compatibility; sweeps are single-threaded and "
-        "deterministic, so the value does not change the output",
-    )
 
 
 def _shape(text):

@@ -83,50 +83,27 @@ def check_tableau(T: Tableau):
     """Raise ValueError if T is not a valid (semistandard) tableau of its kind.
 
     Straight: shape a partition, no primed entries, rows weakly increasing,
-    columns strictly increasing upward.
-
-    Shifted: shape a strict partition, rows and columns weakly increasing in
-    the primed order, at most one primed copy of each value per row, at most
-    one unprimed copy of each value per column.
+    columns strictly increasing upward.  Shifted: shape a strict partition,
+    rows and columns weakly increasing in the primed order, at most one
+    primed copy of each value per row, at most one unprimed copy of each
+    value per column.  Read in fill order, each entry must be one of the
+    fill walk's candidates for its cell: values 1..k, k the largest one,
+    primes allowed on the diagonal.
     """
-    shape = T.shape
-    if T.kind == STRAIGHT:
-        if not is_partition(shape):
-            raise InvalidShapeError(f"not a partition shape: {shape}")
-        for row in T.rows:
-            if any(e < 0 for e in row):
-                raise ValueError("straight tableaux cannot contain primed entries")
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row not weakly increasing: {row}")
-        for r in range(1, len(T.rows)):
-            below, above = T.rows[r - 1], T.rows[r]
-            for j, e in enumerate(above):
-                if below[j] >= e:
-                    raise ValueError(
-                        f"column {j + 1} not strictly increasing above row {r}"
-                    )
-        return
-    if T.kind != SHIFTED:
+    shifted = T.kind == SHIFTED
+    if not shifted and T.kind != STRAIGHT:
         raise ValueError(f"unknown tableau kind: {T.kind!r}")
-    if not is_strict_partition(shape):
-        raise InvalidShapeError(f"not a strict partition shape: {shape}")
-    columns = {}
-    for r, row in enumerate(T.rows, 1):
-        keys = [entry_key(e) for e in row]
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            raise ValueError(f"row {r} not weakly increasing: {row}")
-        primed_counts = Counter(abs(e) for e in row if e < 0)
-        if primed_counts and primed_counts.most_common(1)[0][1] > 1:
-            raise ValueError(f"row {r} repeats a primed value")
+    shape = T.shape
+    if not (is_strict_partition if shifted else is_partition)(shape):
+        raise InvalidShapeError(f"not a {'strict ' * shifted}partition shape: {shape}")
+    k = max((abs(e) for row in T.rows for e in row), default=0)
+    candidates = _candidates(k, shifted, True)
+    for r, row in enumerate(T.rows):
         for j, e in enumerate(row):
-            columns.setdefault(r + j, []).append(e)
-    for col, entries in columns.items():
-        keys = [entry_key(e) for e in entries]  # bottom to top
-        if any(a > b for a, b in zip(keys, keys[1:])):
-            raise ValueError(f"column {col} not weakly increasing")
-        unprimed_counts = Counter(e for e in entries if e > 0)
-        if unprimed_counts and unprimed_counts.most_common(1)[0][1] > 1:
-            raise ValueError(f"column {col} repeats an unprimed value")
+            if e not in candidates(T.rows, r, j):
+                cell = f"({r + 1}, {T.col(r + 1, j)})"
+                raise ValueError(f"entry {entry_str(e)} not allowed in cell {cell} "
+                                 f"of row {r + 1}: {' '.join(map(entry_str, row))}")
 
 
 def is_standard(T: Tableau) -> bool:
@@ -216,31 +193,6 @@ def monomial_weight(T: Tableau):
     return tuple(counts[v] for v in range(1, max(counts, default=0) + 1))
 
 
-def _raise_if_bad_max(k):
-    if k < 0:
-        raise ValueError("max entry must be nonnegative")
-
-
-def _fillings(shape, candidates):
-    """Fill the cells of a shape one at a time, row 1 first, left to right,
-    cell (r, j) with each of candidates(rows, r, j) in turn (read from the
-    cells filled before it); yields rows, one list of rows reused for every
-    complete filling."""
-    rows = [[0] * width for width in shape]
-    cells = [(r, j) for r, width in enumerate(shape) for j in range(width)]
-
-    def fill(c):
-        if c == len(cells):
-            yield rows  # the empty shape has one tableau, found at once
-            return
-        r, j = cells[c]
-        for e in candidates(rows, r, j):
-            rows[r][j] = e
-            yield from fill(c + 1)
-
-    return fill(0)
-
-
 def _straight_candidates(k, rows, r, j):
     lo = rows[r][j - 1] if j > 0 else 1  # weak along the row
     if r > 0:
@@ -251,40 +203,59 @@ def _straight_candidates(k, rows, r, j):
 def _shifted_candidates(k, diagonal_primes, rows, r, j):
     # cell (row r+1, column r+1+j); the cell below it, in row r, is one
     # slot further right in its own row since shifted rows shift left
-    # going down — its index there is j+1.
-    lo = 1  # minimum entry_key
-    if j > 0:
-        lo = max(lo, entry_key(rows[r][j - 1]))
-    if r > 0 and j + 1 < len(rows[r - 1]):
-        lo = max(lo, entry_key(rows[r - 1][j + 1]))
+    # going down — its index there is j+1.  Rows and columns weakly
+    # increase, so an equal entry in the row is the left neighbour and one
+    # in the column the cell below: 0 stands for no such cell.
+    left = rows[r][j - 1] if j > 0 else 0
+    below = rows[r - 1][j + 1] if r > 0 else 0
     found = []
-    for key in range(lo, 2 * k + 1):
+    for key in range(max(1, entry_key(left), entry_key(below)), 2 * k + 1):
         v, primed = (key + 1) // 2, key % 2 == 1
-        e = -v if primed else v
-        if primed and j == 0 and not diagonal_primes:
-            continue  # the first cell of each row is the diagonal cell
-        if primed and e in rows[r][:j]:
-            continue  # one primed copy per row
-        if not primed and any(  # one unprimed copy per column
-            rows[rr][r - rr + j] == e for rr in range(r) if r - rr + j < len(rows[rr])
-        ):
-            continue
-        found.append(e)
+        if not primed:
+            if v != below:  # one unprimed copy per column
+                found.append(v)
+        elif -v != left and (j > 0 or diagonal_primes):
+            found.append(-v)  # one primed copy per row, none on the diagonal
     return found
 
 
+def _candidates(k, shifted, diagonal_primes):
+    """candidates(rows, r, j): the entries cell (r, j) (0-based) may hold,
+    in increasing order, read from the cells before it in fill order (row 1
+    first, left to right) — the left neighbour and the cell below.  The one
+    statement of the semistandard rules, for values <= k."""
+    if shifted:
+        return partial(_shifted_candidates, k, diagonal_primes)
+    return partial(_straight_candidates, k)
+
+
 def _semistandard_fillings(shape, k, shifted, diagonal_primes=False):
-    """The _fillings walk over the semistandard tableaux of a partition
-    (shifted, of a strict partition, with primes off the diagonal or, with
-    diagonal_primes, anywhere) with values <= k; the arguments are checked
-    at once, before any step of the walk."""
+    """The semistandard tableaux of a partition (shifted, of a strict
+    partition, with primes off the diagonal or, with diagonal_primes,
+    anywhere) with values <= k, filled one cell at a time in fill order with
+    each of its candidates in turn; yields rows, one list of rows reused
+    for every complete filling.  The arguments are checked at once, before
+    any step of the walk."""
     shape = tuple(shape)
     if not (is_strict_partition if shifted else is_partition)(shape):
         raise InvalidShapeError(f"not a {'strict ' * shifted}partition: {shape}")
-    _raise_if_bad_max(k)
-    if shifted:
-        return _fillings(shape, partial(_shifted_candidates, k, diagonal_primes))
-    return _fillings(shape, partial(_straight_candidates, k))
+    if k < 0:
+        raise ValueError("max entry must be nonnegative")
+    candidates = _candidates(k, shifted, diagonal_primes)
+    rows = [[0] * width for width in shape]
+    cells = [(r, j) for r, width in enumerate(shape) for j in range(width)]
+
+    def fill(c):
+        r, j = cells[c]
+        for e in candidates(rows, r, j):
+            rows[r][j] = e
+            if c + 1 < len(cells):
+                yield from fill(c + 1)
+            else:
+                yield rows
+
+    # the empty shape has one tableau, found at once
+    return fill(0) if cells else iter([rows])
 
 
 def enumerate_ssyt(shape, k):

@@ -6,6 +6,7 @@ pass/fail line per claim.
 """
 
 import time
+from collections import Counter
 from itertools import permutations, product
 
 import test_involutions as property_suite
@@ -40,6 +41,7 @@ from dualeq.qsym import (
     schur_in_F,
 )
 from dualeq.tableaux import (
+    _standard_words,
     descent_set_word,
     enumerate_shsyt,
     reading_word,
@@ -91,11 +93,15 @@ def test_criterion_02_schur_p_31_expansion_and_schur_content():
 
 
 def test_criterion_03_g_route_matches_f_route_and_schur_positive_to_eight():
+    # the F route read directly: the descent sets of the signed standard
+    # shifted tableaux with unprimed diagonal
     with budget(2):
         for n in range(1, 9):
             for lam in strict_partitions_of(n):
-                assert G_to_F(P_in_G(lam)) == P_in_F(lam), lam
-                exp = expand_in_schur(P_in_F(lam))
+                via_g = G_to_F(P_in_G(lam))
+                words = _standard_words(lam, True, False)
+                assert via_g == QSymF(n, Counter(map(descent_set_word, words))), lam
+                exp = expand_in_schur(via_g)
                 assert isinstance(exp, SchurExpansion), lam
                 assert exp.is_nonnegative_integral(), lam
 

@@ -516,17 +516,39 @@ def test_deg_parse_error_message(tmp_path):
     assert err == "error: line 2: bad degree 'x'\n"
 
 
-def test_threads_flag_is_inert():
-    base = run(
-        "verify", "--axioms", "shifted", "--ground", "shsyt",
-        "--shape", "[4,2,1]", "--family", "b", "--porcelain",
-    )
-    for threads in ("1", "4"):
-        assert run(
-            "verify", "--axioms", "shifted", "--ground", "shsyt",
-            "--shape", "[4,2,1]", "--family", "b", "--porcelain",
-            "--threads", threads,
-        ) == base
+DEG_FILES = {
+    "des.deg": "deg 1\nn 3 stat des\nvertex a { 1 }\n",
+    "solo.deg": "deg 1\nn 4 stat peak\nvertex a { 2 }\n",
+}
+
+
+@pytest.mark.parametrize("argv, code, stream, line", [
+    (("classes", "--ground", "syt", "--family", "d"), 2, "err",
+     "dualeq: error: ground 'syt' needs --shape"),
+    (("classify", "--file", "des.deg"), 2, "err",
+     "dualeq: error: classify needs a peak-kind ground"),
+    (("classify", "--file", "solo.deg"), 1, "out",
+     "class 1: FAILED — generating function is not in the Schur-P span "
+     "(witness [2])"),
+    (("specialize", "--kind", "P", "--shape", "[2,2]", "--vars", "2"), 2, "err",
+     "dualeq: error: P needs a strict partition, got [2,2]"),
+    (("specialize", "--kind", "s", "--shape", "[2,1]", "--vars", "2",
+      "--via", "G"), 2, "err", "dualeq: error: Schur functions have no G route"),
+    # --threads was accepted and ignored until it was removed
+    (("classes", "--ground", "perm", "--n", "3", "--family", "d",
+      "--threads", "2"), 2, "err",
+     "dualeq: error: unrecognized arguments: --threads 2"),
+], ids=["classes-no-shape", "classify-des", "classify-fails", "specialize-P-22",
+        "specialize-s-via-G", "threads-removed"])
+def test_error_paths_exit_code_and_line(tmp_path, argv, code, stream, line):
+    for name, text in DEG_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in DEG_FILES else a for a in argv]
+    got, out, err = run(*argv)
+    assert got == code
+    assert (out if stream == "out" else err).splitlines()[-1] == line
+    if stream == "err":
+        assert out == ""
 
 
 def test_repeat_runs_byte_identical():

@@ -83,12 +83,6 @@ def test_Q_is_two_power_times_P():
             assert Q_in_F(lam) == P_in_F(lam).scaled(2 ** len(lam))
 
 
-def test_G_route_equals_F_route():
-    for n in range(1, 8):
-        for lam in strict_partitions_of(n):
-            assert G_to_F(P_in_G(lam)) == P_in_F(lam)
-
-
 def direct_P_in_F(shape):
     """P_in_F as it was: the descent sets of the signed standard shifted
     tableaux with unprimed diagonal, enumerated directly."""

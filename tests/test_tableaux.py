@@ -198,6 +198,8 @@ def test_check_tableau_rejects_bad_fillings():
         check_tableau(tableau("straight", ((2, 1),)))
     with pytest.raises(ValueError):
         check_tableau(tableau("shifted", ((1, 2), (2,))))  # column repeat
+    with pytest.raises(ValueError, match=r"entry 0 not allowed in cell \(1, 1\)"):
+        check_tableau(tableau("straight", ((0, 1),)))  # entries start at 1
 
 
 @given(st.sampled_from([lam for n in range(2, 7) for lam in strict_partitions_of(n)]))

@@ -51,6 +51,7 @@ from dualeq.engine import (
     classify_shifted_class,
     find_isomorphism,
     lemma_axiom4_check,
+    parse_deg,
     relabel_peak_minus_one,
     verify_shifted,
     verify_strong,
@@ -540,6 +541,19 @@ MUTATED = [
 ]
 
 
+# window (2,3) of this ground expands to s[3,1] - s[2,2] + s[2,1,1]
+NEGATIVE_WINDOW = """deg 1
+n 4 stat des
+vertex a { 1 }
+vertex b { 3 }
+vertex c { 1, 2 }
+vertex d { 2, 3 }
+edge 2 a c
+edge 3 c d
+edge 2 d b
+"""
+
+
 def test_mutated_window_checks_match_reference():
     rng = random.Random(2014)
     failed = set()
@@ -547,12 +561,20 @@ def test_mutated_window_checks_match_reference():
         g = build_ground(desc)
         for _ in range(6):
             failed |= compare(mutant(g, rng))
+    # two mutant steps of perm 6 d re-enter a fixed set along a chain
+    rng = random.Random(129)
+    failed |= compare(mutant(mutant(build_ground(("perm", 6, "d")), rng), rng))
+    negative = parse_deg(NEGATIVE_WINDOW)
+    failed |= compare(negative)
     # the mutants reach every windowed condition
     assert failed >= {
         ("strong", "iv"), ("weak", "iv-a"), ("weak", "iv-a-multisets"),
-        ("weak", "iv-b"), ("shifted", "iv"),
+        ("weak", "iv-b"), ("weak", "iv-b-chain"), ("shifted", "iv"),
         ("shifted-literal", "iv"), ("lemma", "v"),
     }, sorted(failed)
+    assert [w.detail for w in verify_weak(negative).witnesses_for("iv-a")] == [
+        "window (2,3): negative coefficient: 1 s[3,1], -1 s[2,2], 1 s[2,1,1]"
+    ]
 
 
 def copies(g, k):
