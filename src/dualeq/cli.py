@@ -32,7 +32,6 @@ from .engine import (
     class_genfn,
     classes,
     classify_shifted_class,
-    ground_size,
     lemma_axiom4_check,
     parse_deg,
     verify_shifted,
@@ -53,6 +52,8 @@ from .qsym import (
 )
 from .tableaux import (
     _semistandard_fillings,
+    _ssyt_count,
+    _standard_count,
     _standard_words,
     enumerate_shssyt,
     enumerate_shsyt,
@@ -62,14 +63,6 @@ from .tableaux import (
     format_tableau,
     word_str,
 )
-
-def _add_common(sub):
-    sub.add_argument(
-        "--porcelain",
-        action="store_true",
-        help="emit stable machine-readable lines",
-    )
-
 
 def _shape(text):
     shape = parse_partition(text)
@@ -98,43 +91,37 @@ def _expansion_summary(exp):
     return " + ".join(exp.render())
 
 
-def _refuse_oversized(kind, shape, strict, signed=None):
-    """Refuse, before any work, a request that reads more standard tableaux
-    than MAX_GROUND_OBJECTS, counted for the arguments _standard_words takes:
-    signed ones (2^rows times as many with primed diagonals, signed=True)
-    when signed is not None."""
-    ground = "signed-shsyt" if signed is not None else "shsyt" if strict else "syt"
-    family = {"syt": "d", "shsyt": "b", "signed-shsyt": "psi"}[ground]
-    count = ground_size((ground, shape, family)) << len(shape) * bool(signed)
+def _vector_maker(kind, shape, basis):
+    """A maker of the vector of kind (schur or s, P, Q) in the F or G basis
+    (Q's is 2^rows times P_in_G), returned once the standard tableaux it
+    reads, counted for the arguments it gives _standard_words, are within
+    the limit.  The one exception: P in the F basis is counted as its
+    signed tableaux, though P_in_F reads only the unsigned ones."""
+    # built per call, so a wrapper installed on a module name sees the call
+    strict, primes, in_F = {
+        "P": (True, False, P_in_F), "Q": (True, True, Q_in_F),
+    }.get(kind, (False, None, schur_in_F))
+    by_peaks = basis == "G"  # P_in_G reads the unsigned shifted tableaux
+    count = _standard_count(shape, strict, None if by_peaks else primes)
     _within_limit(f"{kind} {partition_str(shape)}", count)
+    if by_peaks:
+        return lambda: P_in_G(shape).scaled(2 ** len(shape) if kind == "Q" else 1)
+    return lambda: in_F(shape)
 
 
 def cmd_expand(args, parser):
     shape = _shape(args.shape)
     if args.kind in ("P", "Q") and not is_strict_partition(shape):
         parser.error(f"{args.kind} needs a strict partition, got {args.shape}")
-    by_peaks = args.basis == "G" and not args.schur_of
-    if by_peaks and args.kind == "schur":
+    basis = "F" if args.schur_of else args.basis
+    if basis == "G" and args.kind == "schur":
         parser.error("Schur functions have no G-basis expansion here")
-    # P_in_G reads the shifted tableaux, Q_in_F also those with primed diagonals
-    signed = None if by_peaks or args.kind == "schur" else args.kind == "Q"
-    _refuse_oversized(args.kind, shape, args.kind != "schur", signed)
-    # built per call, so a wrapper installed on a module name sees the call
-    in_F = {"schur": schur_in_F, "P": P_in_F, "Q": Q_in_F}[args.kind]
+    vec = _vector_maker(args.kind, shape, basis)()
     if args.schur_of:
-        exp = expand(in_F(shape))
-        if isinstance(exp, ExpansionFailure):
-            print(_expansion_summary(exp))
+        vec = expand(vec)
+        if isinstance(vec, ExpansionFailure):
+            print(_expansion_summary(vec))
             return 1
-        for line in exp.render():
-            print(line)
-        return 0
-    if by_peaks:
-        vec = P_in_G(shape)
-        if args.kind == "Q":
-            vec = vec.scaled(2 ** len(shape))
-    else:
-        vec = in_F(shape)
     for line in vec.render():
         print(line)
     return 0
@@ -152,14 +139,15 @@ def cmd_enumerate(args, parser):
         if args.max is None:
             parser.error(f"enumerate {kind} needs --max (largest entry allowed)")
         k, primes = args.max, args.diagonal_primes
-        fillings = _semistandard_fillings(shape, k, kind == "shssyt", primes)
-        _within_limit(f"{kind} {partition_str(shape)}", fillings)
+        size = (_ssyt_count(shape, k) if kind == "ssyt"  # shifted: a walk capped past the limit
+                else _semistandard_fillings(shape, k, True, primes))
+        _within_limit(f"{kind} {partition_str(shape)}", size)
         tabs = (enumerate_ssyt(shape, k) if kind == "ssyt"
                 else enumerate_shssyt(shape, k, primes))
     else:
         strict = kind != "syt"
         signed = args.diagonal_primes if kind == "signed" else None
-        _refuse_oversized(kind, shape, strict, signed)
+        _within_limit(f"{kind} {partition_str(shape)}", _standard_count(shape, strict, signed))
         if args.porcelain:  # the reading words, without making tableaux
             tabs = _standard_words(shape, strict, signed)
         elif kind == "signed":
@@ -291,21 +279,21 @@ def cmd_specialize(args, parser):
         parser.error(f"--vars must be nonnegative, got {k}")
     if kind in ("P", "Q") and not is_strict_partition(shape):
         parser.error(f"{kind} needs a strict partition, got {args.shape}")
-    if via == "monomial":
-        fillings = _semistandard_fillings(shape, k, kind != "s", kind == "Q")
-        _within_limit(f"{kind} {partition_str(shape)}", fillings)
+    if via == "monomial":  # shifted: a walk capped past the limit
+        size = (_ssyt_count(shape, k) if kind == "s"
+                else _semistandard_fillings(shape, k, True, kind == "Q"))
+        _within_limit(f"{kind} {partition_str(shape)}", size)
         poly = monomial_series(kind, shape, k)
     else:
         if via == "G" and kind == "s":
             parser.error("Schur functions have no G route")
-        # the same tableaux expand reads, and G_to_F's 2^(n-1) descent sets
-        signed = None if via == "G" or kind == "s" else kind == "Q"
-        _refuse_oversized(kind, shape, kind != "s", signed)
+        # the same tableaux expand reads, then G_to_F's 2^(n-1) descent sets
+        make = _vector_maker(kind, shape, via)
         if via == "G":
             _within_limit(f"G to F of degree {sum(shape)}", 1 << max(sum(shape) - 1, 0))
-            f = G_to_F(P_in_G(shape)).scaled(2 ** len(shape) if kind == "Q" else 1)
+            f = G_to_F(make())
         else:
-            f = {"s": schur_in_F, "P": P_in_F, "Q": Q_in_F}[kind](shape)
+            f = make()
         # F_specialize walks the weakly increasing sequences in 1..k of
         # length n rising at each member of D: comb(k - |D| + n - 1, n)
         walk = sum(comb(max(k - len(D) + f.n - 1, 0), f.n) for D in f.coeffs)
@@ -334,10 +322,8 @@ def build_parser():
     p.add_argument(
         "--schur-of",
         action="store_true",
-        dest="schur_of",
         help="expand into the Schur basis instead of F/G",
     )
-    _add_common(p)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("enumerate", help="list tableaux of a shape")
@@ -347,10 +333,9 @@ def build_parser():
     p.add_argument(
         "--diagonal-primes",
         action="store_true",
-        dest="diagonal_primes",
         help="allow primed entries on the main diagonal",
     )
-    _add_common(p)
+    p.add_argument("--porcelain", action="store_true", help="emit stable machine-readable lines")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classes", help="dual equivalence classes of a ground")
@@ -358,7 +343,7 @@ def build_parser():
     p.add_argument("--ground", choices=grounds, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--shape", default=None)
-    _add_common(p)
+    p.add_argument("--porcelain", action="store_true", help="emit stable machine-readable lines")
     p.set_defaults(func=cmd_classes)
 
     p = sub.add_parser("verify", help="run an axiom-system verification")
@@ -371,21 +356,19 @@ def build_parser():
     p.add_argument(
         "--literal-peak-window",
         action="store_true",
-        dest="literal_peak_window",
         help="use the diagnostic literal peak-window restriction",
     )
     p.add_argument(
         "--lemma-vi",
         action="store_true",
-        dest="lemma_vi",
         help="also run the experimental window-isomorphism checks",
     )
-    _add_common(p)
+    p.add_argument("--porcelain", action="store_true", help="emit stable machine-readable lines")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="identify the shape of each class in a DEG file")
     p.add_argument("--file", required=True)
-    _add_common(p)
+    p.add_argument("--porcelain", action="store_true", help="emit stable machine-readable lines")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("specialize", help="polynomial truncation in k variables")
@@ -393,7 +376,6 @@ def build_parser():
     p.add_argument("--shape", required=True)
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--via", choices=["F", "G", "monomial"], default="monomial")
-    _add_common(p)
     p.set_defaults(func=cmd_specialize)
 
     return parser

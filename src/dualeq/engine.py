@@ -31,23 +31,20 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cache, lru_cache, partial
 from itertools import islice, permutations, product
-from math import factorial, prod
+from math import factorial
 
 from .core import (
     InternalInvariantError,
-    InvalidShapeError,
     _mask,
     _members,
     _Record,
-    is_partition,
     is_peak_set,
-    is_strict_partition,
     partition_str,
     peak_of,
 )
 from .involutions import _b, _d, _phi, _reading_columns
 from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand, expand_in_P
-from .tableaux import _descent_mask, _inverse, _standard_words, word_str
+from .tableaux import _descent_mask, _inverse, _standard_count, _standard_words, word_str
 
 DES = "des"
 PEAK = "peak"
@@ -183,9 +180,7 @@ MAX_GROUND_OBJECTS = 1_000_000
 
 def ground_size(desc) -> int:
     """The number of objects of a builtin ground, counted without enumerating:
-    n!, n!*2^n, the hook-length formula for syt (Frobenius's form, on parts
-    shape[k] + rows - k - 1), Thrall's formula for shsyt, times 2^(n - rows)
-    for signed-shsyt (off-diagonal cells may be primed)."""
+    n!, n!*2^n, or _standard_count of the arguments its words are made with."""
     kind, param, family = desc
     if (kind, family) not in BUILTIN_GROUNDS:
         raise ValueError(f"unknown ground descriptor {desc!r}")
@@ -194,15 +189,8 @@ def ground_size(desc) -> int:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if kind in ("perm", "signedperm"):
         return factorial(n) << (n if kind == "signedperm" else 0)
-    shape, strict, rows = tuple(param), kind != "syt", len(param)
-    if not (is_strict_partition if strict else is_partition)(shape):
-        raise InvalidShapeError(f"not a {'strict ' * strict}partition: {shape}")
-    parts = shape if strict else [p + rows - k - 1 for k, p in enumerate(shape)]
-    pairs = [(p, q) for k, p in enumerate(parts) for q in parts[k + 1 :]]
-    sums = prod(p + q for p, q in pairs) if strict else 1
-    count = factorial(n) * prod(p - q for p, q in pairs)
-    count //= prod(map(factorial, parts)) * sums
-    return count << (n - rows) if kind == "signed-shsyt" else count
+    signed = False if kind == "signed-shsyt" else None  # the words' diagonal_primes
+    return _standard_count(param, kind != "syt", signed)
 
 
 def _within_limit(what, size):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import accumulate
+from math import factorial, prod
 
 from .core import (
     SHIFTED,
@@ -305,6 +306,34 @@ def _standard_words(shape, strict, diagonal_primes=None):
                 variants += [v[:p] + (-v[p],) + v[p + 1 :] for v in variants]
             out += variants
     return _checked_words(out, shape, strict)
+
+
+def _standard_count(shape, strict, diagonal_primes=None):
+    """len(_standard_words(shape, strict, diagonal_primes)), counted without
+    enumerating: the hook-length formula (Frobenius's form, on parts
+    shape[k] + rows - k - 1), Thrall's formula if strict, times 2 per free
+    cell of the signed variants."""
+    shape = tuple(shape)
+    if not (is_strict_partition if strict else is_partition)(shape):
+        raise InvalidShapeError(f"not a {'strict ' * strict}partition: {shape}")
+    n, rows = sum(shape), len(shape)
+    parts = shape if strict else [p + rows - k - 1 for k, p in enumerate(shape)]
+    pairs = [(p, q) for k, p in enumerate(parts) for q in parts[k + 1 :]]
+    sums = prod(p + q for p, q in pairs) if strict else 1
+    count = factorial(n) * prod(p - q for p, q in pairs)
+    count //= prod(map(factorial, parts)) * sums
+    free = 0 if diagonal_primes is None else n if diagonal_primes else n - rows
+    return count << free
+
+
+def _ssyt_count(shape, k):
+    """The number of _semistandard_fillings(shape, k, False), without a walk:
+    the hook-content formula (Stanley, EC2 7.21.2)."""
+    count = _standard_count(shape, False)
+    if k < 0:
+        raise ValueError("max entry must be nonnegative")
+    contents = (k + j - r for r, width in enumerate(shape) for j in range(width))
+    return count * prod(contents) // factorial(sum(shape))
 
 
 def _checked_words(words, shape, shifted):

@@ -1,11 +1,14 @@
+import argparse
+import inspect
 import io
 import contextlib
+import re
 import time
 
 import pytest
 
 from dualeq import cli, engine, qsym, tableaux
-from dualeq.cli import _shape, main
+from dualeq.cli import _shape, build_parser, main
 from dualeq.qsym import (
     F_specialize,
     G_to_F,
@@ -194,7 +197,10 @@ def test_oversized_semistandard_request_exits_two_before_enumerating(
     code, out, err = run(*argv)
     assert (code, out, enumerated) == (2, "", [])
     kind = argv[1] if argv[0] == "enumerate" else argv[2]
-    assert err == (f"error: {kind} [2,1] has more than {count - 1} objects, "
+    # straight tableaux are counted by the hook-content formula; shifted
+    # ones by a walk that stops one past the limit
+    size = count if kind in ("ssyt", "s") else f"more than {count - 1}"
+    assert err == (f"error: {kind} [2,1] has {size} objects, "
                    f"above the limit {count - 1}\n")
 
 
@@ -538,8 +544,14 @@ DEG_FILES = {
     (("classes", "--ground", "perm", "--n", "3", "--family", "d",
       "--threads", "2"), 2, "err",
      "dualeq: error: unrecognized arguments: --threads 2"),
+    # --porcelain was accepted and ignored by expand and specialize
+    (("expand", "P", "[3,1]", "--porcelain"), 2, "err",
+     "dualeq: error: unrecognized arguments: --porcelain"),
+    (("specialize", "--kind", "P", "--shape", "[3,1]", "--vars", "2",
+      "--porcelain"), 2, "err", "dualeq: error: unrecognized arguments: --porcelain"),
 ], ids=["classes-no-shape", "classify-des", "classify-fails", "specialize-P-22",
-        "specialize-s-via-G", "threads-removed"])
+        "specialize-s-via-G", "threads-removed", "expand-porcelain-removed",
+        "specialize-porcelain-removed"])
 def test_error_paths_exit_code_and_line(tmp_path, argv, code, stream, line):
     for name, text in DEG_FILES.items():
         (tmp_path / name).write_text(text)
@@ -549,6 +561,22 @@ def test_error_paths_exit_code_and_line(tmp_path, argv, code, stream, line):
     assert (out if stream == "out" else err).splitlines()[-1] == line
     if stream == "err":
         assert out == ""
+
+
+def test_every_option_is_read_by_its_verb():
+    # an option no code reads is accepted and ignored: args.<dest> must
+    # appear in the verb's function, or in _ground_descriptor if it calls it
+    (verbs,) = [a.choices for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    inert = []
+    for verb, sub in verbs.items():
+        source = inspect.getsource(sub.get_default("func"))
+        if "_ground_descriptor(" in source:
+            source += inspect.getsource(cli._ground_descriptor)
+        for action in sub._actions:
+            if action.dest != "help" and not re.search(rf"\bargs\.{action.dest}\b", source):
+                inert.append((verb, action.dest))
+    assert inert == []
 
 
 def test_repeat_runs_byte_identical():
