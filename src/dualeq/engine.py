@@ -7,21 +7,22 @@ standard shifted tableaux and signed standard shifted tableaux, one entry
 each in BUILTIN_GROUNDS; arbitrary grounds can be read from .deg files.
 Every builtin ground is a set of words: the tableau grounds are indexed by
 reading words, the involutions act on the words, and an image that is not
-an enumerated word is not a tableau of the shape.  The standard shifted
-grounds that classes are matched against are built once per shape and
-cached.
+an enumerated word is not a tableau of the shape.  A build drops the words
+and their index before it freezes the tables.  The standard shifted grounds
+that classes are matched against are built once per shape and cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
 Each call takes the statistics as integer masks once.  Every windowed
-condition (strong and shifted iv, weak iv-a and iv-b, lemma v) reads one
-pass of _window_classes: window by window, the classes under the window's
+condition (strong and shifted iv, weak iv-a and iv-b, lemma v and vi) reads
+one pass of _window_classes: window by window, the classes under its
 involutions, labelled by one walk through their tables, and each class's
-restricted statistics.  _window knows a window's degree and restriction.
-The pass is the only maker of a window's classes: restricted_class reads
-one step of it, and class_genfn and subground take whole classes.
-Peak sets are weighted by qsym.G_of_peaks and qsym.expand picks the basis;
-each verifier call expands each distinct window vector once.
+restricted statistics.  Pass and readers drop a window's lists before the
+next is made (iv-a keeps one previous window).  _window knows a window's
+degree and restriction.  The pass is the only maker of a window's classes:
+restricted_class reads one step of it, and class_genfn and subground take
+whole classes.  Peak sets are weighted by qsym.G_of_peaks and qsym.expand
+picks the basis; each verifier call expands each distinct window vector once.
 Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
 isomorphism of classes by comparing canonical codes (_class_code).
 """
@@ -32,6 +33,7 @@ from collections import Counter, defaultdict
 from functools import cache, lru_cache, partial
 from itertools import islice, permutations, product
 from math import factorial
+from operator import eq, or_
 
 from .core import (
     InternalInvariantError,
@@ -115,12 +117,14 @@ def _index_range(stat_kind, n):
     return range(2, n if stat_kind == DES else n - 1)
 
 
-def _materialize(stat_kind, n, words, labels, move, desc):
+def _materialize(stat_kind, n, words, move, desc):
     """Tabulate word by word, from one inverse pos and one descent mask des
     per word, its statistic (one shared frozenset per distinct statistic,
     made once per distinct mask) and its images move(i, w, pos, des).  An
     image that is w itself is the word's own index; the lookup of any other
-    is its check: one outside the ground raises InternalInvariantError."""
+    is its check: one outside the ground raises InternalInvariantError.  The
+    word -> index dict goes once the rows are filled, the words once they are
+    labelled, and each row as its tuple is made, all before validate()."""
     index_of = {w: k for k, w in enumerate(words)}
     indices = _index_range(stat_kind, n)
     rows = [(i, [None] * len(words)) for i in indices]
@@ -137,6 +141,9 @@ def _materialize(stat_kind, n, words, labels, move, desc):
         for i, table in rows:
             y = move(i, w, pos, des)
             table[k] = k if y is w else find(y)
+    del index_of, find
+    labels = tuple(map(word_str, words))
+    del words
     invs = {}
     while rows:  # each list goes as its tuple is made
         i, table = rows.pop(0)
@@ -146,7 +153,7 @@ def _materialize(stat_kind, n, words, labels, move, desc):
                 f"involution {i} of {desc} sends {labels[table.index(None)]} "
                 "outside the ground"
             )
-    return DEGround(stat_kind, n, tuple(labels), tuple(stats), invs, desc).validate()
+    return DEGround(stat_kind, n, labels, tuple(stats), invs, desc).validate()
 
 
 # (ground, family) -> (stat kind, the valid words of the parameter, the
@@ -214,10 +221,8 @@ def build_ground(desc) -> DEGround:
     _within_limit(f"ground {kind} {param}", ground_size(desc))
     stat_kind, valid_words, involution = BUILTIN_GROUNDS[kind, family]
     n = param if isinstance(param, int) else sum(param)
-    words = valid_words(param)
     return _materialize(
-        stat_kind, n, words, tuple(map(word_str, words)), involution(param),
-        f"({kind},{param},{family})",
+        stat_kind, n, valid_words(param), involution(param), f"({kind},{param},{family})"
     )
 
 
@@ -296,7 +301,7 @@ def _window_classes(g: DEGround, windows, masks, literal=False):
     object's class index, each class's window vector (degree, sorted masks
     of the restricted statistics), one shared object per distinct vector,
     and each object's restricted mask.  masks are the objects' statistics
-    from _stat_masks."""
+    from _stat_masks.  A window's lists go before the next one's are made."""
     shared, distinct = {}, set(masks)
     for j, i in windows:
         degree, restrict = _window(g, j, i, literal)  # refuses a bad window first
@@ -305,6 +310,7 @@ def _window_classes(g: DEGround, windows, masks, literal=False):
         r = list(map(restricted.__getitem__, masks))
         vectors = ((degree, tuple(sorted(map(r.__getitem__, comp)))) for comp in comps)
         yield (j, i), comps, comp_id, [shared.setdefault(v, v) for v in vectors], r
+        del comps, comp_id, r, vectors
 
 
 def _vector_genfn(g: DEGround, vector):
@@ -345,7 +351,7 @@ class _Acc:
 
 
 def _fix_tables(g):
-    return {i: [y == x for x, y in enumerate(t)] for i, t in g.invs.items()}
+    return {i: bytes(map(eq, t, range(len(t)))) for i, t in g.invs.items()}
 
 
 def _check_fixed_law(g, report, masks, law):
@@ -467,8 +473,9 @@ def _check_unit_windows(g, report, masks, max_span, literal=False):
     details = cache(partial(_expansion_detail, g, "unit"))
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
-    for window, comps, _, vectors, _ in _window_classes(g, windows, masks, literal):
+    for window, comps, comp_id, vectors, r in _window_classes(g, windows, masks, literal):
         _check_window_expansions(g, acc, window, comps, vectors, details)
+        del comps, comp_id, vectors, r
 
 
 def verify_strong(g: DEGround) -> VerificationReport:
@@ -508,14 +515,14 @@ def verify_weak(g: DEGround) -> VerificationReport:
     details = cache(partial(_expansion_detail, g, "positive"))
     acc_a = _Acc(report, "iv-a")
     acc_m = _Acc(report, "iv-a-multisets")
-    previous = None
+    previous = None  # the one window kept past its step
     windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
-    for window, comps, comp_id, vectors, _ in _window_classes(g, windows_a, masks):
+    for window, comps, comp_id, vectors, r in _window_classes(g, windows_a, masks):
         _check_window_expansions(g, acc_a, window, comps, vectors, details)
         if previous is not None:
             i = window[0]
             left_id, left = previous
-            excluded = [a or b or c for a, b, c in zip(fix[i - 1], fix[i], fix[i + 1])]
+            excluded = bytes(map(or_, map(or_, fix[i - 1], fix[i]), fix[i + 1]))
             for x, (y, lk, k) in enumerate(zip(g.invs[i], left_id, comp_id)):
                 if not (excluded[x] or excluded[y]) and left[lk] != vectors[k]:
                     acc_m.fail(
@@ -525,11 +532,13 @@ def verify_weak(g: DEGround) -> VerificationReport:
                         "restricted statistic multisets differ",
                     )
         previous = comp_id, vectors
+        del comps, comp_id, vectors, r
 
     acc_b = _Acc(report, "iv-b")
     windows_b = [(i - 2, i) for i in R if i - 2 in g.invs]
-    for window, comps, _, vectors, _ in _window_classes(g, windows_b, masks):
+    for window, comps, comp_id, vectors, r in _window_classes(g, windows_b, masks):
         _check_window_expansions(g, acc_b, window, comps, vectors, details)
+        del comps, comp_id, vectors, r
 
     acc_c = _Acc(report, "iv-b-chain")
     for i in R:
@@ -741,7 +750,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
 
     acc_v = _Acc(report, "v")
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
-    for (j, i), comps, _, vectors, r in _window_classes(g, windows, masks):
+    for (j, i), comps, comp_id, vectors, r in _window_classes(g, windows, masks):
         tables = [g.invs[k] for k in range(j, i + 1)]
         for comp, vector in zip(comps, vectors):
             shape = unit_shape(vector)
@@ -757,14 +766,15 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
                     f"window {_window_label(j, i)}: not isomorphic to "
                     f"(shsyt,{partition_str(shape)},b)",
                 )
+        del comps, comp_id, vectors, r
 
     if include_vi:
         acc_vi = _Acc(report, "vi")
         windows = [(i - 4, i) for i in R if i - 4 >= 2]
         if not windows:
             report.notes["vi"] = "vacuous: no window (i-4, i) fits the index range"
-        for (j, i), comps, _, _, r in _window_classes(g, windows, masks):
-            _, big_id = _components(g.size, [g.invs[k] for k in range(2, i + 1)])
+        for (j, i), comps, comp_id, vectors, r in _window_classes(g, windows, masks):
+            big_id = _components(g.size, [g.invs[k] for k in range(2, i + 1)])[1]
             tables = [g.invs[k] for k in range(j, i + 1)]
             same = defaultdict(list)  # code -> its classes, in order
             groups = [same[_class_code(comp, tables, r)[0]] for comp in comps]
@@ -778,6 +788,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
                             f"windows {_window_label(j, i)}: isomorphic "
                             f"despite different classes under 2..{i}",
                         )
+            del comps, comp_id, vectors, r, big_id
     return report
 
 
@@ -791,16 +802,15 @@ def parse_deg(src) -> DEGround:
     number.
     """
     text = src.read() if hasattr(src, "read") else src
-    lines = text.splitlines()
-    significant = [
-        (no, ln.strip()) for no, ln in enumerate(lines, 1) if ln.strip()
-    ]
-    if not significant or significant[0][1] != "deg 1":
-        no = significant[0][0] if significant else 1
+    significant = (  # one walk over the lines, blank ones skipped
+        (no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()
+    )
+    no, header = next(significant, (1, None))
+    if header != "deg 1":
         raise DegParseError(no, 'expected header "deg 1"')
-    if len(significant) < 2:
-        raise DegParseError(significant[0][0], "missing ground declaration")
-    no2, decl = significant[1]
+    no2, decl = next(significant, (no, None))
+    if decl is None:
+        raise DegParseError(no, "missing ground declaration")
     parts = decl.split()
     if len(parts) != 4 or parts[0] != "n" or parts[2] != "stat":
         raise DegParseError(no2, 'expected "n <degree> stat <des|peak>"')
@@ -821,7 +831,7 @@ def parse_deg(src) -> DEGround:
     position = {}
     pairings = defaultdict(dict)  # index -> {position: (partner, line_no)}
     indices = _index_range(stat_kind, n)
-    for no, line in significant[2:]:
+    for no, line in significant:
         if line.startswith("vertex"):
             if len(labels) == MAX_GROUND_OBJECTS:
                 raise DegParseError(no, f"more than {MAX_GROUND_OBJECTS} vertices")

@@ -188,7 +188,18 @@ def test_image_outside_the_ground_raises_internal_error():
         return (3, 2, 1) if w == (2, 1, 3) else w
 
     with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\)"):
-        _materialize(DES, 3, words, ["123", "213"], leaks, "(toy)")
+        _materialize(DES, 3, words, leaks, "(toy)")
+
+
+def test_a_repeated_word_is_refused():
+    # the word -> index dict keeps one index per word, so the first copy's
+    # row entries stay unfilled and its label is named
+    words = [(1, 2, 3), (2, 1, 3), (1, 2, 3)]
+    with pytest.raises(InternalInvariantError, match=r"of \(toy\) sends 123 outside"):
+        _materialize(DES, 3, words, lambda i, w, pos, des: w, "(toy)")
+    # with no involution to tabulate, validate() refuses the repeated label
+    with pytest.raises(ValueError, match="duplicate labels"):
+        _materialize(DES, 2, words, lambda i, w, pos, des: w, "(toy)")
 
 
 def test_shifted_target_is_built_once_and_never_changed():
