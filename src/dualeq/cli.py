@@ -64,10 +64,26 @@ from .tableaux import (
     word_str,
 )
 
-def _shape(text):
+# The largest degree (cells of a shape, or --n) of a request: the tableau
+# walks recurse once per cell, within Python's 1000 nested calls, and its
+# tableau and ground counts print within Python's 4300-digit int -> str limit.
+_MAX_DEGREE = 500
+
+
+def _degree(n):
+    if n > _MAX_DEGREE:
+        raise ValueError(f"degree {n} is above the limit {_MAX_DEGREE}")
+    return n
+
+
+def _shape(text, parser, kind):
+    """The partition text names: strict for kind P or Q, within _MAX_DEGREE."""
     shape = parse_partition(text)
     if not is_partition(shape):
         raise InvalidShapeError(f"not a partition: {text}")
+    if kind in ("P", "Q") and not is_strict_partition(shape):
+        parser.error(f"{kind} needs a strict partition, got {text}")
+    _degree(sum(shape))
     return shape
 
 
@@ -79,10 +95,10 @@ def _ground_descriptor(args, parser):
     if args.ground in ("perm", "signedperm"):
         if args.n is None:
             parser.error(f"ground {args.ground!r} needs --n")
-        return (args.ground, args.n, args.family)
+        return (args.ground, _degree(args.n), args.family)
     if args.shape is None:
         parser.error(f"ground {args.ground!r} needs --shape")
-    return (args.ground, _shape(args.shape), args.family)
+    return (args.ground, _shape(args.shape, parser, args.ground), args.family)
 
 
 def _expansion_summary(exp):
@@ -110,9 +126,7 @@ def _vector_maker(kind, shape, basis):
 
 
 def cmd_expand(args, parser):
-    shape = _shape(args.shape)
-    if args.kind in ("P", "Q") and not is_strict_partition(shape):
-        parser.error(f"{args.kind} needs a strict partition, got {args.shape}")
+    shape = _shape(args.shape, parser, args.kind)
     basis = "F" if args.schur_of else args.basis
     if basis == "G" and args.kind == "schur":
         parser.error("Schur functions have no G-basis expansion here")
@@ -133,8 +147,8 @@ def _inline_tableau(T):
 
 
 def cmd_enumerate(args, parser):
-    shape = _shape(args.shape)
     kind = args.kind
+    shape = _shape(args.shape, parser, kind)
     if kind in ("ssyt", "shssyt"):
         if args.max is None:
             parser.error(f"enumerate {kind} needs --max (largest entry allowed)")
@@ -164,41 +178,32 @@ def cmd_enumerate(args, parser):
 
 
 def cmd_classes(args, parser):
-    desc = _ground_descriptor(args, parser)
-    g = build_ground(desc)
-    rows = []
-    for idx, comp in enumerate(classes(g), 1):
+    g = build_ground(_ground_descriptor(args, parser))
+    comps = classes(g)
+    for idx, comp in enumerate(comps, 1):
         genfn = class_genfn(g, comp)
-        rows.append((idx, comp, genfn, expand(genfn)))
-    if args.porcelain:
-        for idx, comp, genfn, exp in rows:
+        terms, certified = " + ".join(genfn.render()), _expansion_summary(expand(genfn))
+        if args.porcelain:
             members = ",".join(g.labels[m] for m in comp)
-            print(
-                f"{idx}\t{len(comp)}\t{members}\t"
-                f"{' + '.join(genfn.render())}\t{_expansion_summary(exp)}"
-            )
-        return 0
-    for idx, comp, genfn, exp in rows:
-        print(f"class {idx}: size {len(comp)}")
-        print(f"  members: {' '.join(g.labels[m] for m in comp)}")
-        print(f"  genfn:   {' + '.join(genfn.render())}")
-        print(f"  certified: {_expansion_summary(exp)}")
-    print(f"classes {len(rows)}")
+            print(f"{idx}\t{len(comp)}\t{members}\t{terms}\t{certified}")
+        else:
+            print(f"class {idx}: size {len(comp)}")
+            print(f"  members: {' '.join(g.labels[m] for m in comp)}")
+            print(f"  genfn:   {terms}")
+            print(f"  certified: {certified}")
+    if not args.porcelain:
+        print(f"classes {len(comps)}")
     return 0
 
 
 def _print_report(report, porcelain):
-    failed = False
     for cond in sorted(report.results):
         ok = report.results[cond]
-        failed = failed or not ok
         if porcelain:
             print(f"cond {cond} {'pass' if ok else 'fail'}")
         else:
             print(f"condition {cond}: {'pass' if ok else 'FAIL'}")
-        for w in report.witnesses:
-            if w.condition != cond:
-                continue
+        for w in report.witnesses_for(cond):
             if porcelain:
                 print(f"witness {cond} {','.join(w.labels)} {w.detail}")
             else:
@@ -209,7 +214,7 @@ def _print_report(report, porcelain):
                 print(f"note {cond} {note}")
             else:
                 print(f"  note: {note}")
-    return failed
+    return not report.passed
 
 
 def cmd_verify(args, parser):
@@ -224,19 +229,17 @@ def cmd_verify(args, parser):
         if args.ground is None or args.family is None:
             parser.error("verify needs --file or --ground with --family")
         g = build_ground(_ground_descriptor(args, parser))
-    want = {"strong": "des", "weak": "des", "shifted": "peak"}[args.axioms]
+    want, verify = {
+        "strong": ("des", verify_strong),
+        "weak": ("des", verify_weak),
+        "shifted": ("peak", lambda g: verify_shifted(g, args.literal_peak_window)),
+    }[args.axioms]
     if g.stat_kind != want:
         parser.error(
             f"--axioms {args.axioms} needs a {want}-kind ground, "
             f"got {g.stat_kind}-kind"
         )
-    if args.axioms == "strong":
-        report = verify_strong(g)
-    elif args.axioms == "weak":
-        report = verify_weak(g)
-    else:
-        report = verify_shifted(g, literal_peak_window=args.literal_peak_window)
-    failed = _print_report(report, args.porcelain)
+    failed = _print_report(verify(g), args.porcelain)
     if args.lemma_vi:
         failed = _print_report(lemma_axiom4_check(g), args.porcelain) or failed
     if args.porcelain:
@@ -273,16 +276,17 @@ def cmd_classify(args, parser):
 
 
 def cmd_specialize(args, parser):
-    shape = _shape(args.shape)
     kind, via, k = args.kind, args.via, args.vars
+    shape = _shape(args.shape, parser, kind)
     if k < 0:
         parser.error(f"--vars must be nonnegative, got {k}")
-    if kind in ("P", "Q") and not is_strict_partition(shape):
-        parser.error(f"{kind} needs a strict partition, got {args.shape}")
+    # each monomial is written as k exponents: both refusals count k per object
+    what = f"{kind} {partition_str(shape)} in {k} variables"
     if via == "monomial":  # shifted: a walk capped past the limit
-        size = (_ssyt_count(shape, k) if kind == "s"
-                else _semistandard_fillings(shape, k, True, kind == "Q"))
-        _within_limit(f"{kind} {partition_str(shape)}", size)
+        size = (_ssyt_count(shape, k) * k if kind == "s"
+                else (e for T in _semistandard_fillings(shape, k, True, kind == "Q")
+                      for e in range(k)))
+        _within_limit(what, size)
         poly = monomial_series(kind, shape, k)
     else:
         if via == "G" and kind == "s":
@@ -297,7 +301,7 @@ def cmd_specialize(args, parser):
         # F_specialize walks the weakly increasing sequences in 1..k of
         # length n rising at each member of D: comb(k - |D| + n - 1, n)
         walk = sum(comb(max(k - len(D) + f.n - 1, 0), f.n) for D in f.coeffs)
-        _within_limit(f"the {via} route of {kind} {partition_str(shape)}", walk)
+        _within_limit(f"the {via} route of {what}", walk * k)
         poly = qsymf_specialize(f, k)
     for line in poly_render(poly):
         print(line)

@@ -29,6 +29,7 @@ isomorphism of classes by comparing canonical codes (_class_code).
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from functools import cache, lru_cache, partial
 from itertools import islice, permutations, product
@@ -55,6 +56,9 @@ _WITNESS_CAP = 8
 
 # parse_deg refuses larger degrees: the degree alone sets the table count
 DEG_MAX_DEGREE = 16
+# the two line forms of a .deg file after its header: an id has no blanks or braces
+_DEG_VERTEX = re.compile(r"vertex\s+([^\s{}]+)\s*\{\s*([^{}]*?)\s*\}")
+_DEG_EDGE = re.compile(r"edge\s+(\S+)\s+(\S+)\s+(\S+)")
 
 
 class DegParseError(ValueError):
@@ -826,86 +830,68 @@ def parse_deg(src) -> DEGround:
     if stat_kind not in (DES, PEAK):
         raise DegParseError(no2, f"unknown stat kind {stat_kind!r}")
 
-    labels = []
+    labels, position = [], {}
     stats, interned = [], {}  # one shared frozenset per distinct statistic
-    position = {}
-    pairings = defaultdict(dict)  # index -> {position: (partner, line_no)}
+    valid, invalid = {  # the statistic rule of the file's kind
+        DES: (set(range(1, n)).issuperset, "descent set {} out of range for degree {}"),
+        PEAK: (partial(is_peak_set, n=n), "{} is not a peak set of degree {}"),
+    }[stat_kind]
     indices = _index_range(stat_kind, n)
+    partners = {i: [] for i in indices}  # one entry per vertex, -1 while unpaired
     for no, line in significant:
         if line.startswith("vertex"):
             if len(labels) == MAX_GROUND_OBJECTS:
                 raise DegParseError(no, f"more than {MAX_GROUND_OBJECTS} vertices")
-            head, brace, rest = line.partition("{")
-            if not brace or not rest.rstrip().endswith("}"):
-                raise DegParseError(no, "vertex line needs a { ... } statistic")
-            head_parts = head.split()
-            if len(head_parts) != 2:
-                raise DegParseError(no, 'expected "vertex <id> { ... }"')
-            vid = head_parts[1]
+            vertex = _DEG_VERTEX.fullmatch(line)
+            if vertex is None:
+                raise DegParseError(no, 'expected "vertex <id> { <ints> }"')
+            vid, body = vertex.groups()
             if vid in position:
                 raise DegParseError(no, f"duplicate vertex id {vid!r}")
-            tail = rest.rstrip()
-            if "}" in tail[:-1] or "{" in tail:
-                raise DegParseError(no, "vertex line needs a single { ... } statistic")
-            body = tail[:-1].strip()
             try:
-                members = (
-                    frozenset(int(t) for t in body.split(",")) if body else frozenset()
-                )
+                members = frozenset(map(int, body.split(","))) if body else frozenset()
             except ValueError:
                 raise DegParseError(no, f"bad statistic {{{body}}}") from None
-            if stat_kind == DES:
-                if any(not 1 <= x <= n - 1 for x in members):
-                    raise DegParseError(
-                        no, f"descent set {sorted(members)} out of range for degree {n}"
-                    )
-            elif not is_peak_set(members, n):
-                raise DegParseError(
-                    no, f"{sorted(members)} is not a peak set of degree {n}"
-                )
+            if not valid(members):
+                raise DegParseError(no, invalid.format(sorted(members), n))
             position[vid] = len(labels)
             labels.append(vid)
             stats.append(interned.setdefault(members, members))
+            for table in partners.values():
+                table.append(-1)
         elif line.startswith("edge"):
-            parts = line.split()
-            if len(parts) != 4:
+            edge = _DEG_EDGE.fullmatch(line)
+            if edge is None:
                 raise DegParseError(no, 'expected "edge <i> <id1> <id2>"')
+            idx, *ends = edge.groups()
             try:
-                idx = int(parts[1])
+                idx = int(idx)
             except ValueError:
-                raise DegParseError(no, f"bad involution index {parts[1]!r}") from None
+                raise DegParseError(no, f"bad involution index {idx!r}") from None
             if idx not in indices:
                 raise DegParseError(
                     no,
                     f"involution index {idx} outside {indices.start}.."
-                    f"{indices.stop - 1} for a "
-                    f"{stat_kind} ground of degree {n}",
+                    f"{indices.stop - 1} for a {stat_kind} ground of degree {n}",
                 )
-            for vid in parts[2:4]:
+            for vid in ends:
                 if vid not in position:
                     raise DegParseError(no, f"unknown vertex id {vid!r}")
-            a, bb = position[parts[2]], position[parts[3]]
+            a, bb = map(position.get, ends)
+            table = partners[idx]
             for v in {a, bb}:
-                if v in pairings[idx]:
+                if table[v] >= 0:
                     raise DegParseError(
                         no,
                         f"vertex {labels[v]!r} appears twice for involution "
                         f"{idx}: edges do not form an involution",
                     )
-            pairings[idx][a] = bb
-            pairings[idx][bb] = a
+            table[a], table[bb] = bb, a
         else:
             raise DegParseError(no, f"unrecognised line: {line!r}")
 
-    invs = {}
-    for idx in indices:
-        table = list(range(len(labels)))
-        for x, y in pairings.get(idx, {}).items():
-            table[x] = y
-        invs[idx] = tuple(table)
-    ground = DEGround(stat_kind, n, tuple(labels), tuple(stats), invs, "file ground")
-    try:
-        ground.validate()
-    except ValueError as exc:
-        raise DegParseError(no2, str(exc)) from None
-    return ground
+    invs = {  # an unpaired vertex is a fixed point
+        i: tuple(y if y >= 0 else x for x, y in enumerate(partners.pop(i))) for i in indices
+    }
+    # the line checks leave validate() nothing to refuse
+    return DEGround(stat_kind, n, tuple(labels), tuple(stats), invs, "file ground").validate()

@@ -266,14 +266,24 @@ def P_in_G(shape) -> QSymG:
 
 def G_to_F(g: QSymG) -> QSymF:
     """Rewrite a G-vector in the F basis: G_P = sum of F_D over descent sets
-    D of the same degree whose spike set contains P.  Sets are read as
-    masks: bit i of D ^ D << 1 is set when exactly one of i-1, i is in D,
-    so on the bits 2..n-1 a peak set can have, it is the spike set of D."""
-    peaks = [(_mask(P), c) for P, c in g.coeffs.items()]
-    acc = {}
+    D of the same degree whose spike set contains P (Stembridge, Enriched
+    P-partitions).  Sets are read as masks: on the bits 2..n-1 a peak set
+    can have, D ^ D << 1 is the spike set of D.  So c_P goes to entry
+    P >> 2 of a table over those bits, one pass per bit adds each entry
+    into the one with that bit set, and F_D reads its spike's entry."""
+    width, inside = max(g.n - 2, 0), set(range(2, g.n))
+    table = [0] * (1 << width)
+    for P, c in g.coeffs.items():
+        if not P <= inside:
+            raise ValueError(f"G{subset_str(P)} has a member outside 2..{g.n - 1}")
+        table[_mask(P) >> 2] = c
+    for b in range(width):
+        for m in range(len(table)):
+            if m >> b & 1:
+                table[m] += table[m ^ 1 << b]
+    top, acc = len(table) - 1, {}
     for D in range(0, 1 << g.n, 2):  # descent masks: bits 1..n-1
-        spike = D ^ D << 1
-        c = sum(c for P, c in peaks if P & spike == P)
+        c = table[(D ^ D << 1) >> 2 & top]
         if c:
             acc[_members(D)] = c
     return QSymF(g.n, acc)

@@ -206,18 +206,17 @@ def _shifted_candidates(k, diagonal_primes, rows, r, j):
     # slot further right in its own row since shifted rows shift left
     # going down — its index there is j+1.  Rows and columns weakly
     # increase, so an equal entry in the row is the left neighbour and one
-    # in the column the cell below: 0 stands for no such cell.
+    # in the column the cell below: 0 stands for no such cell.  Yielded one
+    # at a time, so a walk holds no list of up to 2k candidates per cell.
     left = rows[r][j - 1] if j > 0 else 0
     below = rows[r - 1][j + 1] if r > 0 else 0
-    found = []
     for key in range(max(1, entry_key(left), entry_key(below)), 2 * k + 1):
         v, primed = (key + 1) // 2, key % 2 == 1
         if not primed:
             if v != below:  # one unprimed copy per column
-                found.append(v)
+                yield v
         elif -v != left and (j > 0 or diagonal_primes):
-            found.append(-v)  # one primed copy per row, none on the diagonal
-    return found
+            yield -v  # one primed copy per row, none on the diagonal
 
 
 def _candidates(k, shifted, diagonal_primes):

@@ -8,7 +8,8 @@ import time
 import pytest
 
 from dualeq import cli, engine, qsym, tableaux
-from dualeq.cli import _shape, build_parser, main
+from dualeq.cli import build_parser, main
+from dualeq.core import parse_partition
 from dualeq.qsym import (
     F_specialize,
     G_to_F,
@@ -190,6 +191,8 @@ def test_oversized_semistandard_request_exits_two_before_enumerating(
 
         for module in (cli, qsym):
             monkeypatch.setattr(module, name, recorded)
+    if argv[0] == "specialize":  # each tableau's monomial is --vars exponents
+        count *= int(argv[6])
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count)
     assert run(*argv)[0] == 0 and len(enumerated) == 1
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
@@ -197,10 +200,11 @@ def test_oversized_semistandard_request_exits_two_before_enumerating(
     code, out, err = run(*argv)
     assert (code, out, enumerated) == (2, "", [])
     kind = argv[1] if argv[0] == "enumerate" else argv[2]
+    what = f"{kind} [2,1]" + (f" in {argv[6]} variables" if argv[0] == "specialize" else "")
     # straight tableaux are counted by the hook-content formula; shifted
     # ones by a walk that stops one past the limit
     size = count if kind in ("ssyt", "s") else f"more than {count - 1}"
-    assert err == (f"error: {kind} [2,1] has {size} objects, "
+    assert err == (f"error: {what} has {size} objects, "
                    f"above the limit {count - 1}\n")
 
 
@@ -411,11 +415,12 @@ def test_specialize_routes_agree():
 ])
 def test_specialize_via_F_or_G_refuses_a_walk_above_the_limit(argv, monkeypatch):
     # the walk visits each weakly increasing sequence of each F-key once:
-    # as many as the F_specialize polynomial's coefficients add up to
-    kind, shape, k, via = argv[1], _shape(argv[3]), int(argv[5]), argv[7]
+    # as many as the F_specialize polynomial's coefficients add up to, and
+    # writes k exponents for each
+    kind, shape, k, via = argv[1], parse_partition(argv[3]), int(argv[5]), argv[7]
     f = (G_to_F(P_in_G(shape)) if via == "G"
          else {"s": schur_in_F, "P": P_in_F, "Q": Q_in_F}[kind](shape))
-    count = sum(sum(F_specialize(D, f.n, k).values()) for D in f.coeffs)
+    count = k * sum(sum(F_specialize(D, f.n, k).values()) for D in f.coeffs)
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count)
     assert run("specialize", *argv)[0] == 0
     walked = []
@@ -423,8 +428,8 @@ def test_specialize_via_F_or_G_refuses_a_walk_above_the_limit(argv, monkeypatch)
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
     code, out, err = run("specialize", *argv)
     assert (code, out, walked) == (2, "", [])
-    assert err == (f"error: the {via} route of {kind} {argv[3]} has {count} "
-                   f"objects, above the limit {count - 1}\n")
+    assert err == (f"error: the {via} route of {kind} {argv[3]} in {k} variables "
+                   f"has {count} objects, above the limit {count - 1}\n")
 
 
 @pytest.mark.parametrize("kind, via, count", [
@@ -457,6 +462,61 @@ def test_specialize_via_F_refuses_thirty_variables_at_once():
     )
     assert (code, out) == (2, "") and "above the limit" in err
     assert time.perf_counter() - start < 1
+
+
+BIG = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # each ended in a traceback or an int -> str error, or ran for seconds
+    (("expand", "schur", f"[{BIG}]"), f"degree {BIG} is above the limit 500"),
+    (("classes", "--ground", "perm", "--n", BIG, "--family", "d"),
+     f"degree {BIG} is above the limit 500"),
+    (("classes", "--ground", "perm", "--n", "2000", "--family", "d"),
+     "degree 2000 is above the limit 500"),
+    (("enumerate", "syt", "[1000]"), "degree 1000 is above the limit 500"),
+    (("enumerate", "ssyt", "[1500]", "--max", "1"), "degree 1500 is above the limit 500"),
+    (("specialize", "--kind", "P", "--shape", "[1500]", "--vars", "1"),
+     "degree 1500 is above the limit 500"),
+    (("enumerate", "syt", "[1000000]"), "degree 1000000 is above the limit 500"),
+    # 10^5 tableaux, but 10^10 exponents
+    (("specialize", "--kind", "s", "--shape", "[1]", "--vars", "100000"),
+     "s [1] in 100000 variables has 10000000000 objects, above the limit 1000000"),
+    (("specialize", "--kind", "s", "--shape", "[1]", "--vars", "2000"),
+     "s [1] in 2000 variables has 4000000 objects, above the limit 1000000"),
+    (("specialize", "--kind", "s", "--shape", "[1]", "--vars", "4000"),
+     "s [1] in 4000 variables has 16000000 objects, above the limit 1000000"),
+], ids=["expand-big-shape", "classes-big-n", "classes-n-2000", "syt-1000",
+        "ssyt-1500", "specialize-P-1500", "syt-1000000", "vars-100000",
+        "vars-2000", "vars-4000"])
+def test_oversized_degree_or_vars_exits_two_at_once(argv, message):
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 2
+
+
+def test_the_degree_limit_is_admitted():
+    limit = cli._MAX_DEGREE
+    code, out, err = run("enumerate", "syt", f"[{limit}]", "--porcelain")
+    assert (code, out.splitlines()[-1], err) == (0, "count 1", "")
+    code, out, err = run("specialize", "--kind", "P", "--shape", f"[{limit}]", "--vars", "1")
+    assert (code, out, err) == (0, f"1 x1^{limit}\n", "")
+    code, out, err = run("enumerate", "syt", f"[{limit},1]", "--porcelain")
+    assert (code, out) == (2, "")
+    assert err == f"error: degree {limit + 1} is above the limit {limit}\n"
+
+
+def test_specialize_counts_exponents_not_monomials():
+    # [1] in k variables is k monomials of k exponents each: k = 1000 is
+    # within the limit of 10^6, k = 1001 is not
+    code, out, _ = run("specialize", "--kind", "s", "--shape", "[1]", "--vars", "1000")
+    assert code == 0 and len(out.splitlines()) == 1000
+    for kind, more in (("s", "1002001"), ("P", "more than 1000000"), ("Q", "more than 1000000")):
+        code, out, err = run("specialize", "--kind", kind, "--shape", "[1]", "--vars", "1001")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {kind} [1] in 1001 variables has {more} objects, "
+                       "above the limit 1000000\n")
 
 
 def test_specialize_via_G_refuses_a_degree_of_too_many_descent_sets():

@@ -370,6 +370,19 @@ def test_parse_deg_error_positions():
         ("deg 1\nn 5 stat peak\nvertex a { 2,3 }\n", 3, "peak"),
         ("deg 1\nn 4 stat des\nvertex a { 7 }\n", 3, "range"),
         ("deg 1\nn 4 stat des\nvertex a { 1 }\nedge 9 a a\n", 4, "index"),
+        # a keyword runs into the next token
+        ("deg 1\nn 4 stat des\nvertexa b { 1 }\n", 3, '"vertex <id>'),
+        ("deg 1\nn 4 stat des\nvertex a { 1 }\nedgeX 2 a a\n", 4, '"edge <i>'),
+        # a brace inside an id, a short edge line
+        ("deg 1\nn 4 stat des\nvertex a { 1 }\nvertex b}c { 2 }\n", 4, '"vertex <id>'),
+        ("deg 1\nn 4 stat des\nvertex a { 1 }\nedge 2 a\n", 4, '"edge <i>'),
+        # a self-paired vertex is paired: a second edge on it is refused
+        (
+            "deg 1\nn 4 stat des\nvertex a {1}\nvertex b {2}\nedge 2 a a\n"
+            "edge 2 a b\n",
+            6,
+            "appears twice",
+        ),
     ]
     for src, line, word in cases:
         with pytest.raises(DegParseError) as err:
