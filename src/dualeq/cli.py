@@ -51,7 +51,7 @@ from .qsym import (
     schur_in_F,
 )
 from .tableaux import (
-    _semistandard_fillings,
+    _shssyt_count,
     _ssyt_count,
     _standard_count,
     _standard_words,
@@ -68,11 +68,14 @@ from .tableaux import (
 # walks recurse once per cell, within Python's 1000 nested calls, and its
 # tableau and ground counts print within Python's 4300-digit int -> str limit.
 _MAX_DEGREE = 500
+# The largest --max or --vars k: a refusal's count is at most k * (2k)^cells
+# (2k entries 1'..k per cell), below 10^3157 within _MAX_DEGREE cells.
+_MAX_VALUES = 1_000_000
 
 
-def _degree(n):
-    if n > _MAX_DEGREE:
-        raise ValueError(f"degree {n} is above the limit {_MAX_DEGREE}")
+def _at_most(limit, what, n):
+    if n > limit:
+        raise ValueError(f"{what} {n} is above the limit {limit}")
     return n
 
 
@@ -83,7 +86,7 @@ def _shape(text, parser, kind):
         raise InvalidShapeError(f"not a partition: {text}")
     if kind in ("P", "Q") and not is_strict_partition(shape):
         parser.error(f"{kind} needs a strict partition, got {text}")
-    _degree(sum(shape))
+    _at_most(_MAX_DEGREE, "degree", sum(shape))
     return shape
 
 
@@ -95,7 +98,7 @@ def _ground_descriptor(args, parser):
     if args.ground in ("perm", "signedperm"):
         if args.n is None:
             parser.error(f"ground {args.ground!r} needs --n")
-        return (args.ground, _degree(args.n), args.family)
+        return (args.ground, _at_most(_MAX_DEGREE, "degree", args.n), args.family)
     if args.shape is None:
         parser.error(f"ground {args.ground!r} needs --shape")
     return (args.ground, _shape(args.shape, parser, args.ground), args.family)
@@ -152,9 +155,8 @@ def cmd_enumerate(args, parser):
     if kind in ("ssyt", "shssyt"):
         if args.max is None:
             parser.error(f"enumerate {kind} needs --max (largest entry allowed)")
-        k, primes = args.max, args.diagonal_primes
-        size = (_ssyt_count(shape, k) if kind == "ssyt"  # shifted: a walk capped past the limit
-                else _semistandard_fillings(shape, k, True, primes))
+        k, primes = _at_most(_MAX_VALUES, "--max", args.max), args.diagonal_primes
+        size = _ssyt_count(shape, k) if kind == "ssyt" else _shssyt_count(shape, k, primes)
         _within_limit(f"{kind} {partition_str(shape)}", size)
         tabs = (enumerate_ssyt(shape, k) if kind == "ssyt"
                 else enumerate_shssyt(shape, k, primes))
@@ -280,13 +282,12 @@ def cmd_specialize(args, parser):
     shape = _shape(args.shape, parser, kind)
     if k < 0:
         parser.error(f"--vars must be nonnegative, got {k}")
+    _at_most(_MAX_VALUES, "--vars", k)
     # each monomial is written as k exponents: both refusals count k per object
     what = f"{kind} {partition_str(shape)} in {k} variables"
-    if via == "monomial":  # shifted: a walk capped past the limit
-        size = (_ssyt_count(shape, k) * k if kind == "s"
-                else (e for T in _semistandard_fillings(shape, k, True, kind == "Q")
-                      for e in range(k)))
-        _within_limit(what, size)
+    if via == "monomial":
+        size = _ssyt_count(shape, k) if kind == "s" else _shssyt_count(shape, k, kind == "Q")
+        _within_limit(what, size * k)
         poly = monomial_series(kind, shape, k)
     else:
         if via == "G" and kind == "s":

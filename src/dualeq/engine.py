@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from functools import cache, lru_cache, partial
-from itertools import islice, permutations, product
+from itertools import permutations, product
 from math import factorial
 from operator import eq, or_
 
@@ -205,15 +205,9 @@ def ground_size(desc) -> int:
 
 
 def _within_limit(what, size):
-    """Refuse a request of more than MAX_GROUND_OBJECTS objects: size is
-    their number, or an iterator over them, walked only past the limit."""
-    if not isinstance(size, int):
-        if next(islice(size, MAX_GROUND_OBJECTS, None), None) is None:
-            return
-        size = f"more than {MAX_GROUND_OBJECTS}"
-    elif size <= MAX_GROUND_OBJECTS:
-        return
-    raise ValueError(f"{what} has {size} objects, above the limit {MAX_GROUND_OBJECTS}")
+    """Refuse a request of size, an int, above MAX_GROUND_OBJECTS objects."""
+    if size > MAX_GROUND_OBJECTS:
+        raise ValueError(f"{what} has {size} objects, above the limit {MAX_GROUND_OBJECTS}")
 
 
 def build_ground(desc) -> DEGround:

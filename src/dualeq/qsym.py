@@ -20,9 +20,10 @@ All arithmetic is on ints.  No floats or rationals anywhere.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
+from operator import sub
 
 from .core import (
     InternalInvariantError,
@@ -35,9 +36,7 @@ from .core import (
     is_strict_partition,
     parse_partition,
     partition_str,
-    partitions_of,
     peak_of,
-    strict_partitions_of,
     subset_str,
 )
 from .tableaux import (
@@ -159,25 +158,36 @@ def _basis_coeffs(basis_vector, shape):
     return basis_vector(shape).coeffs
 
 
-def _peel(vec, shapes, basis_vector):
-    """Expand vec over basis_vector(mu) for mu in shapes.
-
-    The shapes come in decreasing lexicographic order, which refines
+def _peel(vec, strict, basis_vector):
+    """Expand vec over basis_vector(mu) for the shapes mu (strict if strict)
+    of its degree, in decreasing lexicographic order, which refines
     dominance.  The coefficient of the leading key D(mu), the partial sums
     of mu without n, is 1 in the vector of mu and 0 in the vector of any
     shape that does not dominate mu (Kostka unitriangularity; Stembridge,
     Enriched P-partitions, for P in G).  So once the earlier shapes are
-    subtracted, the residual at D(mu) is mu's coefficient.
+    subtracted, the residual at D(mu) is mu's coefficient, and only the
+    shapes whose leading key holds a nonzero residual need a visit; a
+    subtraction changes the residual only at later shapes' leading keys.
 
     Returns ({shape: coeff}, None), or (None, (witness, residual)) for the
     first key of a nonzero final residual."""
-    residual = Counter(vec.coeffs)
-    coeffs = {}
-    for mu in shapes:
-        c = residual[frozenset(accumulate(mu[:-1]))]
+    residual, coeffs, pending = Counter(vec.coeffs), {}, []
+
+    def queue(key):  # pending stays sorted: its last shape is the largest
+        mu = _shape_led_by(key, vec.n, strict)
+        if mu is not None:
+            insort(pending, (mu, key))
+
+    for key in vec.coeffs:
+        queue(key)
+    while pending:
+        mu, key = pending.pop()
+        c = residual[key]  # 0 if mu was queued twice and is done
         if c:
             coeffs[mu] = c
             for key, v in _basis_coeffs(basis_vector, mu).items():
+                if not residual[key]:  # now nonzero: a later shape's key
+                    queue(key)
                 residual[key] -= c * v
     bad = [key for key, v in residual.items() if v]
     if bad:
@@ -187,8 +197,11 @@ def _peel(vec, shapes, basis_vector):
 
 
 @lru_cache(maxsize=None)
-def _shapes(n, strict):
-    return tuple((strict_partitions_of if strict else partitions_of)(n))
+def _shape_led_by(key, n, strict):
+    """The shape mu of degree n with D(mu) = key, or None if there is none."""
+    cuts = sorted(key)
+    mu = tuple(map(sub, [*cuts, n], [0, *cuts])) if key or n else ()
+    return mu if (is_strict_partition if strict else is_partition)(mu) else None
 
 
 def expand(vec):
@@ -199,13 +212,13 @@ def expand(vec):
 
 def expand_in_schur(f: QSymF):
     """Expand an F-vector in Schur functions, or report NotSymmetric."""
-    coeffs, bad = _peel(f, _shapes(f.n, False), schur_in_F)
+    coeffs, bad = _peel(f, False, schur_in_F)
     return NotSymmetric(*bad) if bad else SchurExpansion(f.n, coeffs)
 
 
 def expand_in_P(g: QSymG):
     """Expand a G-vector in Schur-P functions, or report NotInSpan."""
-    coeffs, bad = _peel(g, _shapes(g.n, True), P_in_G)
+    coeffs, bad = _peel(g, True, P_in_G)
     return NotInSpan(*bad) if bad else PExpansion(g.n, coeffs)
 
 

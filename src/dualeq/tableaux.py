@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import accumulate
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 from .core import (
     SHIFTED,
@@ -88,8 +88,8 @@ def check_tableau(T: Tableau):
     rows and columns weakly increasing in the primed order, at most one
     primed copy of each value per row, at most one unprimed copy of each
     value per column.  Read in fill order, each entry must be one of the
-    fill walk's candidates for its cell: values 1..k, k the largest one,
-    primes allowed on the diagonal.
+    fill walk's candidates for its cell: values 1..k, k the largest one (if
+    straight, less the cells above), primes allowed on the diagonal.
     """
     shifted = T.kind == SHIFTED
     if not shifted and T.kind != STRAIGHT:
@@ -198,7 +198,8 @@ def _straight_candidates(k, rows, r, j):
     lo = rows[r][j - 1] if j > 0 else 1  # weak along the row
     if r > 0:
         lo = max(lo, rows[r - 1][j] + 1)  # strict up the column
-    return range(lo, k + 1)
+    above = sum(len(row) > j for row in rows[r + 1 :])  # each holds a larger entry
+    return range(lo, k + 1 - above)
 
 
 def _shifted_candidates(k, diagonal_primes, rows, r, j):
@@ -222,11 +223,22 @@ def _shifted_candidates(k, diagonal_primes, rows, r, j):
 def _candidates(k, shifted, diagonal_primes):
     """candidates(rows, r, j): the entries cell (r, j) (0-based) may hold,
     in increasing order, read from the cells before it in fill order (row 1
-    first, left to right) — the left neighbour and the cell below.  The one
-    statement of the semistandard rules, for values <= k."""
+    first, left to right) — the left neighbour and the cell below — and, if
+    straight, the cells above.  The one statement of the semistandard rules,
+    for values <= k."""
     if shifted:
         return partial(_shifted_candidates, k, diagonal_primes)
     return partial(_straight_candidates, k)
+
+
+def _checked_shape(shape, strict, k=0):
+    """shape as a tuple; refuses a non-partition (non-strict if strict) or k < 0."""
+    shape = tuple(shape)
+    if not (is_strict_partition if strict else is_partition)(shape):
+        raise InvalidShapeError(f"not a {'strict ' * strict}partition: {shape}")
+    if k < 0:
+        raise ValueError("max entry must be nonnegative")
+    return shape
 
 
 def _semistandard_fillings(shape, k, shifted, diagonal_primes=False):
@@ -236,11 +248,7 @@ def _semistandard_fillings(shape, k, shifted, diagonal_primes=False):
     each of its candidates in turn; yields rows, one list of rows reused
     for every complete filling.  The arguments are checked at once, before
     any step of the walk."""
-    shape = tuple(shape)
-    if not (is_strict_partition if shifted else is_partition)(shape):
-        raise InvalidShapeError(f"not a {'strict ' * shifted}partition: {shape}")
-    if k < 0:
-        raise ValueError("max entry must be nonnegative")
+    shape = _checked_shape(shape, shifted, k)
     candidates = _candidates(k, shifted, diagonal_primes)
     rows = [[0] * width for width in shape]
     cells = [(r, j) for r, width in enumerate(shape) for j in range(width)]
@@ -275,9 +283,7 @@ def _standard_words(shape, strict, diagonal_primes=None):
     the values on the free cells (off the diagonal, or any cell) are
     primed by the bits of each mask in turn, bit b priming the b-th
     smallest free value."""
-    shape = tuple(shape)
-    if not (is_strict_partition if strict else is_partition)(shape):
-        raise InvalidShapeError(f"not a {'strict ' * strict}partition: {shape}")
+    shape = _checked_shape(shape, strict)
     memo = {(): [()]}
 
     def words(sh):
@@ -312,9 +318,7 @@ def _standard_count(shape, strict, diagonal_primes=None):
     enumerating: the hook-length formula (Frobenius's form, on parts
     shape[k] + rows - k - 1), Thrall's formula if strict, times 2 per free
     cell of the signed variants."""
-    shape = tuple(shape)
-    if not (is_strict_partition if strict else is_partition)(shape):
-        raise InvalidShapeError(f"not a {'strict ' * strict}partition: {shape}")
+    shape = _checked_shape(shape, strict)
     n, rows = sum(shape), len(shape)
     parts = shape if strict else [p + rows - k - 1 for k, p in enumerate(shape)]
     pairs = [(p, q) for k, p in enumerate(parts) for q in parts[k + 1 :]]
@@ -328,11 +332,47 @@ def _standard_count(shape, strict, diagonal_primes=None):
 def _ssyt_count(shape, k):
     """The number of _semistandard_fillings(shape, k, False), without a walk:
     the hook-content formula (Stanley, EC2 7.21.2)."""
-    count = _standard_count(shape, False)
-    if k < 0:
-        raise ValueError("max entry must be nonnegative")
+    shape = _checked_shape(shape, False, k)
     contents = (k + j - r for r, width in enumerate(shape) for j in range(width))
-    return count * prod(contents) // factorial(sum(shape))
+    return _standard_count(shape, False) * prod(contents) // factorial(sum(shape))
+
+
+def _shssyt_count(shape, k, diagonal_primes):
+    """The number of _semistandard_fillings(shape, k, True, diagonal_primes),
+    without a walk: Schur's Pfaffian Q_shape = Pf[Q_(shape[i], shape[j])] at
+    x_1 = ... = x_k = 1, a part 0 appended to an odd number (Macdonald,
+    III.8), the square root of a determinant.  P = Q / 2^rows."""
+    shape = _checked_shape(shape, True, k)
+    parts = shape + (0,) * (len(shape) % 2)
+    q = [1, 2 * k]  # one row: q_r, the t^r coefficient of ((1 + t) / (1 - t))^k
+    for r in range(1, sum(parts[:2])):
+        q.append((2 * k * q[r] + (r - 1) * q[r - 1]) // (r + 1))
+
+    def pair(a, b):  # Q_(a, b); for a < b it is -Q_(b, a), as q(t) q(-t) = 1
+        return q[a] * q[b] + 2 * sum((-1) ** i * q[a + i] * q[b - i] for i in range(1, b + 1))
+
+    det = _determinant([[pair(a, b) if a != b else 0 for b in parts] for a in parts])
+    pfaffian = isqrt(max(det, 0))
+    if pfaffian * pfaffian != det:
+        raise InternalInvariantError(f"the Pfaffian's determinant for {shape} is no square")
+    return pfaffian >> (0 if diagonal_primes else len(shape))
+
+
+def _determinant(m):
+    """The determinant of a square int matrix (a list of rows, modified) by
+    Bareiss's fraction-free elimination: every division is exact."""
+    sign, prev = 1, 1
+    for i in range(len(m)):
+        pivot = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot], sign = m[pivot], m[i], -sign
+        for r in range(i + 1, len(m)):
+            for c in range(i + 1, len(m)):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
 
 
 def _checked_words(words, shape, shifted):

@@ -201,11 +201,29 @@ def test_oversized_semistandard_request_exits_two_before_enumerating(
     assert (code, out, enumerated) == (2, "", [])
     kind = argv[1] if argv[0] == "enumerate" else argv[2]
     what = f"{kind} [2,1]" + (f" in {argv[6]} variables" if argv[0] == "specialize" else "")
-    # straight tableaux are counted by the hook-content formula; shifted
-    # ones by a walk that stops one past the limit
-    size = count if kind in ("ssyt", "s") else f"more than {count - 1}"
-    assert err == (f"error: {what} has {size} objects, "
+    # straight tableaux are counted by the hook-content formula, shifted
+    # ones by Schur's Pfaffian: both exactly
+    assert err == (f"error: {what} has {count} objects, "
                    f"above the limit {count - 1}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "shssyt", "[3,1]", "--max", "3"),
+    ("enumerate", "shssyt", "[3,1]", "--max", "3", "--diagonal-primes"),
+    ("specialize", "--kind", "P", "--shape", "[3,2]", "--vars", "3"),
+    ("specialize", "--kind", "Q", "--shape", "[2,1]", "--vars", "2"),
+])
+def test_an_admitted_shifted_semistandard_request_walks_once(argv, monkeypatch):
+    walks = []
+    original = tableaux._semistandard_fillings
+
+    def recorded(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tableaux, "_semistandard_fillings", recorded)
+    code, out, err = run(*argv)
+    assert (code, err, len(walks)) == (0, "", 1) and out
 
 
 def test_enumerate_standard_porcelain():
@@ -486,14 +504,40 @@ BIG = "99999999999999999999"
      "s [1] in 2000 variables has 4000000 objects, above the limit 1000000"),
     (("specialize", "--kind", "s", "--shape", "[1]", "--vars", "4000"),
      "s [1] in 4000 variables has 16000000 objects, above the limit 1000000"),
+    # ran for more than 20 s: the shifted count was a walk
+    (("enumerate", "shssyt", "[500]", "--max", "1000000"),
+     f"shssyt [500] has {tableaux._shssyt_count((500,), 10**6, False)} objects, "
+     "above the limit 1000000"),
+    # counts too long to print; the empty shape's one tableau was admitted
+    (("specialize", "--kind", "s", "--shape", "[500]", "--vars", BIG),
+     f"--vars {BIG} is above the limit 1000000"),
+    (("enumerate", "ssyt", "[500]", "--max", BIG), f"--max {BIG} is above the limit 1000000"),
+    (("enumerate", "ssyt", "[]", "--max", BIG), f"--max {BIG} is above the limit 1000000"),
 ], ids=["expand-big-shape", "classes-big-n", "classes-n-2000", "syt-1000",
         "ssyt-1500", "specialize-P-1500", "syt-1000000", "vars-100000",
-        "vars-2000", "vars-4000"])
+        "vars-2000", "vars-4000", "shssyt-500", "vars-big", "max-big", "max-big-empty"])
 def test_oversized_degree_or_vars_exits_two_at_once(argv, message):
     start = time.perf_counter()
     code, out, err = run(*argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv, tail, seconds", [
+    # each ran for more than 20 s
+    (("expand", "schur", "[499,1]", "--schur-of"), "1 s[499,1]", 5),
+    (("expand", "schur", "[500]", "--schur-of"), "1 s[500]", 2),
+    (("expand", "schur", "[60]", "--schur-of"), "1 s[60]", 2),
+    (("enumerate", "ssyt", "[8,8,8,8,8,8,8,8]", "--max", "8"), "count 1", 2),
+    (("enumerate", "ssyt", "[8,8,8,8,8,8,8,8]", "--max", "7"), "count 0", 2),
+    (("enumerate", "ssyt", "[6,6,6,6,6,6]", "--max", "7", "--porcelain"), "count 924", 2),
+], ids=["schur-of-499-1", "schur-of-500", "schur-of-60", "ssyt-8x8-max-8",
+        "ssyt-8x8-max-7", "ssyt-6x6"])
+def test_admitted_requests_that_ran_unbounded_end_in_time(argv, tail, seconds):
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < seconds
+    assert (code, err, out.splitlines()[-1]) == (0, "", tail)
 
 
 def test_the_degree_limit_is_admitted():
@@ -512,7 +556,7 @@ def test_specialize_counts_exponents_not_monomials():
     # within the limit of 10^6, k = 1001 is not
     code, out, _ = run("specialize", "--kind", "s", "--shape", "[1]", "--vars", "1000")
     assert code == 0 and len(out.splitlines()) == 1000
-    for kind, more in (("s", "1002001"), ("P", "more than 1000000"), ("Q", "more than 1000000")):
+    for kind, more in (("s", "1002001"), ("P", "1002001"), ("Q", "2004002")):
         code, out, err = run("specialize", "--kind", kind, "--shape", "[1]", "--vars", "1001")
         assert (code, out) == (2, "")
         assert err == (f"error: {kind} [1] in 1001 variables has {more} objects, "

@@ -1,8 +1,9 @@
 """Tableau counts beside their enumerators, and the CLI's one vector route.
 
 _standard_count must equal the length of _standard_words for the same
-arguments, with the same shape errors, and _ssyt_count the length of the
-straight semistandard walk.  The CLI's expand and specialize --via F|G
+arguments, with the same shape errors, _ssyt_count the length of the
+straight semistandard walk and _shssyt_count (Schur's Pfaffian) that of
+the shifted one.  The CLI's expand and specialize --via F|G
 share one route (cli._vector_maker); its output is compared with an
 in-test copy of the selection each verb made on its own before, and the
 count it refuses by with the one each verb passed to ground_size.
@@ -10,6 +11,9 @@ count it refuses by with the one each verb passed to ground_size.
 
 import contextlib
 import io
+import random
+import time
+from itertools import permutations
 
 import pytest
 
@@ -33,7 +37,9 @@ from dualeq.qsym import (
     schur_in_F,
 )
 from dualeq.tableaux import (
+    _determinant,
     _semistandard_fillings,
+    _shssyt_count,
     _ssyt_count,
     _standard_count,
     _standard_words,
@@ -97,6 +103,61 @@ def test_ssyt_count_is_the_number_of_straight_semistandard_fillings():
 @pytest.mark.parametrize("shape, k", [((2, 1), -1), ((1, 2), 3), ((), -1), ((2, 0), 1)])
 def test_ssyt_count_refuses_what_the_walk_refuses(shape, k):
     assert outcome(_ssyt_count, shape, k) == outcome(_semistandard_fillings, shape, k, False)
+
+
+SHSSYT_CASES = [(lam, k, primes) for n in range(9) for lam in strict_partitions_of(n)
+                for k in range(6) for primes in (False, True)]
+
+
+def test_shssyt_count_is_the_number_of_shifted_semistandard_fillings():
+    assert len(SHSSYT_CASES) == 300
+    for lam, k, primes in SHSSYT_CASES:
+        walked = sum(1 for _ in _semistandard_fillings(lam, k, True, primes))
+        assert _shssyt_count(lam, k, primes) == walked, (lam, k, primes)
+    # the walk's count of enumerate shssyt '[4,3,1]' --max 6 --diagonal-primes
+    assert _shssyt_count((4, 3, 1), 6, True) == 104448
+
+
+@pytest.mark.parametrize("primes", [False, True])
+@pytest.mark.parametrize("shape, k", [
+    ((2, 1), -1), ((1, 2), 3), ((2, 2), 1), ((), -1), ((2, 0), 1), ((3, -1), 2),
+])
+def test_shssyt_count_refuses_what_the_walk_refuses(shape, k, primes):
+    got = outcome(_shssyt_count, shape, k, primes)
+    assert isinstance(got, tuple)
+    assert got == outcome(_semistandard_fillings, shape, k, True, primes)
+
+
+def test_shssyt_count_of_the_largest_admitted_requests_is_quick():
+    # the 31-row staircase has 496 cells, within the degree limit of 500,
+    # and 2^31 strict sub-shapes; 10^6 is the largest --max or --vars
+    start = time.perf_counter()
+    assert _shssyt_count(tuple(range(31, 0, -1)), 10**6, True) > 10**6
+    assert time.perf_counter() - start < 10
+    start = time.perf_counter()
+    assert _shssyt_count((500,), 10**6, False) > 10**6
+    assert time.perf_counter() - start < 1
+
+
+def leibniz_determinant(m):
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = (-1) ** inversions
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def test_determinant_equals_the_leibniz_expansion():
+    # sparse matrices, so that pivots are often zero and rows are swapped
+    rng = random.Random("bareiss")
+    for _ in range(400):
+        size = rng.randint(0, 5)
+        m = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 7]) for _ in range(size)]
+             for _ in range(size)]
+        assert _determinant([row[:] for row in m]) == leibniz_determinant(m), m
 
 
 # --- the vector route --------------------------------------------------------

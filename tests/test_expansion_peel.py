@@ -7,10 +7,14 @@ decreasing lexicographic order.  That is only sound when the coefficient
 of the leading key D(mu) in the basis vector of lam is 1 for lam == mu and
 0 unless lam dominates mu; test_leading_keys_are_unitriangular checks this
 exhaustively.  test_expansions_match_sympy compares verdicts and
-coefficients with sympy's Gauss-Jordan solve over the rationals.
+coefficients with sympy's Gauss-Jordan solve over the rationals.  The peel
+visits only the shapes whose leading key holds a nonzero residual;
+test_peel_equals_the_all_shapes_peel compares it with an in-test copy of
+the peel that walked every shape of the degree.
 """
 
 import random
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -24,6 +28,7 @@ from dualeq.qsym import (
     QSymF,
     QSymG,
     SchurExpansion,
+    _peel,
     expand_in_P,
     expand_in_schur,
     schur_in_F,
@@ -139,3 +144,40 @@ def test_expansions_match_sympy(basis):
                 else:
                     assert isinstance(got, exp_cls), (n, vec)
                     assert got.coeffs == want
+
+
+def all_shapes_peel(vec, shapes, basis_vector):
+    """The peel as it was when it walked every shape of the degree, in
+    decreasing lexicographic order."""
+    residual = Counter(vec.coeffs)
+    coeffs = {}
+    for mu in shapes:
+        c = residual[leading_key(mu)]
+        if c:
+            coeffs[mu] = c
+            for key, v in basis_vector(mu).coeffs.items():
+                residual[key] -= c * v
+    bad = [key for key, v in residual.items() if v]
+    if bad:
+        witness = min(bad, key=lambda key: (len(key), sorted(key)))
+        return None, (witness, residual[witness])
+    return coeffs, None
+
+
+@pytest.mark.parametrize("basis", sorted(BASES))
+def test_peel_equals_the_all_shapes_peel(basis):
+    shapes_of, vector, vec_cls = BASES[basis][:3]
+    strict = basis == "P"
+    rng = random.Random(f"all-shapes-{basis}")
+    checked = 0
+    for n in range(9):
+        shapes = shapes_of(n)
+        vectors = {lam: vector(lam).coeffs for lam in shapes}
+        inside, others = _test_vectors(n, shapes, vectors, rng)
+        # keys outside 1..n-1 lead no shape and stay in the residual
+        others += [{frozenset({n}): 1}, {frozenset({0, n}): -2, frozenset(): 1}, {}]
+        for vec in inside + others:
+            vec = vec_cls(n, vec)
+            assert _peel(vec, strict, vector) == all_shapes_peel(vec, shapes, vector)
+            checked += 1
+    assert checked > 200

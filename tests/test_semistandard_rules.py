@@ -7,7 +7,8 @@ check made of row scans, Counters and a column dict, and a walk whose
 shifted candidates scan the whole row and column.  The check must agree
 with its reference as a predicate on every filling of every small shape,
 apart from entries 0, which it now refuses; the walk must give the same
-fillings in the same order.
+fillings in the same order.  The straight candidates also stop k less the
+cells above short of k, so the straight walk reaches no dead end.
 """
 
 from collections import Counter
@@ -23,6 +24,7 @@ from dualeq.core import (
     strict_partitions_of,
 )
 from dualeq.tableaux import (
+    _candidates,
     _semistandard_fillings,
     check_tableau,
     entry_key,
@@ -194,3 +196,26 @@ def test_every_filling_of_the_walk_passes_check_tableau():
         kind = "shifted" if shifted else "straight"
         for rows in _semistandard_fillings(shape, k, shifted, primes):
             check_tableau(tableau(kind, rows))
+
+
+def test_the_straight_walk_reaches_no_cell_without_a_candidate():
+    for n in range(9):
+        for shape in partitions_of(n):
+            cells = [(r, j) for r, width in enumerate(shape) for j in range(width)]
+            for k in range(6):
+                candidates, rows = _candidates(k, False, False), [[0] * w for w in shape]
+                dead_ends = []
+
+                def fill(c):
+                    if c < len(cells):
+                        r, j = cells[c]
+                        found = False
+                        for e in candidates(rows, r, j):
+                            rows[r][j], found = e, True
+                            fill(c + 1)
+                        if not found:
+                            dead_ends.append(c)
+
+                fill(0)
+                # a column taller than k leaves the first cell without a candidate
+                assert dead_ends == ([0] if len(shape) > k else []), (shape, k)
