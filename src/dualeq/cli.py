@@ -44,6 +44,8 @@ from .qsym import (
     P_in_G,
     ExpansionFailure,
     Q_in_F,
+    QSymF,
+    _basis_coeffs,
     expand,
     monomial_series,
     poly_render,
@@ -115,11 +117,16 @@ def _vector_maker(kind, shape, basis):
     (Q's is 2^rows times P_in_G), returned once the standard tableaux it
     reads, counted for the arguments it gives _standard_words, are within
     the limit.  The one exception: P in the F basis is counted as its
-    signed tableaux, though P_in_F reads only the unsigned ones."""
+    signed tableaux, though P_in_F reads only the unsigned ones.  A Schur
+    function's F-vector is read through the peel's cache of basis vectors,
+    so expanding it in Schur functions does not build it again."""
     # built per call, so a wrapper installed on a module name sees the call
+    def schur(shape):
+        return QSymF(sum(shape), _basis_coeffs(schur_in_F, shape))
+
     strict, primes, in_F = {
         "P": (True, False, P_in_F), "Q": (True, True, Q_in_F),
-    }.get(kind, (False, None, schur_in_F))
+    }.get(kind, (False, None, schur))
     by_peaks = basis == "G"  # P_in_G reads the unsigned shifted tableaux
     count = _standard_count(shape, strict, None if by_peaks else primes)
     _within_limit(f"{kind} {partition_str(shape)}", count)

@@ -7,12 +7,17 @@ standard shifted tableaux and signed standard shifted tableaux, one entry
 each in BUILTIN_GROUNDS; arbitrary grounds can be read from .deg files.
 Every builtin ground is a set of words: the tableau grounds are indexed by
 reading words, the involutions act on the words, and an image that is not
-an enumerated word is not a tableau of the shape.  A build drops the words
-and their index before it freezes the tables.  The standard shifted grounds
-that classes are matched against are built once per shape and cached.
+an enumerated word is not a tableau of the shape.  A build packs the words
+into one array of signed letters as it indexes them, drops the word list
+before it fills the tables and the index after, and keeps the array as the
+ground's labels: a label is formatted from its word only when it is read.
+The standard shifted grounds that classes are matched against are built
+once per shape and cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
+A failure names object positions, whose labels are read only for the first
+_WITNESS_CAP of each condition, the witnesses the report keeps.
 Each call takes the statistics as integer masks once.  Every windowed
 condition (strong and shifted iv, weak iv-a and iv-b, lemma v and vi) reads
 one pass of _window_classes: window by window, the classes under its
@@ -31,8 +36,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from functools import cache, lru_cache, partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial
 from operator import eq, or_
 
@@ -67,13 +73,42 @@ class DegParseError(ValueError):
         self.line_no = line_no
 
 
+class _WordLabels(Sequence):
+    """The labels of a builtin ground: label k is word_str of word k, made
+    only when it is read from the words packed n letters apiece in one
+    array.  Read-only; equal to, and hashed as, the tuple of its labels."""
+
+    __slots__ = ("_letters", "_n", "_size")
+
+    def __init__(self, letters, n, size):
+        self._letters, self._n, self._size = letters, n, size
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(self._size)[k]))
+        k = range(self._size)[k]  # a negative k counts from the end
+        return word_str(self._letters[k * self._n:(k + 1) * self._n])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _WordLabels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 class DEGround(_Record, frozen=True):
     """Objects with a subset statistic and indexed involutions.
 
-    labels are the stable external ids; stats[k] is the statistic of object k;
-    invs maps each index i of the family to a lookup table (tuple of object
-    positions).  Descent-kind grounds of degree n have indices 2..n-1,
-    peak-kind grounds 2..n-2.
+    labels are the stable external ids, a tuple of strings for a file ground
+    or a subground and a _WordLabels for a builtin ground; stats[k] is the
+    statistic of object k; invs maps each index i of the family to a lookup
+    table (tuple of object positions).  Descent-kind grounds of degree n
+    have indices 2..n-1, peak-kind grounds 2..n-2.
     """
 
     __slots__ = _fields = ("stat_kind", "n", "labels", "stats", "invs", "desc")
@@ -91,7 +126,8 @@ class DEGround(_Record, frozen=True):
             raise ValueError(f"unknown stat kind {self.stat_kind!r}")
         if len(self.stats) != self.size:
             raise ValueError("labels/stats length mismatch")
-        if len(set(self.labels)) != self.size:
+        # _materialize refuses a repeated word, so no set of word labels is made
+        if not isinstance(self.labels, _WordLabels) and len(set(self.labels)) != self.size:
             raise ValueError("duplicate labels")
         for s in dict.fromkeys(self.stats):  # each distinct one, first seen first
             if self.stat_kind == DES:
@@ -127,12 +163,21 @@ def _materialize(stat_kind, n, words, move, desc):
     made once per distinct mask) and its images move(i, w, pos, des).  An
     image that is w itself is the word's own index; the lookup of any other
     is its check: one outside the ground raises InternalInvariantError.  The
-    word -> index dict goes once the rows are filled, the words once they are
-    labelled, and each row as its tuple is made, all before validate()."""
-    index_of = {w: k for k, w in enumerate(words)}
+    words are packed into the labels' array of signed letters (one byte each
+    below degree 128) as the word -> index dict is made, the word list goes
+    before the fill, the dict after it, and each row as its tuple is made,
+    all before validate().  A repeated word leaves the dict short and is
+    refused."""
+    from array import array  # loaded by the first build, not by the CLI's start
+
+    size = len(words)
+    code = "b" if n < 1 << 7 else "h" if n < 1 << 15 else "q"
+    labels = _WordLabels(array(code, chain.from_iterable(words)), n, size)
+    index_of = dict(zip(words, range(size)))
+    del words
     indices = _index_range(stat_kind, n)
-    rows = [(i, [None] * len(words)) for i in indices]
-    stats, of_mask, shared = [None] * len(words), {}, {}
+    rows = [(i, [None] * size) for i in indices]
+    stats, of_mask, shared = [None] * size, {}, {}
     find = index_of.get
     for w, k in index_of.items():  # k: the dict's own int, shared by the tables
         pos = _inverse(w)
@@ -145,9 +190,8 @@ def _materialize(stat_kind, n, words, move, desc):
         for i, table in rows:
             y = move(i, w, pos, des)
             table[k] = k if y is w else find(y)
+    distinct = len(index_of) == size
     del index_of, find
-    labels = tuple(map(word_str, words))
-    del words
     invs = {}
     while rows:  # each list goes as its tuple is made
         i, table = rows.pop(0)
@@ -157,6 +201,8 @@ def _materialize(stat_kind, n, words, move, desc):
                 f"involution {i} of {desc} sends {labels[table.index(None)]} "
                 "outside the ground"
             )
+    if not distinct:
+        raise ValueError("duplicate labels")
     return DEGround(stat_kind, n, labels, tuple(stats), invs, desc).validate()
 
 
@@ -333,19 +379,25 @@ class VerificationReport(_Record):
 
 
 class _Acc:
-    """Per-condition pass/fail accumulator with capped witnesses."""
+    """Per-condition pass/fail accumulator with capped witnesses: a failure
+    names object positions, and their labels are read only for a witness
+    that is kept."""
 
-    def __init__(self, report: VerificationReport, condition: str):
+    def __init__(self, report: VerificationReport, condition: str, labels):
         self.report = report
         self.condition = condition
+        self.labels = labels
+        self.kept = 0
         report.results[condition] = True
         report.counts[condition] = 0
 
-    def fail(self, labels, detail):
+    def fail(self, positions, detail):
         self.report.results[self.condition] = False
         self.report.counts[self.condition] += 1
-        if len(self.report.witnesses_for(self.condition)) < _WITNESS_CAP:
-            self.report.witnesses.append(Witness(self.condition, tuple(labels), detail))
+        if self.kept < _WITNESS_CAP:
+            self.kept += 1
+            labels = tuple(map(self.labels.__getitem__, positions))
+            self.report.witnesses.append(Witness(self.condition, labels, detail))
 
 
 def _fix_tables(g):
@@ -355,13 +407,13 @@ def _fix_tables(g):
 def _check_fixed_law(g, report, masks, law):
     """Condition (i): an object is fixed by involution i iff law(mask, i)
     holds of its statistic mask."""
-    acc = _Acc(report, "i")
+    acc = _Acc(report, "i", g.labels)
     distinct = set(masks)
     for i in g.index_range():
         fixed = {m for m in distinct if law(m, i)}
         for x, (y, m) in enumerate(zip(g.invs[i], masks)):
             if (y == x) != (m in fixed):
-                acc.fail((g.labels[x],), f"fixed-point law fails at index {i}")
+                acc.fail((x,), f"fixed-point law fails at index {i}")
 
 
 def _check_descent_transport(g, report, fix, masks):
@@ -369,7 +421,7 @@ def _check_descent_transport(g, report, fix, masks):
     only when the neighbouring involution does not fix the object; everything
     else is preserved.  A witness names the first illegal position in the
     statistics' frozenset difference, whose order is not always ascending."""
-    acc = _Acc(report, "ii")
+    acc = _Acc(report, "ii", g.labels)
     for i in g.index_range():
         table = g.invs[i]
         flip, low, high = 3 << (i - 1), 1 << (i - 2), 1 << (i + 1)
@@ -391,7 +443,7 @@ def _check_descent_transport(g, report, fix, masks):
                 detail = f"position {h} changed illegally"
             else:
                 continue
-            acc.fail((g.labels[x], g.labels[y]), f"index {i}: {detail}")
+            acc.fail((x, y), f"index {i}: {detail}")
 
 
 def _check_peak_transport(g, report, masks):
@@ -406,7 +458,7 @@ def _check_peak_transport(g, report, masks):
     sets are {2,4} and {3,5}, yet the two are exchanged by the index-2 move
     (so h=5 appears) and by the index-4 move (so h=2 disappears).
     """
-    acc = _Acc(report, "ii")
+    acc = _Acc(report, "ii", g.labels)
     for i in g.index_range():
         table = g.invs[i]
         far = ~(63 << (i - 2))  # every position outside i-2..i+3
@@ -419,11 +471,11 @@ def _check_peak_transport(g, report, masks):
                 detail = f"peak outside {{{i - 2}..{i + 3}}} changed"
             else:
                 continue
-            acc.fail((g.labels[x], g.labels[y]), f"index {i}: {detail}")
+            acc.fail((x, y), f"index {i}: {detail}")
 
 
 def _check_commutation(g, report, distance):
-    acc = _Acc(report, "iii")
+    acc = _Acc(report, "iii", g.labels)
     R = list(g.index_range())
     for a in R:
         for bb in R:
@@ -432,10 +484,7 @@ def _check_commutation(g, report, distance):
             ta, tb = g.invs[a], g.invs[bb]
             for x in range(g.size):
                 if ta[tb[x]] != tb[ta[x]]:
-                    acc.fail(
-                        (g.labels[x],),
-                        f"involutions {a} and {bb} do not commute",
-                    )
+                    acc.fail((x,), f"involutions {a} and {bb} do not commute")
                     break
 
 
@@ -461,13 +510,13 @@ def _check_window_expansions(g, acc, window, comps, vectors, details):
     for comp, vector in zip(comps, vectors):
         detail = details(vector)
         if detail is not None:
-            acc.fail((g.labels[comp[0]],), f"{where}: {detail}")
+            acc.fail((comp[0],), f"{where}: {detail}")
 
 
 def _check_unit_windows(g, report, masks, max_span, literal=False):
     """Condition (iv) of the strong and shifted systems: every class of every
     window of 2..max_span+1 consecutive involutions has a unit expansion."""
-    acc = _Acc(report, "iv")
+    acc = _Acc(report, "iv", g.labels)
     details = cache(partial(_expansion_detail, g, "unit"))
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
@@ -511,8 +560,8 @@ def verify_weak(g: DEGround) -> VerificationReport:
     # multiset of restricted descent sets, so (iv-a)'s multiset clause
     # compares x's vectors in the previous window (i-1, i) and this one.
     details = cache(partial(_expansion_detail, g, "positive"))
-    acc_a = _Acc(report, "iv-a")
-    acc_m = _Acc(report, "iv-a-multisets")
+    acc_a = _Acc(report, "iv-a", g.labels)
+    acc_m = _Acc(report, "iv-a-multisets", g.labels)
     previous = None  # the one window kept past its step
     windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
     for window, comps, comp_id, vectors, r in _window_classes(g, windows_a, masks):
@@ -524,7 +573,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
             for x, (y, lk, k) in enumerate(zip(g.invs[i], left_id, comp_id)):
                 if not (excluded[x] or excluded[y]) and left[lk] != vectors[k]:
                     acc_m.fail(
-                        (g.labels[x],),
+                        (x,),
                         f"windows {_window_label(i - 1, i)} vs "
                         f"{_window_label(i, i + 1)}: "
                         "restricted statistic multisets differ",
@@ -532,13 +581,13 @@ def verify_weak(g: DEGround) -> VerificationReport:
         previous = comp_id, vectors
         del comps, comp_id, vectors, r
 
-    acc_b = _Acc(report, "iv-b")
+    acc_b = _Acc(report, "iv-b", g.labels)
     windows_b = [(i - 2, i) for i in R if i - 2 in g.invs]
     for window, comps, comp_id, vectors, r in _window_classes(g, windows_b, masks):
         _check_window_expansions(g, acc_b, window, comps, vectors, details)
         del comps, comp_id, vectors, r
 
-    acc_c = _Acc(report, "iv-b-chain")
+    acc_c = _Acc(report, "iv-b-chain", g.labels)
     for i in R:
         if i - 2 not in g.invs or i + 1 not in g.invs:
             continue
@@ -560,7 +609,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
                 v = t_i[w]
                 if fix_p1[v]:
                     acc_c.fail(
-                        (g.labels[x], g.labels[v]),
+                        (x, v),
                         f"index {i}: alternating chain re-enters the fixed "
                         f"set of involution {i + 1}",
                     )
@@ -746,7 +795,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
         expansion = expand_in_P(_vector_genfn(g, vector))
         return expansion.unit_shape() if isinstance(expansion, PExpansion) else None
 
-    acc_v = _Acc(report, "v")
+    acc_v = _Acc(report, "v", g.labels)
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
     for (j, i), comps, comp_id, vectors, r in _window_classes(g, windows, masks):
         tables = [g.invs[k] for k in range(j, i + 1)]
@@ -754,20 +803,20 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
             shape = unit_shape(vector)
             if shape is None:
                 acc_v.fail(
-                    (g.labels[comp[0]],),
+                    (comp[0],),
                     f"window {_window_label(j, i)}: generating function is "
                     "not a unit Schur-P vector",
                 )
             elif _class_code(comp, tables, r)[0] != _target_code(shape)[0]:
                 acc_v.fail(
-                    (g.labels[comp[0]],),
+                    (comp[0],),
                     f"window {_window_label(j, i)}: not isomorphic to "
                     f"(shsyt,{partition_str(shape)},b)",
                 )
         del comps, comp_id, vectors, r
 
     if include_vi:
-        acc_vi = _Acc(report, "vi")
+        acc_vi = _Acc(report, "vi", g.labels)
         windows = [(i - 4, i) for i in R if i - 4 >= 2]
         if not windows:
             report.notes["vi"] = "vacuous: no window (i-4, i) fits the index range"
@@ -782,7 +831,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
                 for bb in group:
                     if bb > a and big_id[comps[a][0]] != big_id[comps[bb][0]]:
                         acc_vi.fail(
-                            (g.labels[comps[a][0]], g.labels[comps[bb][0]]),
+                            (comps[a][0], comps[bb][0]),
                             f"windows {_window_label(j, i)}: isomorphic "
                             f"despite different classes under 2..{i}",
                         )

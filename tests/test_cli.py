@@ -226,6 +226,19 @@ def test_an_admitted_shifted_semistandard_request_walks_once(argv, monkeypatch):
     assert (code, err, len(walks)) == (0, "", 1) and out
 
 
+def test_a_schur_function_expanded_in_schur_functions_is_built_once(monkeypatch):
+    built = []
+
+    def recorded(shape):  # a new function, so no vector of it is cached yet
+        built.append(shape)
+        return schur_in_F(shape)
+
+    monkeypatch.setattr(qsym, "schur_in_F", recorded)
+    monkeypatch.setattr(cli, "schur_in_F", recorded)
+    assert run("expand", "schur", "[4,3,1]", "--schur-of") == (0, "1 s[4,3,1]\n", "")
+    assert built == [(4, 3, 1)]
+
+
 def test_enumerate_standard_porcelain():
     code, out, _ = run("enumerate", "syt", "[2,1]", "--porcelain")
     assert (code, out.splitlines()) == (0, ["213", "312", "count 2"])

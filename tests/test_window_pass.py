@@ -37,7 +37,7 @@ from dualeq.engine import (
     ClassClassification,
     DEGround,
     VerificationReport,
-    _Acc,
+    Witness,
     _check_commutation,
     _class_code,
     _components,
@@ -97,12 +97,28 @@ def ref_components(size, tables):
     return comps, comp_id
 
 
+class RefAcc:
+    """The reference's accumulator: each failure names its labels, and the
+    report's witnesses are rescanned for the cap."""
+
+    def __init__(self, report, condition):
+        self.report, self.condition = report, condition
+        report.results[condition] = True
+        report.counts[condition] = 0
+
+    def fail(self, labels, detail):
+        self.report.results[self.condition] = False
+        self.report.counts[self.condition] += 1
+        if len(self.report.witnesses_for(self.condition)) < _WITNESS_CAP:
+            self.report.witnesses.append(Witness(self.condition, tuple(labels), detail))
+
+
 def ref_fix_tables(g):
     return {i: tuple(t[x] == x for x in range(g.size)) for i, t in g.invs.items()}
 
 
 def ref_fixed_law(g, report, law):
-    acc = _Acc(report, "i")
+    acc = RefAcc(report, "i")
     for i in g.index_range():
         table = g.invs[i]
         for x in range(g.size):
@@ -111,7 +127,7 @@ def ref_fixed_law(g, report, law):
 
 
 def ref_descent_transport(g, report, fix):
-    acc = _Acc(report, "ii")
+    acc = RefAcc(report, "ii")
     for i in g.index_range():
         table = g.invs[i]
         for x in range(g.size):
@@ -136,7 +152,7 @@ def ref_descent_transport(g, report, fix):
 
 
 def ref_peak_transport(g, report):
-    acc = _Acc(report, "ii")
+    acc = RefAcc(report, "ii")
     for i in g.index_range():
         table = g.invs[i]
         for x in range(g.size):
@@ -281,7 +297,7 @@ def ref_window(g, j, i):
 
 
 def ref_expansions(g, report, condition, windows, require, literal=False):
-    acc = _Acc(report, condition)
+    acc = RefAcc(report, condition)
     expander = expand_in_schur if g.stat_kind == DES else expand_in_P
     wanted = SchurExpansion if g.stat_kind == DES else PExpansion
     for j, i in windows:
@@ -331,7 +347,7 @@ def ref_weak(g):
     R = list(g.index_range())
     ref_expansions(g, report, "iv-a",
                    [(i - 1, i) for i in R if i - 1 in g.invs], "positive")
-    acc_m = _Acc(report, "iv-a-multisets")
+    acc_m = RefAcc(report, "iv-a-multisets")
     for i in R:
         if i - 1 not in g.invs or i + 1 not in g.invs:
             continue
@@ -347,7 +363,7 @@ def ref_weak(g):
                            "restricted statistic multisets differ")
     ref_expansions(g, report, "iv-b",
                    [(i - 2, i) for i in R if i - 2 in g.invs], "positive")
-    acc_c = _Acc(report, "iv-b-chain")
+    acc_c = RefAcc(report, "iv-b-chain")
     for i in R:
         if i - 2 not in g.invs or i + 1 not in g.invs:
             continue
@@ -386,7 +402,7 @@ def ref_shifted(g, literal=False):
 def ref_lemma(g):
     report = VerificationReport("lemma-axiom4", g.desc, {})
     R = list(g.index_range())
-    acc_v = _Acc(report, "v")
+    acc_v = RefAcc(report, "v")
     for j in R:
         for i in R:
             if not 1 <= i - j <= 3:
@@ -404,7 +420,7 @@ def ref_lemma(g):
                     acc_v.fail((g.labels[comp[0]],),
                                f"window ({j},{i}): not isomorphic to "
                                f"(shsyt,{partition_str(shape)},b)")
-    acc_vi = _Acc(report, "vi")
+    acc_vi = RefAcc(report, "vi")
     applicable = [i for i in R if i - 4 >= 2]
     if not applicable:
         report.notes["vi"] = "vacuous: no window (i-4, i) fits the index range"

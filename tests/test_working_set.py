@@ -1,15 +1,15 @@
-"""Peak memory of a build and of a verifier, against the ground they leave.
+"""Peak memory of a build and of a verifier, in traced bytes per object.
 
-A build holds one working set at a time: the word -> index dict goes once
-the tables are filled and the words once they are labelled, so its traced
-peak stays within a small factor of the ground it returns.  A verifier's
-window pass holds one window's classes at a time and its fixed-point tables
-take one byte per object, so what a verifier allocates above the ground
-stays below the size of the ground.  parse_deg writes each edge straight
-into one partner list per involution index.  Each bound sits between the
-ratio of the code that kept two working sets alive (the first figure in the
-comments: both builder word sets, two windows, or a dict of pairings per
-index) and today's (the second).
+A build holds one working set at a time: its words are packed into the
+labels' array as the word -> index dict is made, the word list goes before
+the tables are filled and the dict once they are, and a label is formatted
+only when it is read.  A verifier's window pass holds one window's classes
+at a time and its fixed-point tables take one byte per object, so what a
+verifier allocates above the ground stays below 140 bytes per object.
+parse_deg writes each edge straight into one partner list per involution
+index.  The held-ground and build bounds sit between the code that held one
+label string per object (the first figure in the comments) and today's (the
+second); the verify bound is no looser than the one that code was held to.
 """
 
 import gc
@@ -22,9 +22,9 @@ from dualeq.engine import build_ground, parse_deg, verify_shifted, verify_weak
 from test_engine import deg_text
 
 
-def traced_ratios(desc, verify):
-    """(build peak / held ground, (verify peak - held ground) / held ground),
-    by tracemalloc, with the ground held through the verify."""
+def traced_bytes_per_object(desc, verify):
+    """(held ground, build peak, verify peak above the held ground), traced
+    bytes per object by tracemalloc, with the ground held through the verify."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -37,23 +37,26 @@ def traced_ratios(desc, verify):
     finally:
         tracemalloc.stop()
     assert report.passed
-    return build_peak / held, (verify_peak - held) / held
+    return held / g.size, build_peak / g.size, (verify_peak - held) / g.size
 
 
 @pytest.mark.parametrize(
-    "desc, verify, build_bound, verify_bound",
+    "desc, verify, held_bound, build_bound, verify_bound",
     [
-        # build 1.82 -> 1.31, verify 1.13 -> 0.61
-        (("signedperm", 5, "phi"), verify_weak, 1.55, 0.85),
-        # build 2.38 -> 1.82, verify 0.83 -> 0.64
-        (("perm", 7, "b"), verify_shifted, 2.1, 0.73),
+        # held 166.8 -> 115.5, build 217.9 -> 192.6, verify 128.0 -> 127.9
+        (("signedperm", 5, "phi"), verify_weak, 140, 205, 140),
+        # held 170.4 -> 117.5, build 309.1 -> 205.5, verify 118.6 -> 118.6
+        (("perm", 7, "b"), verify_shifted, 145, 255, 124),
     ],
     ids=["signedperm-5-phi-weak", "perm-7-b-shifted"],
 )
-def test_build_and_verify_hold_one_working_set(desc, verify, build_bound, verify_bound):
-    build_ratio, verify_ratio = traced_ratios(desc, verify)
-    assert build_ratio < build_bound
-    assert verify_ratio < verify_bound
+def test_build_and_verify_hold_one_working_set(
+    desc, verify, held_bound, build_bound, verify_bound
+):
+    held, build_peak, verify_above = traced_bytes_per_object(desc, verify)
+    assert held < held_bound
+    assert build_peak < build_bound
+    assert verify_above < verify_bound
 
 
 def test_parse_deg_holds_one_partner_list_per_index():
