@@ -17,6 +17,8 @@ import sys
 from math import comb
 
 from .core import (
+    SHIFTED,
+    STRAIGHT,
     InvalidShapeError,
     is_partition,
     is_strict_partition,
@@ -39,6 +41,7 @@ from .engine import (
     verify_weak,
 )
 from .qsym import (
+    KINDS,
     G_to_F,
     P_in_F,
     P_in_G,
@@ -53,16 +56,13 @@ from .qsym import (
     schur_in_F,
 )
 from .tableaux import (
-    _shssyt_count,
-    _ssyt_count,
+    _semistandard_count,
+    _semistandard_fillings,
+    _split,
     _standard_count,
     _standard_words,
-    enumerate_shssyt,
-    enumerate_shsyt,
-    enumerate_signed_standard,
-    enumerate_ssyt,
-    enumerate_syt,
     format_tableau,
+    tableau,
     word_str,
 )
 
@@ -124,14 +124,13 @@ def _vector_maker(kind, shape, basis):
     def schur(shape):
         return QSymF(sum(shape), _basis_coeffs(schur_in_F, shape))
 
-    strict, primes, in_F = {
-        "P": (True, False, P_in_F), "Q": (True, True, Q_in_F),
-    }.get(kind, (False, None, schur))
+    strict, primes = KINDS["s" if kind == "schur" else kind]
     by_peaks = basis == "G"  # P_in_G reads the unsigned shifted tableaux
     count = _standard_count(shape, strict, None if by_peaks else primes)
     _within_limit(f"{kind} {partition_str(shape)}", count)
     if by_peaks:
-        return lambda: P_in_G(shape).scaled(2 ** len(shape) if kind == "Q" else 1)
+        return lambda: P_in_G(shape).scaled(2 ** len(shape) if primes else 1)
+    in_F = {"P": P_in_F, "Q": Q_in_F}.get(kind, schur)
     return lambda: in_F(shape)
 
 
@@ -159,30 +158,28 @@ def _inline_tableau(T):
 def cmd_enumerate(args, parser):
     kind = args.kind
     shape = _shape(args.shape, parser, kind)
-    if kind in ("ssyt", "shssyt"):
+    # the walk's arguments after the shape: the largest value if
+    # semistandard, then (strict, diagonal_primes)
+    strict = kind not in ("syt", "ssyt")
+    walk_args = (strict, args.diagonal_primes if kind in ("signed", "shssyt") else None)
+    semistandard = kind in ("ssyt", "shssyt")
+    if semistandard:
         if args.max is None:
             parser.error(f"enumerate {kind} needs --max (largest entry allowed)")
-        k, primes = _at_most(_MAX_VALUES, "--max", args.max), args.diagonal_primes
-        size = _ssyt_count(shape, k) if kind == "ssyt" else _shssyt_count(shape, k, primes)
-        _within_limit(f"{kind} {partition_str(shape)}", size)
-        tabs = (enumerate_ssyt(shape, k) if kind == "ssyt"
-                else enumerate_shssyt(shape, k, primes))
+        walk_args = (_at_most(_MAX_VALUES, "--max", args.max), *walk_args)
+        count, walk = _semistandard_count, _semistandard_fillings
     else:
-        strict = kind != "syt"
-        signed = args.diagonal_primes if kind == "signed" else None
-        _within_limit(f"{kind} {partition_str(shape)}", _standard_count(shape, strict, signed))
-        if args.porcelain:  # the reading words, without making tableaux
-            tabs = _standard_words(shape, strict, signed)
-        elif kind == "signed":
-            tabs = enumerate_signed_standard(shape, signed)
-        else:
-            tabs = (enumerate_shsyt if strict else enumerate_syt)(shape)
-    for T in tabs:
-        if not args.porcelain:
-            print(format_tableau(T) + "\n")
-        else:
-            print(_inline_tableau(T) if kind in ("ssyt", "shssyt") else word_str(T))
-    print(f"count {len(tabs)}")
+        count, walk = _standard_count, _standard_words
+    _within_limit(f"{kind} {partition_str(shape)}", count(shape, *walk_args))
+    tab_kind, found = SHIFTED if strict else STRAIGHT, 0
+    for item in walk(shape, *walk_args):  # rows if semistandard, else a word
+        found += 1
+        if args.porcelain and not semistandard:  # the word, without a tableau
+            print(word_str(item))
+            continue
+        T = tableau(tab_kind, item) if semistandard else _split(tab_kind, shape, item)
+        print(_inline_tableau(T) if args.porcelain else format_tableau(T) + "\n")
+    print(f"count {found}")
     return 0
 
 
@@ -293,8 +290,7 @@ def cmd_specialize(args, parser):
     # each monomial is written as k exponents: both refusals count k per object
     what = f"{kind} {partition_str(shape)} in {k} variables"
     if via == "monomial":
-        size = _ssyt_count(shape, k) if kind == "s" else _shssyt_count(shape, k, kind == "Q")
-        _within_limit(what, size * k)
+        _within_limit(what, _semistandard_count(shape, k, *KINDS[kind]) * k)
         poly = monomial_series(kind, shape, k)
     else:
         if via == "G" and kind == "s":

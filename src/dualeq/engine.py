@@ -206,13 +206,20 @@ def _materialize(stat_kind, n, words, move, desc):
     return DEGround(stat_kind, n, labels, tuple(stats), invs, desc).validate()
 
 
-# (ground, family) -> (stat kind, the valid words of the parameter, the
-# involution core move(i, w, pos, des) for the parameter).  The parameter is n for
-# the permutation grounds and a shape for the tableau grounds, whose words
-# are the reading words of the enumerated tableaux.
+def _tableau_words(strict, diagonal_primes=None):
+    """The words of a tableau ground, the reading words of the standard
+    tableaux of its shape, and their count, each given the same arguments."""
+    return (lambda shape: _standard_words(shape, strict, diagonal_primes),
+            lambda shape: _standard_count(shape, strict, diagonal_primes))
+
+
+# (ground, family) -> (stat kind, the valid words of the parameter, their
+# count, the involution core move(i, w, pos, des) for the parameter).  The
+# parameter is n for the permutation grounds and a shape for the tableau
+# grounds, whose words are the reading words of the enumerated tableaux.
 BUILTIN_GROUNDS = {
-    ("perm", "d"): (DES, lambda n: list(permutations(range(1, n + 1))), lambda n: _d),
-    ("perm", "b"): (PEAK, lambda n: list(permutations(range(1, n + 1))), lambda n: _b),
+    ("perm", "d"): (DES, lambda n: list(permutations(range(1, n + 1))), factorial, lambda n: _d),
+    ("perm", "b"): (PEAK, lambda n: list(permutations(range(1, n + 1))), factorial, lambda n: _b),
     ("signedperm", "phi"): (
         DES,
         lambda n: [
@@ -220,13 +227,14 @@ BUILTIN_GROUNDS = {
             for w in permutations(range(1, n + 1))
             for signed in product(*((v, -v) for v in w))
         ],
+        lambda n: factorial(n) << n,
         lambda n: _phi,
     ),
-    ("syt", "d"): (DES, lambda shape: _standard_words(shape, False), lambda shape: _d),
-    ("shsyt", "b"): (PEAK, lambda shape: _standard_words(shape, True), lambda shape: _b),
+    ("syt", "d"): (DES, *_tableau_words(False), lambda shape: _d),
+    ("shsyt", "b"): (PEAK, *_tableau_words(True), lambda shape: _b),
     ("signed-shsyt", "psi"): (
         DES,
-        lambda shape: _standard_words(shape, True, False),
+        *_tableau_words(True, False),
         lambda shape: partial(_phi, col=_reading_columns(tuple(shape))),
     ),
 }
@@ -236,18 +244,15 @@ MAX_GROUND_OBJECTS = 1_000_000
 
 
 def ground_size(desc) -> int:
-    """The number of objects of a builtin ground, counted without enumerating:
-    n!, n!*2^n, or _standard_count of the arguments its words are made with."""
+    """The number of objects of a builtin ground, counted without enumerating
+    by the count its BUILTIN_GROUNDS entry keeps beside its words."""
     kind, param, family = desc
     if (kind, family) not in BUILTIN_GROUNDS:
         raise ValueError(f"unknown ground descriptor {desc!r}")
     n = param if isinstance(param, int) else sum(param)
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    if kind in ("perm", "signedperm"):
-        return factorial(n) << (n if kind == "signedperm" else 0)
-    signed = False if kind == "signed-shsyt" else None  # the words' diagonal_primes
-    return _standard_count(param, kind != "syt", signed)
+    return BUILTIN_GROUNDS[kind, family][2](param)
 
 
 def _within_limit(what, size):
@@ -263,7 +268,7 @@ def build_ground(desc) -> DEGround:
     refused before any enumeration."""
     kind, param, family = desc
     _within_limit(f"ground {kind} {param}", ground_size(desc))
-    stat_kind, valid_words, involution = BUILTIN_GROUNDS[kind, family]
+    stat_kind, valid_words, _, involution = BUILTIN_GROUNDS[kind, family]
     n = param if isinstance(param, int) else sum(param)
     return _materialize(
         stat_kind, n, valid_words(param), involution(param), f"({kind},{param},{family})"
@@ -513,16 +518,37 @@ def _check_window_expansions(g, acc, window, comps, vectors, details):
             acc.fail((comp[0],), f"{where}: {detail}")
 
 
+def _check_windows(g, acc, windows, masks, details, literal=False):
+    """Expand each class of each window (j, i), in the order given, and fail
+    those whose vector has a detail in the memo details: condition (iv) of
+    the strong and shifted systems and (iv-b) of the weak one."""
+    for window, comps, comp_id, vectors, r in _window_classes(g, windows, masks, literal):
+        _check_window_expansions(g, acc, window, comps, vectors, details)
+        del comps, comp_id, vectors, r
+
+
 def _check_unit_windows(g, report, masks, max_span, literal=False):
     """Condition (iv) of the strong and shifted systems: every class of every
     window of 2..max_span+1 consecutive involutions has a unit expansion."""
     acc = _Acc(report, "iv", g.labels)
-    details = cache(partial(_expansion_detail, g, "unit"))
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
-    for window, comps, comp_id, vectors, r in _window_classes(g, windows, masks, literal):
-        _check_window_expansions(g, acc, window, comps, vectors, details)
-        del comps, comp_id, vectors, r
+    _check_windows(g, acc, windows, masks, cache(partial(_expansion_detail, g, "unit")), literal)
+
+
+def _descent_axioms(g: DEGround, system):
+    """The opening the descent-kind systems share: a report of the system,
+    conditions (i) fixed-point law, (ii) descent transport and (iii)
+    commutation at distance >= 3 checked into it, the fixed-point tables
+    and the statistic masks."""
+    if g.stat_kind != DES:
+        raise ValueError(f"{system} axioms apply to descent-kind grounds")
+    report = VerificationReport(system, g.desc, {})
+    fix, masks = _fix_tables(g), _stat_masks(g)
+    _check_fixed_law(g, report, masks, lambda m, i: m >> (i - 1) & 3 in (0, 3))
+    _check_descent_transport(g, report, fix, masks)
+    _check_commutation(g, report, 3)
+    return report, fix, masks
 
 
 def verify_strong(g: DEGround) -> VerificationReport:
@@ -530,13 +556,7 @@ def verify_strong(g: DEGround) -> VerificationReport:
     transport, (iii) commutation at distance >= 3, (iv) every class restricted
     to a window of 2-4 consecutive involutions has a single-Schur generating
     function."""
-    if g.stat_kind != DES:
-        raise ValueError("strong axioms apply to descent-kind grounds")
-    report = VerificationReport("strong", g.desc, {})
-    fix, masks = _fix_tables(g), _stat_masks(g)
-    _check_fixed_law(g, report, masks, lambda m, i: m >> (i - 1) & 3 in (0, 3))
-    _check_descent_transport(g, report, fix, masks)
-    _check_commutation(g, report, 3)
+    report, _, masks = _descent_axioms(g, "strong")
     _check_unit_windows(g, report, masks, 3)
     return report
 
@@ -547,13 +567,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
     the restricted statistic multisets across overlapping windows, and (iv-b)
     Schur positivity over three-involution windows plus the fixed-point chain
     condition along alternating products."""
-    if g.stat_kind != DES:
-        raise ValueError("weak axioms apply to descent-kind grounds")
-    report = VerificationReport("weak", g.desc, {})
-    fix, masks = _fix_tables(g), _stat_masks(g)
-    _check_fixed_law(g, report, masks, lambda m, i: m >> (i - 1) & 3 in (0, 3))
-    _check_descent_transport(g, report, fix, masks)
-    _check_commutation(g, report, 3)
+    report, fix, masks = _descent_axioms(g, "weak")
     R = list(g.index_range())
 
     # The windows (i-1, i) in order.  A window vector holds its class's
@@ -582,10 +596,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
         del comps, comp_id, vectors, r
 
     acc_b = _Acc(report, "iv-b", g.labels)
-    windows_b = [(i - 2, i) for i in R if i - 2 in g.invs]
-    for window, comps, comp_id, vectors, r in _window_classes(g, windows_b, masks):
-        _check_window_expansions(g, acc_b, window, comps, vectors, details)
-        del comps, comp_id, vectors, r
+    _check_windows(g, acc_b, [(i - 2, i) for i in R if i - 2 in g.invs], masks, details)
 
     acc_c = _Acc(report, "iv-b-chain", g.labels)
     for i in R:

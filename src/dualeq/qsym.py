@@ -13,6 +13,11 @@ an F-vector to Schur functions and a G-vector to P's, peeling off one shape
 at a time (both bases are unitriangular, see _peel); failures return
 NotSymmetric / NotInSpan reports carrying a witness key, they never raise.
 
+KINDS states the tableaux of s, P and Q once, as the (strict,
+diagonal_primes) that the tableau walks and their counts take: straight,
+and signed shifted with an unprimed or a free diagonal (Stembridge,
+Enriched P-partitions).  monomial_series walks a kind's semistandard rows.
+
 Degree 0 is the empty shape: s_() = P_() = Q_() = F_{} = G_{} = 1.
 
 All arithmetic is on ints.  No floats or rationals anywhere.
@@ -39,14 +44,11 @@ from .core import (
     peak_of,
     subset_str,
 )
-from .tableaux import (
-    _descent_mask,
-    _inverse,
-    _standard_words,
-    enumerate_shssyt,
-    enumerate_ssyt,
-    monomial_weight,
-)
+from .tableaux import _descent_mask, _inverse, _semistandard_fillings, _standard_words
+
+# kind -> what _standard_words and _standard_count take after the shape,
+# and _semistandard_fillings and _semistandard_count after k
+KINDS = {"s": (False, None), "P": (True, False), "Q": (True, True)}
 
 
 def _key_order(key):
@@ -339,23 +341,18 @@ def qsymf_specialize(f: QSymF, k):
 
 
 def monomial_series(kind, shape, k):
-    """Degree-n polynomial in x_1..x_k by direct tableau enumeration.
-
-    kind "s": straight semistandard tableaux; "Q": shifted semistandard with
-    primed diagonals allowed; "P": shifted semistandard, unprimed diagonal.
-    """
-    if kind == "s":
-        tabs = enumerate_ssyt(shape, k)
-    elif kind == "Q":
-        tabs = enumerate_shssyt(shape, k, True)
-    elif kind == "P":
-        tabs = enumerate_shssyt(shape, k, False)
-    else:
+    """Degree-n polynomial in x_1..x_k by direct tableau enumeration: the
+    sum of x^T over the semistandard tableaux T of KINDS[kind] with values
+    <= k, an entry v or v' contributing to x_v."""
+    if kind not in KINDS:
         raise ValueError(f"unknown series kind: {kind!r}")
     poly = Counter()
-    for T in tabs:
-        w = monomial_weight(T)
-        poly[w + (0,) * (k - len(w))] += 1
+    for rows in _semistandard_fillings(shape, k, *KINDS[kind]):
+        weight = [0] * k
+        for row in rows:
+            for e in row:
+                weight[abs(e) - 1] += 1
+        poly[tuple(weight)] += 1
     return dict(poly)
 
 

@@ -10,12 +10,14 @@ shapes and r+j for shifted ones.
 Standard tableaux are enumerated as reading words (_standard_words), each
 subshape's words made once and every word checked once by the one
 standardness check, _is_standard_word, which is_standard also applies.
-The enumerate_* functions split the checked words into Tableaux.
+Semistandard tableaux are walked cell by cell (_semistandard_fillings).
+Each walk has one count beside it, taking the walk's own arguments and
+refusing what the walk refuses: _standard_count and _semistandard_count.
+The enumerate_* functions turn the walks' words and rows into Tableaux.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import factorial, isqrt, prod
@@ -188,12 +190,6 @@ def descent_set_tab(T: Tableau):
     return descent_set_word(reading_word(T))
 
 
-def monomial_weight(T: Tableau):
-    """Exponent vector of x^T: entry v or v' contributes to x_v."""
-    counts = Counter(abs(e) for row in T.rows for e in row)
-    return tuple(counts[v] for v in range(1, max(counts, default=0) + 1))
-
-
 def _straight_candidates(k, rows, r, j):
     lo = rows[r][j - 1] if j > 0 else 1  # weak along the row
     if r > 0:
@@ -329,20 +325,17 @@ def _standard_count(shape, strict, diagonal_primes=None):
     return count << free
 
 
-def _ssyt_count(shape, k):
-    """The number of _semistandard_fillings(shape, k, False), without a walk:
-    the hook-content formula (Stanley, EC2 7.21.2)."""
-    shape = _checked_shape(shape, False, k)
-    contents = (k + j - r for r, width in enumerate(shape) for j in range(width))
-    return _standard_count(shape, False) * prod(contents) // factorial(sum(shape))
-
-
-def _shssyt_count(shape, k, diagonal_primes):
-    """The number of _semistandard_fillings(shape, k, True, diagonal_primes),
-    without a walk: Schur's Pfaffian Q_shape = Pf[Q_(shape[i], shape[j])] at
-    x_1 = ... = x_k = 1, a part 0 appended to an odd number (Macdonald,
-    III.8), the square root of a determinant.  P = Q / 2^rows."""
-    shape = _checked_shape(shape, True, k)
+def _semistandard_count(shape, k, shifted, diagonal_primes=False):
+    """The number of fillings _semistandard_fillings(shape, k, shifted,
+    diagonal_primes) yields, counted without a walk.  Straight: the
+    hook-content formula (Stanley, EC2 7.21.2).  Shifted: Schur's Pfaffian
+    Q_shape = Pf[Q_(shape[i], shape[j])] at x_1 = ... = x_k = 1, a part 0
+    appended to an odd number (Macdonald, III.8), the square root of a
+    determinant; P = Q / 2^rows."""
+    shape = _checked_shape(shape, shifted, k)
+    if not shifted:
+        contents = (k + j - r for r, width in enumerate(shape) for j in range(width))
+        return _standard_count(shape, False) * prod(contents) // factorial(sum(shape))
     parts = shape + (0,) * (len(shape) % 2)
     q = [1, 2 * k]  # one row: q_r, the t^r coefficient of ((1 + t) / (1 - t))^k
     for r in range(1, sum(parts[:2])):

@@ -87,7 +87,7 @@ REF_MOVES = {
 
 def ref_build(desc):
     kind, param, family = desc
-    stat_kind, valid_words, _ = BUILTIN_GROUNDS[kind, family]
+    stat_kind, valid_words, _, _ = BUILTIN_GROUNDS[kind, family]
     n = param if isinstance(param, int) else sum(param)
     words = valid_words(param)
     labels = [ref_word_str(w) for w in words]

@@ -19,6 +19,7 @@ from dualeq.qsym import (
     parse_expansion,
     schur_in_F,
 )
+from test_word_layer import count_calls
 
 
 def run(*argv):
@@ -181,16 +182,7 @@ def test_oversized_expand_or_enumerate_exits_two_before_any_work(
 def test_oversized_semistandard_request_exits_two_before_enumerating(
     argv, count, monkeypatch
 ):
-    enumerated = []
-    for name in ("enumerate_ssyt", "enumerate_shssyt"):
-        original = getattr(tableaux, name)
-
-        def recorded(*args, original=original):
-            enumerated.append(args)
-            return original(*args)
-
-        for module in (cli, qsym):
-            monkeypatch.setattr(module, name, recorded)
+    enumerated = count_calls(monkeypatch, "_semistandard_fillings")
     if argv[0] == "specialize":  # each tableau's monomial is --vars exponents
         count *= int(argv[6])
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count)
@@ -214,14 +206,7 @@ def test_oversized_semistandard_request_exits_two_before_enumerating(
     ("specialize", "--kind", "Q", "--shape", "[2,1]", "--vars", "2"),
 ])
 def test_an_admitted_shifted_semistandard_request_walks_once(argv, monkeypatch):
-    walks = []
-    original = tableaux._semistandard_fillings
-
-    def recorded(*args):
-        walks.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(tableaux, "_semistandard_fillings", recorded)
+    walks = count_calls(monkeypatch, "_semistandard_fillings")
     code, out, err = run(*argv)
     assert (code, err, len(walks)) == (0, "", 1) and out
 
@@ -519,7 +504,7 @@ BIG = "99999999999999999999"
      "s [1] in 4000 variables has 16000000 objects, above the limit 1000000"),
     # ran for more than 20 s: the shifted count was a walk
     (("enumerate", "shssyt", "[500]", "--max", "1000000"),
-     f"shssyt [500] has {tableaux._shssyt_count((500,), 10**6, False)} objects, "
+     f"shssyt [500] has {tableaux._semistandard_count((500,), 10**6, True)} objects, "
      "above the limit 1000000"),
     # counts too long to print; the empty shape's one tableau was admitted
     (("specialize", "--kind", "s", "--shape", "[500]", "--vars", BIG),

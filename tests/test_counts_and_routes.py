@@ -1,12 +1,14 @@
 """Tableau counts beside their enumerators, and the CLI's one vector route.
 
 _standard_count must equal the length of _standard_words for the same
-arguments, with the same shape errors, _ssyt_count the length of the
-straight semistandard walk and _shssyt_count (Schur's Pfaffian) that of
-the shifted one.  The CLI's expand and specialize --via F|G
+arguments, with the same shape errors, and _semistandard_count the length
+of _semistandard_fillings (by hook-content if straight, by Schur's
+Pfaffian if shifted).  The CLI's expand and specialize --via F|G
 share one route (cli._vector_maker); its output is compared with an
 in-test copy of the selection each verb made on its own before, and the
-count it refuses by with the one each verb passed to ground_size.
+count it refuses by with the one each verb passed to ground_size.  Each
+kind of qsym.KINDS and each ground of BUILTIN_GROUNDS states its walk's
+arguments once: the count they give is checked against what is walked.
 """
 
 import contextlib
@@ -25,13 +27,15 @@ from dualeq.core import (
     partitions_of,
     strict_partitions_of,
 )
-from dualeq.engine import ground_size
+from dualeq.engine import BUILTIN_GROUNDS, ground_size
 from dualeq.qsym import (
+    KINDS,
     G_to_F,
     P_in_F,
     P_in_G,
     Q_in_F,
     expand,
+    monomial_series,
     poly_render,
     qsymf_specialize,
     schur_in_F,
@@ -39,8 +43,7 @@ from dualeq.qsym import (
 from dualeq.tableaux import (
     _determinant,
     _semistandard_fillings,
-    _shssyt_count,
-    _ssyt_count,
+    _semistandard_count,
     _standard_count,
     _standard_words,
 )
@@ -97,12 +100,13 @@ def test_ssyt_count_is_the_number_of_straight_semistandard_fillings():
     assert len(SSYT_CASES) == 270
     for lam, k in SSYT_CASES:
         walked = sum(1 for _ in _semistandard_fillings(lam, k, False))
-        assert _ssyt_count(lam, k) == walked, (lam, k)
+        assert _semistandard_count(lam, k, False) == walked, (lam, k)
 
 
 @pytest.mark.parametrize("shape, k", [((2, 1), -1), ((1, 2), 3), ((), -1), ((2, 0), 1)])
 def test_ssyt_count_refuses_what_the_walk_refuses(shape, k):
-    assert outcome(_ssyt_count, shape, k) == outcome(_semistandard_fillings, shape, k, False)
+    got = outcome(_semistandard_count, shape, k, False)
+    assert got == outcome(_semistandard_fillings, shape, k, False)
 
 
 SHSSYT_CASES = [(lam, k, primes) for n in range(9) for lam in strict_partitions_of(n)
@@ -113,9 +117,9 @@ def test_shssyt_count_is_the_number_of_shifted_semistandard_fillings():
     assert len(SHSSYT_CASES) == 300
     for lam, k, primes in SHSSYT_CASES:
         walked = sum(1 for _ in _semistandard_fillings(lam, k, True, primes))
-        assert _shssyt_count(lam, k, primes) == walked, (lam, k, primes)
+        assert _semistandard_count(lam, k, True, primes) == walked, (lam, k, primes)
     # the walk's count of enumerate shssyt '[4,3,1]' --max 6 --diagonal-primes
-    assert _shssyt_count((4, 3, 1), 6, True) == 104448
+    assert _semistandard_count((4, 3, 1), 6, True, True) == 104448
 
 
 @pytest.mark.parametrize("primes", [False, True])
@@ -123,7 +127,7 @@ def test_shssyt_count_is_the_number_of_shifted_semistandard_fillings():
     ((2, 1), -1), ((1, 2), 3), ((2, 2), 1), ((), -1), ((2, 0), 1), ((3, -1), 2),
 ])
 def test_shssyt_count_refuses_what_the_walk_refuses(shape, k, primes):
-    got = outcome(_shssyt_count, shape, k, primes)
+    got = outcome(_semistandard_count, shape, k, True, primes)
     assert isinstance(got, tuple)
     assert got == outcome(_semistandard_fillings, shape, k, True, primes)
 
@@ -132,10 +136,10 @@ def test_shssyt_count_of_the_largest_admitted_requests_is_quick():
     # the 31-row staircase has 496 cells, within the degree limit of 500,
     # and 2^31 strict sub-shapes; 10^6 is the largest --max or --vars
     start = time.perf_counter()
-    assert _shssyt_count(tuple(range(31, 0, -1)), 10**6, True) > 10**6
+    assert _semistandard_count(tuple(range(31, 0, -1)), 10**6, True, True) > 10**6
     assert time.perf_counter() - start < 10
     start = time.perf_counter()
-    assert _shssyt_count((500,), 10**6, False) > 10**6
+    assert _semistandard_count((500,), 10**6, True, False) > 10**6
     assert time.perf_counter() - start < 1
 
 
@@ -158,6 +162,49 @@ def test_determinant_equals_the_leibniz_expansion():
         m = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 7]) for _ in range(size)]
              for _ in range(size)]
         assert _determinant([row[:] for row in m]) == leibniz_determinant(m), m
+
+
+# --- each family's arguments, stated once ------------------------------------
+
+
+def shapes_of(strict, cells):
+    """Every shape of at most cells cells, strict if strict."""
+    return [lam for n in range(cells + 1)
+            for lam in (strict_partitions_of if strict else partitions_of)(n)]
+
+
+F_VECTORS = {"s": schur_in_F, "P": P_in_F, "Q": Q_in_F}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_kinds_standard_count_is_the_sum_of_its_F_vector(kind):
+    for lam in shapes_of(KINDS[kind][0], 7):
+        vector = F_VECTORS[kind](lam)
+        assert _standard_count(lam, *KINDS[kind]) == sum(vector.coeffs.values()), lam
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_kinds_semistandard_count_is_the_sum_of_its_monomials(kind):
+    for lam in shapes_of(KINDS[kind][0], 7):
+        for k in range(4):
+            series = monomial_series(kind, lam, k)
+            assert _semistandard_count(lam, k, *KINDS[kind]) == sum(series.values()), (lam, k)
+
+
+GROUND_PARAMS = {
+    "perm": range(8),
+    "signedperm": range(6),
+    "syt": shapes_of(False, 8),
+    "shsyt": shapes_of(True, 8),
+    "signed-shsyt": shapes_of(True, 8),
+}
+
+
+@pytest.mark.parametrize("ground, family", BUILTIN_GROUNDS)
+def test_a_grounds_count_is_the_number_of_its_words(ground, family):
+    _, words, count, _ = BUILTIN_GROUNDS[ground, family]
+    for param in GROUND_PARAMS[ground]:
+        assert count(param) == len(words(param)), param
 
 
 # --- the vector route --------------------------------------------------------
@@ -196,10 +243,8 @@ def old_count(kind, shape, strict, by_peaks):
 
 def kind_shapes(kinds):
     for kind in kinds:
-        strict = kind in ("P", "Q")
-        for n in range(7):
-            for lam in (strict_partitions_of if strict else partitions_of)(n):
-                yield kind, lam
+        for lam in shapes_of(kind in ("P", "Q"), 6):
+            yield kind, lam
 
 
 EXPAND_CASES = [

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from dualeq.core import InternalInvariantError, strict_partitions_of, partitions_of
+from dualeq.qsym import monomial_series
 from dualeq.tableaux import (
     Tableau,
     _checked_words,
@@ -19,7 +20,6 @@ from dualeq.tableaux import (
     enumerate_syt,
     format_tableau,
     is_standard,
-    monomial_weight,
     parse_tableau,
     parse_word,
     reading_word,
@@ -124,9 +124,8 @@ def test_descent_set_word_signed_rules():
 
 def test_ssyt_enumeration_weights_match_schur():
     # s_(2,1) in 2 variables: x1^2 x2 + x1 x2^2
-    tabs = enumerate_ssyt((2, 1), 2)
-    weights = sorted(monomial_weight(T) for T in tabs)
-    assert weights == [(1, 2), (2, 1)]
+    assert monomial_series("s", (2, 1), 2) == {(1, 2): 1, (2, 1): 1}
+    assert [T.rows for T in enumerate_ssyt((2, 1), 2)] == [((1, 1), (2,)), ((1, 2), (2,))]
 
 
 def test_shssyt_q_vs_p_variant_counts():

@@ -346,11 +346,11 @@ def test_oversized_ground_is_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", 100)
     assert build_ground(("perm", 4, "d")).size == 24
     enumerated = []
-    stat_kind, _, move = engine.BUILTIN_GROUNDS["perm", "d"]
+    stat_kind, _, count, move = engine.BUILTIN_GROUNDS["perm", "d"]
     monkeypatch.setitem(
         engine.BUILTIN_GROUNDS,
         ("perm", "d"),
-        (stat_kind, lambda n: enumerated.append(n) or [], move),
+        (stat_kind, lambda n: enumerated.append(n) or [], count, move),
     )
     with pytest.raises(ValueError, match=r"perm 5 has 120 objects, above the limit 100"):
         build_ground(("perm", 5, "d"))
