@@ -115,9 +115,11 @@ def _expansion_summary(exp):
 def _vector_maker(kind, shape, basis):
     """A maker of the vector of kind (schur or s, P, Q) in the F or G basis
     (Q's is 2^rows times P_in_G), returned once the standard tableaux it
-    reads, counted for the arguments it gives _standard_words, are within
-    the limit.  The one exception: P in the F basis is counted as its
-    signed tableaux, though P_in_F reads only the unsigned ones.  A Schur
+    sums over are within the limit: _standard_count with the unsigned
+    shifted arguments in the G basis, else with its kind's KINDS entry,
+    so P in the F basis is counted as its signed tableaux.  Only Q_in_F
+    lists them, for its cross-check; s and P count their descent masks
+    by tableaux._descent_masks, which makes no tableau.  A Schur
     function's F-vector is read through the peel's cache of basis vectors,
     so expanding it in Schur functions does not build it again."""
     # built per call, so a wrapper installed on a module name sees the call

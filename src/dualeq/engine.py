@@ -27,7 +27,8 @@ next is made (iv-a keeps one previous window).  _window knows a window's
 degree and restriction.  The pass is the only maker of a window's classes:
 restricted_class reads one step of it, and class_genfn and subground take
 whole classes.  Peak sets are weighted by qsym.G_of_peaks and qsym.expand
-picks the basis; each verifier call expands each distinct window vector once.
+picks the basis; a window vector alone sets its generating function, so each
+process expands each distinct one once, into the memo _EXPANSIONS.
 Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
 isomorphism of classes by comparing canonical codes (_class_code).
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain, permutations, product
 from math import factorial
 from operator import eq, or_
@@ -367,6 +368,20 @@ def _vector_genfn(g: DEGround, vector):
     return _genfn(g.stat_kind, vector[0], Counter(map(_members, vector[1])))
 
 
+# (stat kind, window vector) -> the vector's expansion, for the life of the
+# process: every ground and verifier call reads the same memo
+_EXPANSIONS = {}
+
+
+def _window_expansion(g: DEGround, vector):
+    """The expansion of a window vector of g, made once per process."""
+    key = g.stat_kind, vector
+    found = _EXPANSIONS.get(key)
+    if found is None:
+        found = _EXPANSIONS[key] = expand(_vector_genfn(g, vector))
+    return found
+
+
 class Witness(_Record):
     __slots__ = _fields = ("condition", "labels", "detail")
 
@@ -409,16 +424,21 @@ def _fix_tables(g):
     return {i: bytes(map(eq, t, range(len(t)))) for i, t in g.invs.items()}
 
 
-def _check_fixed_law(g, report, masks, law):
+def _check_fixed_law(g, report, fix, masks, law):
     """Condition (i): an object is fixed by involution i iff law(mask, i)
-    holds of its statistic mask."""
+    holds of its statistic mask.  Per index, the fixed-point table fix[i]
+    is compared whole with the law's; the objects are walked only when the
+    two differ."""
     acc = _Acc(report, "i", g.labels)
     distinct = set(masks)
     for i in g.index_range():
         fixed = {m for m in distinct if law(m, i)}
-        for x, (y, m) in enumerate(zip(g.invs[i], masks)):
-            if (y == x) != (m in fixed):
-                acc.fail((x,), f"fixed-point law fails at index {i}")
+        lawful = bytes(map(fixed.__contains__, masks))
+        if lawful != fix[i]:
+            for x, (f, ok) in enumerate(zip(fix[i], lawful)):
+                if f != ok:
+                    acc.fail((x,), f"fixed-point law fails at index {i}")
+        del fixed, lawful
 
 
 def _check_descent_transport(g, report, fix, masks):
@@ -500,7 +520,7 @@ def _window_label(j, i):
 def _expansion_detail(g, require, vector):
     """Why a window vector fails condition (iv), or None when it passes:
     require is "unit" (a single coefficient-1 term) or "positive"."""
-    expansion = expand(_vector_genfn(g, vector))
+    expansion = _window_expansion(g, vector)
     if isinstance(expansion, ExpansionFailure):
         return f"expansion failed with witness {sorted(expansion.witness)}"
     if require == "unit" and expansion.unit_shape() is None:
@@ -509,21 +529,22 @@ def _expansion_detail(g, require, vector):
         return "negative coefficient: " + ", ".join(expansion.render())
 
 
-def _check_window_expansions(g, acc, window, comps, vectors, details):
-    """Fail each window class whose vector has a detail in the memo details."""
+def _check_window_expansions(g, acc, window, comps, vectors, require):
+    """Fail each window class whose vector has an _expansion_detail, read
+    once per distinct vector of the window."""
     where = f"window {_window_label(*window)}"
-    for comp, vector in zip(comps, vectors):
-        detail = details(vector)
+    details = {v: _expansion_detail(g, require, v) for v in set(vectors)}
+    for comp, detail in zip(comps, map(details.__getitem__, vectors)):
         if detail is not None:
             acc.fail((comp[0],), f"{where}: {detail}")
 
 
-def _check_windows(g, acc, windows, masks, details, literal=False):
+def _check_windows(g, acc, windows, masks, require, literal=False):
     """Expand each class of each window (j, i), in the order given, and fail
-    those whose vector has a detail in the memo details: condition (iv) of
-    the strong and shifted systems and (iv-b) of the weak one."""
+    those whose vector has an _expansion_detail: condition (iv) of the
+    strong and shifted systems and (iv-b) of the weak one."""
     for window, comps, comp_id, vectors, r in _window_classes(g, windows, masks, literal):
-        _check_window_expansions(g, acc, window, comps, vectors, details)
+        _check_window_expansions(g, acc, window, comps, vectors, require)
         del comps, comp_id, vectors, r
 
 
@@ -533,7 +554,7 @@ def _check_unit_windows(g, report, masks, max_span, literal=False):
     acc = _Acc(report, "iv", g.labels)
     R = list(g.index_range())
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= max_span]
-    _check_windows(g, acc, windows, masks, cache(partial(_expansion_detail, g, "unit")), literal)
+    _check_windows(g, acc, windows, masks, "unit", literal)
 
 
 def _descent_axioms(g: DEGround, system):
@@ -545,7 +566,7 @@ def _descent_axioms(g: DEGround, system):
         raise ValueError(f"{system} axioms apply to descent-kind grounds")
     report = VerificationReport(system, g.desc, {})
     fix, masks = _fix_tables(g), _stat_masks(g)
-    _check_fixed_law(g, report, masks, lambda m, i: m >> (i - 1) & 3 in (0, 3))
+    _check_fixed_law(g, report, fix, masks, lambda m, i: m >> (i - 1) & 3 in (0, 3))
     _check_descent_transport(g, report, fix, masks)
     _check_commutation(g, report, 3)
     return report, fix, masks
@@ -573,13 +594,12 @@ def verify_weak(g: DEGround) -> VerificationReport:
     # The windows (i-1, i) in order.  A window vector holds its class's
     # multiset of restricted descent sets, so (iv-a)'s multiset clause
     # compares x's vectors in the previous window (i-1, i) and this one.
-    details = cache(partial(_expansion_detail, g, "positive"))
     acc_a = _Acc(report, "iv-a", g.labels)
     acc_m = _Acc(report, "iv-a-multisets", g.labels)
     previous = None  # the one window kept past its step
     windows_a = [(i - 1, i) for i in R if i - 1 in g.invs]
     for window, comps, comp_id, vectors, r in _window_classes(g, windows_a, masks):
-        _check_window_expansions(g, acc_a, window, comps, vectors, details)
+        _check_window_expansions(g, acc_a, window, comps, vectors, "positive")
         if previous is not None:
             i = window[0]
             left_id, left = previous
@@ -596,7 +616,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
         del comps, comp_id, vectors, r
 
     acc_b = _Acc(report, "iv-b", g.labels)
-    _check_windows(g, acc_b, [(i - 2, i) for i in R if i - 2 in g.invs], masks, details)
+    _check_windows(g, acc_b, [(i - 2, i) for i in R if i - 2 in g.invs], masks, "positive")
 
     acc_c = _Acc(report, "iv-b-chain", g.labels)
     for i in R:
@@ -638,8 +658,8 @@ def verify_shifted(g: DEGround, literal_peak_window=False) -> VerificationReport
     if g.stat_kind != PEAK:
         raise ValueError("shifted axioms apply to peak-kind grounds")
     report = VerificationReport("shifted", g.desc, {})
-    masks = _stat_masks(g)
-    _check_fixed_law(g, report, masks, lambda m, i: not m >> i & 3)
+    fix, masks = _fix_tables(g), _stat_masks(g)
+    _check_fixed_law(g, report, fix, masks, lambda m, i: not m >> i & 3)
     _check_peak_transport(g, report, masks)
     _check_commutation(g, report, 4)
     _check_unit_windows(g, report, masks, 4, literal_peak_window)
@@ -800,18 +820,13 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
     report = VerificationReport("lemma-axiom4", g.desc, {})
     R = list(g.index_range())
     masks = _stat_masks(g)
-
-    @cache
-    def unit_shape(vector):
-        expansion = expand_in_P(_vector_genfn(g, vector))
-        return expansion.unit_shape() if isinstance(expansion, PExpansion) else None
-
     acc_v = _Acc(report, "v", g.labels)
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
     for (j, i), comps, comp_id, vectors, r in _window_classes(g, windows, masks):
         tables = [g.invs[k] for k in range(j, i + 1)]
         for comp, vector in zip(comps, vectors):
-            shape = unit_shape(vector)
+            expansion = _window_expansion(g, vector)
+            shape = expansion.unit_shape() if isinstance(expansion, PExpansion) else None
             if shape is None:
                 acc_v.fail(
                     (comp[0],),

@@ -13,13 +13,16 @@ Each family is an involution; d/phi/psi commute at distance >= 3, b at
 distance >= 4.  The cores _d, _b, _phi(i, w, pos, des[, col]) read only
 i-1..i+2 in the word's inverse pos, and _phi bits i-1, i of its descent mask
 des (_d and _b ignore it); a ground computes both once per word, and d, b,
-phi and psi compute them per call.  d_tab and b_tab apply d and b to a
-tableau and rebuild it, re-checking the image.
+phi and psi compute them per call.  _b looks up its swap by the relative
+order of its four positions in _B_TABLE, made once at import from _B_MOVES,
+the one statement of b's moves.  d_tab and b_tab apply d and b to a tableau
+and rebuild it, re-checking the image.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 from .core import InternalInvariantError
 from .tableaux import (
@@ -75,19 +78,41 @@ def d(i, w):
 _B_MOVES = ((0, 1, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0), (2, 3, 1, 0))
 
 
+def _order_index(p0, p1, p2, p3):
+    """The relative order of four distinct positions as six comparisons."""
+    return ((p0 < p1) + 2 * (p0 < p2) + 4 * (p0 < p3)
+            + 8 * (p1 < p2) + 16 * (p1 < p3) + 32 * (p2 < p3))
+
+
+def _b_table(moves):
+    """For each _order_index of the positions of i-1..i+2, the swaps (x, y)
+    of the moves that apply there: none, one when they all make the same,
+    else each applicable move's in order, for _b to refuse.  The 40
+    indices that no order has stay empty."""
+    table = [()] * 64
+    for p in permutations(range(4)):
+        swaps = [
+            (x, y) for x, y, c, dd in moves if (p[x] < p[c]) == (p[c] < p[y]) and p[dd] < p[c]
+        ]
+        table[_order_index(*p)] = tuple(swaps[:1] if len(set(swaps)) == 1 else swaps)
+    return table
+
+
+_B_TABLE = _b_table(_B_MOVES)
+
+
 def _b(i, w, pos, des):
     p = pos[i - 1 : i + 3]
-    results = [
-        _swap(w, p[x], p[y])
-        for x, y, c, dd in _B_MOVES
-        if (p[x] < p[c]) == (p[c] < p[y]) and p[dd] < p[c]
-    ]
-    if len(set(results)) > 1:
+    swaps = _B_TABLE[_order_index(*p)]
+    if len(swaps) == 1:
+        (x, y), = swaps
+        return _swap(w, p[x], p[y])
+    if swaps:
         raise InternalInvariantError(
             f"disagreeing candidate moves for b({i}, {word_str(w)}): "
-            + ", ".join(word_str(r) for r in results)
+            + ", ".join(word_str(_swap(w, p[x], p[y])) for x, y in swaps)
         )
-    return results[0] if results else w
+    return w
 
 
 def b(i, w):

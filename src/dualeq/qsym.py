@@ -6,8 +6,10 @@ Generating functions live in one of two bases:
 * QSymG — peak basis G_P, keyed by peak sets (degree n).
 
 Schur, Schur-P and Schur-Q functions are produced as F-expansions (or
-G-expansions for P) from the reading words of the relevant standard
-tableaux, which are enumerated as words, not Tableaux.  G_of_peaks holds the
+G-expansions for P) from the descent sets of the relevant standard
+tableaux: s and P count them by tableaux._descent_masks, a transfer over the
+subshapes that makes no tableau; Q also enumerates its signed reading words
+as the independent route it is checked against.  G_of_peaks holds the
 Schur-P weighting of peak sets.  expand is the one choice of basis: it takes
 an F-vector to Schur functions and a G-vector to P's, peeling off one shape
 at a time (both bases are unitriangular, see _peel); failures return
@@ -44,7 +46,7 @@ from .core import (
     peak_of,
     subset_str,
 )
-from .tableaux import _descent_mask, _inverse, _semistandard_fillings, _standard_words
+from .tableaux import _descent_mask, _descent_masks, _inverse, _semistandard_fillings, _standard_words
 
 # kind -> what _standard_words and _standard_count take after the shape,
 # and _semistandard_fillings and _semistandard_count after k
@@ -226,14 +228,17 @@ def expand_in_P(g: QSymG):
 
 def schur_in_F(shape) -> QSymF:
     """Schur function s_shape as a sum of F_D over standard Young tableaux."""
-    return QSymF(sum(shape), _word_descents(_standard_words(shape, False)))
+    return QSymF(sum(shape), _mask_sets(_descent_masks(shape, False)))
+
+
+def _mask_sets(masks):
+    """A Counter of descent masks as one of descent sets."""
+    return Counter({_members(m): c for m, c in masks.items()})
 
 
 def _word_descents(words):
-    """The descent sets of reading words, counted by descent mask: one
-    frozenset per distinct mask."""
-    masks = Counter(map(_descent_mask, words, map(_inverse, words)))
-    return Counter({_members(m): c for m, c in masks.items()})
+    """The descent sets of reading words, counted by descent mask."""
+    return _mask_sets(Counter(map(_descent_mask, words, map(_inverse, words))))
 
 
 def P_in_F(shape) -> QSymF:
@@ -274,8 +279,8 @@ def P_in_G(shape) -> QSymG:
     The empty shape has one empty tableau: P_() = G_{} = 1."""
     shape = tuple(shape)
     peaks = Counter()
-    for D, c in _word_descents(_standard_words(shape, True)).items():
-        peaks[peak_of(D)] += c
+    for m, c in _descent_masks(shape, True).items():
+        peaks[peak_of(_members(m))] += c
     return G_of_peaks(sum(shape), peaks)
 
 

@@ -10,6 +10,9 @@ shapes and r+j for shifted ones.
 Standard tableaux are enumerated as reading words (_standard_words), each
 subshape's words made once and every word checked once by the one
 standardness check, _is_standard_word, which is_standard also applies.
+_descent_masks counts the descent masks of those words without making
+them, over the same subshapes; _corners states for both which rows the
+largest entry can end.
 Semistandard tableaux are walked cell by cell (_semistandard_fillings).
 Each walk has one count beside it, taking the walk's own arguments and
 refusing what the walk refuses: _standard_count and _semistandard_count.
@@ -18,6 +21,7 @@ The enumerate_* functions turn the walks' words and rows into Tableaux.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import factorial, isqrt, prod
@@ -267,6 +271,16 @@ def enumerate_ssyt(shape, k):
     return [tableau(STRAIGHT, rows) for rows in _semistandard_fillings(shape, k, False)]
 
 
+def _corners(sh, strict):
+    """(r, sh - e_r) for each row r, in increasing order, that the largest
+    entry of a standard tableau of sh (shifted if strict) can end: those
+    whose shape - e_r is a shape, an emptied last row dropped."""
+    for r, part in enumerate(sh):
+        rest = sh[r + 1 :]
+        if not rest or part - 1 >= rest[0] + strict:
+            yield r, sh[:r] + (part - 1,) * (part > 1) + rest
+
+
 def _standard_words(shape, strict, diagonal_primes=None):
     """Reading words of the standard tableaux of a partition (shifted, of a
     strict partition, if strict), each checked once.
@@ -287,12 +301,8 @@ def _standard_words(shape, strict, diagonal_primes=None):
         if found is None:
             memo[sh] = found = []
             n = sum(sh)
-            for r, part in enumerate(sh):
-                rest = sh[r + 1 :]
-                if rest and part - 1 < rest[0] + strict:
-                    continue  # n cannot end row r: shape - e_r is no shape
-                p = sum(rest) + part - 1
-                smaller = sh[:r] + (part - 1,) * (part > 1) + rest
+            for r, smaller in _corners(sh, strict):
+                p = sum(sh[r:]) - 1
                 found.extend(w[:p] + (n,) + w[p:] for w in words(smaller))
         return found
 
@@ -307,6 +317,35 @@ def _standard_words(shape, strict, diagonal_primes=None):
                 variants += [v[:p] + (-v[p],) + v[p + 1 :] for v in variants]
             out += variants
     return _checked_words(out, shape, strict)
+
+
+def _descent_masks(shape, strict):
+    """The Counter of the descent masks of _standard_words(shape, strict),
+    counted without making the words.  i is a descent of a standard reading
+    word iff i+1 lies in a later row than i (read earlier: a row above).  So
+    the masks of the tableaux whose largest entry n ends row r are those of
+    shape - e_r, over the row r' of n-1 there, with bit n-1 set iff r > r'.
+    The empty shape has the mask 0, its "row" 0 adding no bit to n = 1."""
+    shape = _checked_shape(shape, strict)
+    memo = {(): {0: Counter({0: 1})}}  # shape -> row of n -> Counter of masks
+
+    def by_row(sh):
+        found = memo.get(sh)
+        if found is None:
+            memo[sh] = found = {}
+            bit = 1 << (sum(sh) - 1)
+            for r, smaller in _corners(sh, strict):
+                masks = found[r] = Counter()
+                for below, counts in by_row(smaller).items():
+                    add = bit if r > below else 0
+                    for m, c in counts.items():
+                        masks[m | add] += c
+        return found
+
+    total = Counter()
+    for masks in by_row(shape).values():
+        total.update(masks)
+    return total
 
 
 def _standard_count(shape, strict, diagonal_primes=None):

@@ -159,6 +159,22 @@ def test_d_and_b_match_reference_on_every_permutation(n):
             assert b(i, w) == b_ref(i, w), (i, w)
 
 
+def test_table_driven_b_matches_reference_on_every_permutation_of_eight():
+    # b reads its swap from involutions._B_TABLE; n < 8 is checked above
+    for w in perms(8):
+        for i in range(2, 7):
+            assert b(i, w) == b_ref(i, w), (i, w)
+
+
+def test_b_table_holds_each_order_of_four_positions_once():
+    table = involutions._B_TABLE
+    assert len(table) == 64
+    orders = {involutions._order_index(*p) for p in permutations(range(4))}
+    assert len(orders) == 24
+    assert all(len(table[k]) <= 1 for k in orders)
+    assert not any(table[k] for k in set(range(64)) - orders)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_phi_matches_reference_on_every_signed_permutation(n):
     for w in signed_perms(n):
@@ -180,8 +196,10 @@ def test_psi_matches_reference_on_every_signed_shifted_reading_word(n):
 
 def test_b_raises_when_candidate_moves_disagree(monkeypatch):
     # no word makes the four moves disagree; a fifth one (swap i-1 and i+2
-    # around i, with i+1 to the left of i) does on 1324
-    monkeypatch.setattr(involutions, "_B_MOVES", involutions._B_MOVES + ((0, 3, 1, 2),))
+    # around i, with i+1 to the left of i) does on 1324.  _b reads the table
+    # made from the moves at import, so the table is made again with it
+    table = involutions._b_table(involutions._B_MOVES + ((0, 3, 1, 2),))
+    monkeypatch.setattr(involutions, "_B_TABLE", table)
     with pytest.raises(InternalInvariantError) as info:
         b(2, (1, 3, 2, 4))
     assert str(info.value) == "disagreeing candidate moves for b(2, 1324): 1423, 4321"
