@@ -7,12 +7,14 @@ standard shifted tableaux and signed standard shifted tableaux, one entry
 each in BUILTIN_GROUNDS; arbitrary grounds can be read from .deg files.
 Every builtin ground is a set of words: the tableau grounds are indexed by
 reading words, the involutions act on the words, and an image that is not
-an enumerated word is not a tableau of the shape.  A build packs the words
-into one array of signed letters as it indexes them, drops the word list
-before it fills the tables and the index after, and keeps the array as the
-ground's labels: a label is formatted from its word only when it is read.
-The standard shifted grounds that classes are matched against are built
-once per shape and cached.
+an enumerated word is not a tableau of the shape.  A signed ground is its
+unsigned words times their sign masks, and a build works per unsigned word:
+it indexes the unsigned words, packs each one's variants into one array of
+signed letters, drops the word list before it fills the tables and the
+index after, and keeps the array as the ground's labels: a label is
+formatted from its word only when it is read.  The standard shifted
+grounds that classes are matched against are built once per shape and
+cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
@@ -30,7 +32,9 @@ whole classes.  Peak sets are weighted by qsym.G_of_peaks and qsym.expand
 picks the basis; a window vector alone sets its generating function, so each
 process expands each distinct one once, into the memo _EXPANSIONS.
 Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
-isomorphism of classes by comparing canonical codes (_class_code).
+isomorphism of classes by comparing canonical codes (_class_code).  The
+three verifiers check each type of class, a code, once (_by_type), and
+check the whole ground only when that fails or no type repeats.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from functools import lru_cache, partial
-from itertools import chain, permutations, product
+from functools import lru_cache, partial, wraps
+from itertools import chain, permutations
 from math import factorial
-from operator import eq, or_
+from operator import add, eq, or_
 
 from .core import (
     InternalInvariantError,
@@ -54,7 +58,16 @@ from .core import (
 )
 from .involutions import _b, _d, _phi, _reading_columns
 from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand, expand_in_P
-from .tableaux import _descent_mask, _inverse, _standard_count, _standard_words, word_str
+from .tableaux import (
+    _inverse,
+    _sign_positions,
+    _signed_descents,
+    _signed_variants,
+    _standard_count,
+    _standard_words,
+    _unsigned_descents,
+    word_str,
+)
 
 DES = "des"
 PEAK = "peak"
@@ -93,6 +106,15 @@ class _WordLabels(Sequence):
         k = range(self._size)[k]  # a negative k counts from the end
         return word_str(self._letters[k * self._n:(k + 1) * self._n])
 
+    def take(self, positions):
+        """The labels at positions, in that order, with their words still
+        packed."""
+        n, letters = self._n, self._letters
+        out = letters[:0]
+        for k in positions:
+            out += letters[k * n : (k + 1) * n]
+        return _WordLabels(out, n, len(positions))
+
     def __eq__(self, other):
         if isinstance(other, (tuple, _WordLabels)):
             return tuple(self) == tuple(other)
@@ -100,6 +122,20 @@ class _WordLabels(Sequence):
 
     def __hash__(self):
         return hash(tuple(self))
+
+
+class _Statistics(dict):
+    """Descent mask -> the statistic of a ground of stat_kind with that
+    mask, made at its first lookup: one shared frozenset per statistic."""
+
+    def __init__(self, stat_kind):
+        super().__init__()
+        self.peaks, self.shared = stat_kind == PEAK, {}
+
+    def __missing__(self, mask):
+        stat = peak_of(_members(mask)) if self.peaks else _members(mask)
+        stat = self[mask] = self.shared.setdefault(stat, stat)
+        return stat
 
 
 class DEGround(_Record, frozen=True):
@@ -141,14 +177,13 @@ class DEGround(_Record, frozen=True):
                 f"involution indices {sorted(self.invs)} do not match the "
                 f"range {list(self.index_range())}"
             )
+        identity = list(range(self.size))
         for i, table in self.invs.items():
             if len(table) != self.size:
                 raise ValueError(f"involution {i} has wrong size")
-            for x, y in enumerate(table):
-                if table[y] != x:
-                    raise ValueError(
-                        f"involution {i} is not an involution at {self.labels[x]}"
-                    )
+            if list(map(table.__getitem__, table)) != identity:
+                x = next(x for x, y in enumerate(table) if table[y] != x)
+                raise ValueError(f"involution {i} is not an involution at {self.labels[x]}")
         return self
 
 
@@ -158,85 +193,152 @@ def _index_range(stat_kind, n):
     return range(2, n if stat_kind == DES else n - 1)
 
 
-def _materialize(stat_kind, n, words, move, desc):
-    """Tabulate word by word, from one inverse pos and one descent mask des
-    per word, its statistic (one shared frozenset per distinct statistic,
-    made once per distinct mask) and its images move(i, w, pos, des).  An
-    image that is w itself is the word's own index; the lookup of any other
-    is its check: one outside the ground raises InternalInvariantError.  The
-    words are packed into the labels' array of signed letters (one byte each
-    below degree 128) as the word -> index dict is made, the word list goes
-    before the fill, the dict after it, and each row as its tuple is made,
-    all before validate().  A repeated word leaves the dict short and is
-    refused."""
+def _materialize(stat_kind, n, words, move, desc, signs=None):
+    """Tabulate a ground from its unsigned words.  With signs None the
+    objects are the words; else object k * 2^f + s is word k with the
+    letters at the positions signs(w)[b] negated for the bits b of s, f =
+    len(signs(w)) being the same for every word.  Per unsigned word: one
+    inverse pos and one unsigned descent mask, each variant's mask following
+    by _signed_descents, and one shared frozenset per distinct statistic,
+    made once per distinct mask.  A signed ground's core move(i, w, pos,
+    des) reads only the letters of values i-1..i+1 and changes only theirs,
+    so per index it runs once per signing t of those letters (the bits W of
+    s): variant s goes where variant s & W goes, its other signs kept, to
+    img[s & W] + (s & ~W), the ints of one shared list.  An unsigned word
+    is one object with one image per index, and skips that machinery:
+    through it, an unsigned build took up to twice as long.  An image that
+    is w itself is w's own index; the lookup of any other is its check: one
+    outside the ground raises InternalInvariantError.  That is an unknown
+    unsigned word, a prime on a position signs leaves out or, on a signed
+    ground, a prime or a changed letter off the values i-1..i+1.  The
+    variants are packed word by word into the labels' array of signed
+    letters (one byte each below degree 128).  A repeated word is refused."""
     from array import array  # loaded by the first build, not by the CLI's start
 
-    size = len(words)
-    code = "b" if n < 1 << 7 else "h" if n < 1 << 15 else "q"
-    labels = _WordLabels(array(code, chain.from_iterable(words)), n, size)
-    index_of = dict(zip(words, range(size)))
+    index_of = dict(zip(words, range(len(words))))
+    if len(index_of) != len(words):
+        raise ValueError("duplicate labels")
     del words
-    indices = _index_range(stat_kind, n)
-    rows = [(i, [None] * size) for i in indices]
-    stats, of_mask, shared = [None] * size, {}, {}
+    orders = list(map(signs, index_of)) if signs else ()
+    f = len(orders[0]) if orders else 0
+    bits = []  # per signed word, each position's sign bit or 0
+    for order in orders:
+        bits.append([0] * n)
+        for b, p in enumerate(order):
+            bits[-1][p] = 1 << b
+    span, size = 1 << f, len(index_of) << f
+    ints = list(range(size)) if f else None  # a signed ground's table entries
+    code = "b" if n < 1 << 7 else "h" if n < 1 << 15 else "q"
+    letters = array(code)
+    labels = _WordLabels(letters, n, size)
+    rows = [(i, [None] * size) for i in _index_range(stat_kind, n)]
+    stats, of_mask = [None] * size, _Statistics(stat_kind)
+    spread = {}  # W -> (s & W, s & ~W) for each s < span
     find = index_of.get
-    for w, k in index_of.items():  # k: the dict's own int, shared by the tables
+
+    def outside(i, x):
+        return InternalInvariantError(
+            f"involution {i} of {desc} sends {labels[x]} outside the ground"
+        )
+
+    def sign_bits(y, v, block, at):
+        """The sign bits at of the primes of y, the image of the variant v,
+        or -1 when one is off at's positions or off the block, or a letter
+        off the block is not v's."""
+        a, b, c = block
+        off, frame = list(y), list(v)
+        off[a] = off[b] = off[c] = frame[a] = frame[b] = frame[c] = 0
+        primes = [at[p] for p in block if y[p] < 0]
+        return -1 if off != frame or 0 in primes else sum(primes)
+
+    for w, k in index_of.items():
         pos = _inverse(w)
-        des = _descent_mask(w, pos)
-        stat = of_mask.get(des)
-        if stat is None:
-            stat = peak_of(_members(des)) if stat_kind == PEAK else _members(des)
-            stat = of_mask[des] = shared.setdefault(stat, stat)
-        stats[k] = stat
+        unsigned = _unsigned_descents(pos)
+        if not f:  # one object, one image per index
+            stats[k] = of_mask[unsigned]
+            letters.extend(w)
+            for i, table in rows:
+                y = move(i, w, pos, unsigned)
+                table[k] = k if y is w else find(y)
+                if table[k] is None:
+                    raise outside(i, k)
+            continue
+        base, at, primed = k << f, bits[k], [0]  # each variant's mask of negated values
+        for p in orders[k]:
+            value = 1 << w[p]
+            primed += [m | value for m in primed]
+        des = [_signed_descents(unsigned, m, n) for m in primed]
+        stats[base : base + span] = map(of_mask.__getitem__, des)
+        variants = _signed_variants(w, orders[k])
+        letters.extend(chain.from_iterable(variants))
         for i, table in rows:
-            y = move(i, w, pos, des)
-            table[k] = k if y is w else find(y)
-    distinct = len(index_of) == size
-    del index_of, find
+            block = pos[i - 1 : i + 2]
+            W = at[block[0]] | at[block[1]] | at[block[2]]
+            img, t = {}, W
+            while True:  # each submask t of W
+                v = variants[t]
+                y = move(i, v, pos, des[t])
+                if y is v:
+                    img[t] = base + t
+                else:  # the sign bits of its primes, -1 for one off them
+                    kk = find((*map(abs, y),))  # made at its size, not resized
+                    primes = -1 if kk is None else sign_bits(y, v, block, bits[kk])
+                    if primes < 0:
+                        raise outside(i, base + t)
+                    img[t] = (kk << f) + primes
+                if not t:
+                    break
+                t = t - 1 & W
+            if W not in spread:
+                spread[W] = [s & W for s in range(span)], [s & ~W for s in range(span)]
+            low, rest = spread[W]
+            table[base : base + span] = map(
+                ints.__getitem__, map(add, map(img.__getitem__, low), rest)
+            )
+    del index_of, find, orders, bits, ints
     invs = {}
     while rows:  # each list goes as its tuple is made
         i, table = rows.pop(0)
-        invs[i] = table = tuple(table)
-        if None in table:
-            raise InternalInvariantError(
-                f"involution {i} of {desc} sends {labels[table.index(None)]} "
-                "outside the ground"
-            )
-    if not distinct:
-        raise ValueError("duplicate labels")
+        invs[i] = tuple(table)
     return DEGround(stat_kind, n, labels, tuple(stats), invs, desc).validate()
 
 
-def _tableau_words(strict, diagonal_primes=None):
+def _tableau_words(strict):
     """The words of a tableau ground, the reading words of the standard
-    tableaux of its shape, and their count, each given the same arguments."""
-    return (lambda shape: _standard_words(shape, strict, diagonal_primes),
-            lambda shape: _standard_count(shape, strict, diagonal_primes))
+    tableaux of its shape, and their count, each given the shape."""
+    return (lambda shape: _standard_words(shape, strict),
+            lambda shape: _standard_count(shape, strict))
 
 
-# (ground, family) -> (stat kind, the valid words of the parameter, their
-# count, the involution core move(i, w, pos, des) for the parameter).  The
-# parameter is n for the permutation grounds and a shape for the tableau
-# grounds, whose words are the reading words of the enumerated tableaux.
+def _perms(n):
+    return list(permutations(range(1, n + 1)))
+
+
+# (ground, family) -> (stat kind, the unsigned words of the parameter, the
+# number of objects, the involution core move(i, w, pos, des) for the
+# parameter, and for a signed ground w -> the positions of the word w its
+# signs take, in sign-bit order, for the parameter; None for an unsigned
+# one).  The parameter is n for the permutation grounds and a shape for the
+# tableau grounds, whose words are the reading words of the enumerated
+# tableaux: a signed standard shifted tableau primes cells off the diagonal.
 BUILTIN_GROUNDS = {
-    ("perm", "d"): (DES, lambda n: list(permutations(range(1, n + 1))), factorial, lambda n: _d),
-    ("perm", "b"): (PEAK, lambda n: list(permutations(range(1, n + 1))), factorial, lambda n: _b),
+    ("perm", "d"): (DES, _perms, factorial, lambda n: _d, None),
+    ("perm", "b"): (PEAK, _perms, factorial, lambda n: _b, None),
     ("signedperm", "phi"): (
         DES,
-        lambda n: [
-            signed
-            for w in permutations(range(1, n + 1))
-            for signed in product(*((v, -v) for v in w))
-        ],
+        _perms,
         lambda n: factorial(n) << n,
         lambda n: _phi,
+        lambda n: lambda w: range(n - 1, -1, -1),  # the last letter's sign is bit 0
     ),
-    ("syt", "d"): (DES, *_tableau_words(False), lambda shape: _d),
-    ("shsyt", "b"): (PEAK, *_tableau_words(True), lambda shape: _b),
+    ("syt", "d"): (DES, *_tableau_words(False), lambda shape: _d, None),
+    ("shsyt", "b"): (PEAK, *_tableau_words(True), lambda shape: _b, None),
     ("signed-shsyt", "psi"): (
         DES,
-        *_tableau_words(True, False),
+        lambda shape: _standard_words(shape, True),
+        lambda shape: _standard_count(shape, True, False),
         lambda shape: partial(_phi, col=_reading_columns(tuple(shape))),
+        lambda shape: _sign_positions(tuple(shape), False),
     ),
 }
 
@@ -269,10 +371,11 @@ def build_ground(desc) -> DEGround:
     refused before any enumeration."""
     kind, param, family = desc
     _within_limit(f"ground {kind} {param}", ground_size(desc))
-    stat_kind, valid_words, _, involution = BUILTIN_GROUNDS[kind, family]
+    stat_kind, words, _, involution, signs = BUILTIN_GROUNDS[kind, family]
     n = param if isinstance(param, int) else sum(param)
     return _materialize(
-        stat_kind, n, valid_words(param), involution(param), f"({kind},{param},{family})"
+        stat_kind, n, words(param), involution(param), f"({kind},{param},{family})",
+        signs and signs(param),
     )
 
 
@@ -572,6 +675,40 @@ def _descent_axioms(g: DEGround, system):
     return report, fix, masks
 
 
+def _by_type(verify):
+    """verify(g, ...) run once per type of class of g where it can be.
+
+    Every condition reads one class at a time, and its verdict on a class
+    depends only on the class as a graph: its statistic masks and its
+    tables in index order, what _class_code codes.  So when two classes of
+    g share a code, verify runs first on the subground of one class per
+    code, which reports g's desc; its report stands when it passes.  Any
+    other report is replaced by the whole ground's, whose witnesses and
+    counts are g's own, as is a connected ground's or one whose classes
+    all differ.  The classes and codes go before the representatives are
+    verified."""
+
+    @wraps(verify)
+    def by_type(g: DEGround, *args, **kwargs) -> VerificationReport:
+        comps = classes(g)
+        if len(comps) > 1:
+            tables, masks = [g.invs[i] for i in g.index_range()], _stat_masks(g)
+            number, first = [-1] * g.size, {}  # code -> its first class
+            for comp in comps:
+                first.setdefault(_class_code(comp, tables, masks, number)[0], comp)
+            repeats = len(first) < len(comps)
+            members = sorted(chain.from_iterable(first.values())) if repeats else None
+            del comps, tables, masks, number, first
+            if members is not None:
+                report = verify(subground(g, members, g.desc), *args, **kwargs)
+                if report.passed:
+                    return report
+        return verify(g, *args, **kwargs)
+
+    return by_type
+
+
+@_by_type
 def verify_strong(g: DEGround) -> VerificationReport:
     """Check the descent-kind strong axioms: (i) fixed-point law, (ii) descent
     transport, (iii) commutation at distance >= 3, (iv) every class restricted
@@ -582,6 +719,7 @@ def verify_strong(g: DEGround) -> VerificationReport:
     return report
 
 
+@_by_type
 def verify_weak(g: DEGround) -> VerificationReport:
     """Check the descent-kind weak axioms: (i)-(iii) as in the strong system,
     then (iv-a) Schur positivity over two-involution windows plus equality of
@@ -650,6 +788,7 @@ def verify_weak(g: DEGround) -> VerificationReport:
     return report
 
 
+@_by_type
 def verify_shifted(g: DEGround, literal_peak_window=False) -> VerificationReport:
     """Check the peak-kind axioms: (i) fixed iff no peak at i or i+1,
     (ii) peak transport i -> i+1 with far peaks untouched, (iii) commutation
@@ -677,19 +816,25 @@ def relabel_peak_minus_one(g: DEGround) -> DEGround:
     return DEGround(DES, g.n - 1, g.labels, stats, dict(g.invs), desc).validate()
 
 
-def subground(g: DEGround, members) -> DEGround:
-    """Restrict a ground to a whole class: members must be closed under all
-    its involutions."""
+def subground(g: DEGround, members, desc=None) -> DEGround:
+    """Restrict a ground to a union of whole classes: members must be closed
+    under all its involutions.  The restriction is named desc, by default
+    g's desc and the label of its first member; a builtin ground's words
+    stay packed, their labels read only for that default."""
     members = tuple(sorted(members))
     pos = {x: k for k, x in enumerate(members)}
     stats = tuple(g.stats[x] for x in members)
     invs = {k: tuple(pos[g.invs[k][x]] for x in members) for k in g.index_range()}
-    labels = tuple(g.labels[x] for x in members)
-    desc = f"{g.desc}|{labels[0] if members else ''}"
+    if isinstance(g.labels, _WordLabels):
+        labels = g.labels.take(members)
+    else:
+        labels = tuple(g.labels[x] for x in members)
+    if desc is None:
+        desc = f"{g.desc}|{labels[0] if members else ''}"
     return DEGround(g.stat_kind, g.n, labels, stats, invs, desc).validate()
 
 
-def _class_code(members, tables, label):
+def _class_code(members, tables, label, number=None):
     """The canonical code of a class and the walk that produced it.
 
     A class is a graph on members with one edge colour per table and the
@@ -700,24 +845,32 @@ def _class_code(members, tables, label):
     the roots.  An isomorphism is fixed by the image of one vertex, so two
     connected classes are isomorphic exactly when their codes are equal,
     and their walks align into the isomorphism.  (None, None) when members
-    is not connected under the tables."""
+    is not connected under the tables.  number maps every position a walk
+    can reach to -1, and each walk numbers into it and resets it: a list
+    over the ground that a caller coding many classes passes to each, or by
+    default a dict over members."""
+    if number is None:
+        number = dict.fromkeys(members, -1)
     counts = Counter(label[x] for x in members)
     rare = min(counts, key=lambda lab: (counts[lab], lab))
     best = None, None
     for root in (x for x in members if label[x] == rare):
-        number, walk, code = {root: 0}, [root], []
+        number[root], walk, code = 0, [root], []
         for x in walk:  # the walk appends to the list it reads
             neighbours = []
             for table in tables:
                 y = table[x]
-                if y not in number:
-                    number[y] = len(walk)
+                k = number[y]
+                if k < 0:
+                    k = number[y] = len(walk)
                     walk.append(y)
-                neighbours.append(number[y])
+                neighbours.append(k)
             code.append((label[x], tuple(neighbours)))
-        code = tuple(code)
+        for x in walk:
+            number[x] = -1
         if len(walk) < len(members):
             return None, None
+        code = tuple(code)
         if best[0] is None or code < best[0]:
             best = code, walk
     return best
@@ -732,7 +885,8 @@ def find_isomorphism(g1: DEGround, g2: DEGround):
     coded = []
     for g in (g1, g2):
         tables, masks = [g.invs[i] for i in g.index_range()], _stat_masks(g)
-        coded.append([_class_code(comp, tables, masks) for comp in classes(g)])
+        number = [-1] * g.size
+        coded.append([_class_code(comp, tables, masks, number) for comp in classes(g)])
     unmatched = defaultdict(list)
     for code, walk in coded[1]:
         unmatched[code].append(walk)
@@ -819,7 +973,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
         raise ValueError("this check applies to peak-kind grounds")
     report = VerificationReport("lemma-axiom4", g.desc, {})
     R = list(g.index_range())
-    masks = _stat_masks(g)
+    masks, number = _stat_masks(g), [-1] * g.size  # one numbering for every code
     acc_v = _Acc(report, "v", g.labels)
     windows = [(j, i) for j in R for i in R if 1 <= i - j <= 3]
     for (j, i), comps, comp_id, vectors, r in _window_classes(g, windows, masks):
@@ -833,7 +987,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
                     f"window {_window_label(j, i)}: generating function is "
                     "not a unit Schur-P vector",
                 )
-            elif _class_code(comp, tables, r)[0] != _target_code(shape)[0]:
+            elif _class_code(comp, tables, r, number)[0] != _target_code(shape)[0]:
                 acc_v.fail(
                     (comp[0],),
                     f"window {_window_label(j, i)}: not isomorphic to "
@@ -850,7 +1004,7 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
             big_id = _components(g.size, [g.invs[k] for k in range(2, i + 1)])[1]
             tables = [g.invs[k] for k in range(j, i + 1)]
             same = defaultdict(list)  # code -> its classes, in order
-            groups = [same[_class_code(comp, tables, r)[0]] for comp in comps]
+            groups = [same[_class_code(comp, tables, r, number)[0]] for comp in comps]
             for a, group in enumerate(groups):
                 group.append(a)
             for a, group in enumerate(groups):  # pairs in (a, bb) order

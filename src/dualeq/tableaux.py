@@ -12,7 +12,9 @@ subshape's words made once and every word checked once by the one
 standardness check, _is_standard_word, which is_standard also applies.
 _descent_masks counts the descent masks of those words without making
 them, over the same subshapes; _corners states for both which rows the
-largest entry can end.
+largest entry can end.  A signed word is an unsigned one with the letters
+at some of its _sign_positions negated (_signed_variants), and its descent
+mask follows from the unsigned one (_unsigned_descents) by _signed_descents.
 Semistandard tableaux are walked cell by cell (_semistandard_fillings).
 Each walk has one count beside it, taking the walk's own arguments and
 refusing what the walk refuses: _standard_count and _semistandard_count.
@@ -162,15 +164,31 @@ def _inverse(w):
     return pos
 
 
-def _descent_mask(w, pos):
-    """Descent set of w, whose inverse is pos, as an integer mask: bit j for
-    the descent j."""
-    des, bit, p = 0, 2, pos[1] if w else None
+def _signed_descents(unsigned, primed, n):
+    """The descent mask of a signed word of length n, from the descent mask
+    unsigned of its absolute values and the mask primed of its negated
+    values (bit v for -v): j is a descent when j sits right of j+1 and is
+    unprimed, or left of j+1 and j+1 is primed.  The one statement of the
+    signed descent rule."""
+    return unsigned & ~primed | ((1 << n) - 2 ^ unsigned) & primed >> 1
+
+
+def _unsigned_descents(pos):
+    """The descent mask of the absolute values of a word whose inverse is
+    pos: bit j when j sits right of j+1."""
+    des, bit, p = 0, 2, pos[1] if len(pos) > 1 else None
     for q in pos[2:]:
-        if w[p] > 0 if p > q else w[q] < 0:
+        if p > q:
             des |= bit
         bit, p = bit + bit, q
     return des
+
+
+def _descent_mask(w, pos):
+    """Descent set of w, whose inverse is pos, as an integer mask: bit j for
+    the descent j."""
+    primed = sum(1 << -e for e in w if e < 0)
+    return _signed_descents(_unsigned_descents(pos), primed, len(w))
 
 
 def descent_set_word(w):
@@ -308,15 +326,27 @@ def _standard_words(shape, strict, diagonal_primes=None):
 
     out = words(shape)
     if diagonal_primes is not None:
-        diagonal = set(accumulate(reversed(shape[1:]), initial=0))
-        free = [p for p in range(sum(shape)) if diagonal_primes or p not in diagonal]
-        unsigned, out = out, []
-        for w in unsigned:
-            variants = [w]
-            for p in sorted(free, key=w.__getitem__):
-                variants += [v[:p] + (-v[p],) + v[p + 1 :] for v in variants]
-            out += variants
+        signs = _sign_positions(shape, diagonal_primes)
+        out = [v for w in out for v in _signed_variants(w, signs(w))]
     return _checked_words(out, shape, strict)
+
+
+def _sign_positions(shape, diagonal_primes):
+    """w -> the positions of a reading word w of the strict shape that may
+    be primed (off the diagonal, or with diagonal_primes any), smallest
+    value first: the order of the sign bits of its signed variants."""
+    diagonal = set(accumulate(reversed(shape[1:]), initial=0))
+    free = [p for p in range(sum(shape)) if diagonal_primes or p not in diagonal]
+    return lambda w: sorted(free, key=w.__getitem__)
+
+
+def _signed_variants(w, free):
+    """w and its signed variants, variant s negating the letters at the
+    positions free[b] for the bits b of s."""
+    variants = [w]
+    for p in free:
+        variants += [v[:p] + (-v[p],) + v[p + 1 :] for v in variants]
+    return variants
 
 
 def _descent_masks(shape, strict):

@@ -1,16 +1,18 @@
 """The build kernel against the code it replaced, and validate's errors.
 
-engine._materialize takes one inverse and one descent mask per word; the
-moves read the mask, the statistic is made once per distinct mask, and an
-image that is the word itself is stored as the word's index.  The builder it
-replaced, which took a descent set per word and let phi test its spikes on
-the inverse, is kept below as the reference, with its word_str.  Every
-builtin ground of an exhaustive small range is built both ways and must
-agree in labels, statistics and tables.
+engine._materialize takes one inverse and one descent mask per unsigned
+word and runs a signed ground's core once per signing of the letters it
+reads; the moves read the mask, the statistic is made once per distinct
+mask, and an image that is the word itself is stored as the word's index.
+The builder it replaced, which enumerated every signed word, took a descent
+set per word and let phi test its spikes on the inverse, is kept below as
+the reference, with its word_str.  Every builtin ground of an exhaustive
+small range is built both ways and must agree in labels, statistics and
+tables.
 """
 
 from functools import partial
-from itertools import chain
+from itertools import chain, permutations, product
 
 import pytest
 
@@ -24,7 +26,7 @@ from dualeq.engine import (
     build_ground,
 )
 from dualeq.involutions import _b, _d, _reading_columns
-from dualeq.tableaux import _inverse, entry_str
+from dualeq.tableaux import _inverse, _standard_words, entry_str
 
 # --- the reference: the builder as it was ---
 
@@ -85,11 +87,42 @@ REF_MOVES = {
 }
 
 
+def ref_signed_shifted_words(lam):
+    """Each standard shifted reading word of lam followed by its signed
+    variants: bit b of variant s primes the b-th smallest value off the
+    diagonal, whose cells start the rows."""
+    diagonal, start = set(), 0
+    for width in reversed(lam):  # the top row is read first
+        diagonal.add(start)
+        start += width
+    out = []
+    for w in _standard_words(lam, True):
+        variants = [w]
+        for p in sorted((p for p in range(len(w)) if p not in diagonal), key=w.__getitem__):
+            variants += [v[:p] + (-v[p],) + v[p + 1 :] for v in variants]
+        out += variants
+    return out
+
+
+# every word of each ground, signed ones included, enumerated here
+REF_WORDS = {
+    "perm": lambda n: list(permutations(range(1, n + 1))),
+    "signedperm": lambda n: [
+        signed
+        for w in permutations(range(1, n + 1))
+        for signed in product(*((v, -v) for v in w))
+    ],
+    "syt": lambda lam: _standard_words(lam, False),
+    "shsyt": lambda lam: _standard_words(lam, True),
+    "signed-shsyt": ref_signed_shifted_words,
+}
+
+
 def ref_build(desc):
     kind, param, family = desc
-    stat_kind, valid_words, _, _ = BUILTIN_GROUNDS[kind, family]
+    stat_kind = BUILTIN_GROUNDS[kind, family][0]
     n = param if isinstance(param, int) else sum(param)
-    words = valid_words(param)
+    words = REF_WORDS[kind](param)
     labels = [ref_word_str(w) for w in words]
     move = REF_MOVES[family](param)
     desc = f"({kind},{param},{family})"
@@ -98,10 +131,10 @@ def ref_build(desc):
 
 GROUNDS = list(chain(
     (("perm", n, family) for family in ("d", "b") for n in range(8)),
-    (("signedperm", n, "phi") for n in range(6)),
+    (("signedperm", n, "phi") for n in range(7)),
     (("syt", lam, "d") for n in range(9) for lam in partitions_of(n)),
     (("shsyt", lam, "b") for n in range(12) for lam in strict_partitions_of(n)),
-    (("signed-shsyt", lam, "psi") for n in range(8) for lam in strict_partitions_of(n)),
+    (("signed-shsyt", lam, "psi") for n in range(9) for lam in strict_partitions_of(n)),
 ))
 
 
@@ -114,7 +147,7 @@ def test_kernel_matches_the_reference_builder(desc):
     assert g.invs == ref.invs
     # one shared frozenset per distinct statistic
     assert len({id(s) for s in g.stats}) == len(set(g.stats))
-    # the table entries are the index dict's own ints, not a copy per image
+    # the table entries are one shared int per position, not a copy per image
     assert len({id(v) for t in g.invs.values() for v in t}) <= g.size
 
 

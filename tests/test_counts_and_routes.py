@@ -202,9 +202,11 @@ GROUND_PARAMS = {
 
 @pytest.mark.parametrize("ground, family", BUILTIN_GROUNDS)
 def test_a_grounds_count_is_the_number_of_its_words(ground, family):
-    _, words, count, _ = BUILTIN_GROUNDS[ground, family]
+    # a signed ground has 2^f signed words per unsigned one, f its sign positions
+    _, words, count, _, signs = BUILTIN_GROUNDS[ground, family]
     for param in GROUND_PARAMS[ground]:
-        assert count(param) == len(words(param)), param
+        free = signs(param) if signs else lambda w: ()
+        assert count(param) == sum(1 << len(free(w)) for w in words(param)), param
 
 
 # --- the vector route --------------------------------------------------------

@@ -191,15 +191,40 @@ def test_image_outside_the_ground_raises_internal_error():
         _materialize(DES, 3, words, leaks, "(toy)")
 
 
+def test_an_image_with_a_prime_off_the_sign_positions_raises_internal_error():
+    # signed variants prime position 2 only; the move primes position 0
+    words = [(1, 2, 3), (2, 1, 3)]
+
+    def primes_first(i, w, pos, des):
+        return (-w[0],) + w[1:] if w[2] < 0 else w
+
+    with pytest.raises(InternalInvariantError, match=r"sends 123' outside the ground"):
+        _materialize(DES, 3, words, primes_first, "(toy)", lambda w: (2,))
+    # so is an unknown unsigned image; the signing with 3 primed goes first
+    with pytest.raises(InternalInvariantError, match=r"sends 123' outside the ground"):
+        _materialize(DES, 3, words, lambda i, w, pos, des: (3, 1, 2), "(toy)", lambda w: (2,))
+
+
+def test_a_signed_move_that_changes_a_letter_off_its_values_raises_internal_error():
+    # the fill carries the signs off the values i-1..i+1 over unread, so a
+    # move that changes a letter there is refused, not tabulated wrongly:
+    # here 4 moves, and (1,2,3,-4) would have gone to (1,2,4,-3)
+    words = [(1, 2, 3, 4), (1, 2, 4, 3)]
+
+    def reaches_four(i, w, pos, des):
+        return (w[0], w[1], w[3], w[2]) if i == 2 else w
+
+    with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\) sends 123'4 outside"):
+        _materialize(DES, 4, words, reaches_four, "(toy)", lambda w: (3, 2))
+
+
 def test_a_repeated_word_is_refused():
-    # the word -> index dict keeps one index per word, so the first copy's
-    # row entries stay unfilled and its label is named
+    # the word -> index dict is made before any table, and a repeated word
+    # leaves it short, with or without an involution to tabulate
     words = [(1, 2, 3), (2, 1, 3), (1, 2, 3)]
-    with pytest.raises(InternalInvariantError, match=r"of \(toy\) sends 123 outside"):
-        _materialize(DES, 3, words, lambda i, w, pos, des: w, "(toy)")
-    # with no involution to tabulate, validate() refuses the repeated label
-    with pytest.raises(ValueError, match="duplicate labels"):
-        _materialize(DES, 2, words, lambda i, w, pos, des: w, "(toy)")
+    for n in (3, 2):
+        with pytest.raises(ValueError, match="duplicate labels"):
+            _materialize(DES, n, words, lambda i, w, pos, des: w, "(toy)")
 
 
 def test_shifted_target_is_built_once_and_never_changed():

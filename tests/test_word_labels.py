@@ -12,7 +12,6 @@ import pytest
 from dualeq import engine
 from dualeq.engine import (
     _WITNESS_CAP,
-    BUILTIN_GROUNDS,
     DEGround,
     build_ground,
     lemma_axiom4_check,
@@ -21,7 +20,7 @@ from dualeq.engine import (
 )
 from dualeq.tableaux import word_str
 
-from test_build_kernel import GROUNDS
+from test_build_kernel import GROUNDS, REF_WORDS
 
 
 @pytest.fixture
@@ -57,8 +56,8 @@ def test_a_failing_verify_reads_only_the_kept_witnesses(formatted):
 
 
 def words_of(desc):
-    kind, param, family = desc
-    return BUILTIN_GROUNDS[kind, family][1](param)
+    kind, param, _ = desc
+    return REF_WORDS[kind](param)
 
 
 # GROUNDS has the degree 0 grounds; these two have letters of two bytes

@@ -6,7 +6,7 @@ compared with the earlier dict-based versions, kept below as the reference,
 on every word of an exhaustive small range, and is_standard with the
 check_tableau-based definition.  Also: ground_size refuses oversized grounds
 before any enumeration, and the build calls the word check (is_standard's
-core) and _inverse once per object.
+core) once per object and _inverse once per unsigned word.
 """
 
 import sys
@@ -364,11 +364,11 @@ def test_oversized_ground_is_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", 100)
     assert build_ground(("perm", 4, "d")).size == 24
     enumerated = []
-    stat_kind, _, count, move = engine.BUILTIN_GROUNDS["perm", "d"]
+    stat_kind, _, count, move, signs = engine.BUILTIN_GROUNDS["perm", "d"]
     monkeypatch.setitem(
         engine.BUILTIN_GROUNDS,
         ("perm", "d"),
-        (stat_kind, lambda n: enumerated.append(n) or [], count, move),
+        (stat_kind, lambda n: enumerated.append(n) or [], count, move, signs),
     )
     with pytest.raises(ValueError, match=r"perm 5 has 120 objects, above the limit 100"):
         build_ground(("perm", 5, "d"))
@@ -412,10 +412,11 @@ def test_shifted_build_checks_each_tableau_once(monkeypatch):
 
 
 def test_signed_build_takes_each_descent_set_once(monkeypatch):
-    # the statistic comes from the inverse the moves read: one per word
+    # the statistics come from the inverse the moves read: one per unsigned
+    # word, its 16 signed variants sharing it
     calls = count_calls(monkeypatch, "_inverse")
     g = build_ground(("signedperm", 4, "phi"))
     assert g.size == 384
+    assert calls == list(permutations(range(1, 5)))
     words = [parse_word(label) for label in g.labels]
-    assert sorted(calls) == sorted(words)
     assert list(g.stats) == [descent_set_word(w) for w in words]

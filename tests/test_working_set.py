@@ -1,15 +1,17 @@
 """Peak memory of a build and of a verifier, in traced bytes per object.
 
-A build holds one working set at a time: its words are packed into the
-labels' array as the word -> index dict is made, the word list goes before
-the tables are filled and the dict once they are, and a label is formatted
-only when it is read.  A verifier's window pass holds one window's classes
-at a time and its fixed-point tables take one byte per object, so what a
-verifier allocates above the ground stays below 140 bytes per object.
-parse_deg writes each edge straight into one partner list per involution
-index.  The held-ground and build bounds sit between the code that held one
-label string per object (the first figure in the comments) and today's (the
-second); the verify bound is no looser than the one that code was held to.
+A build holds one working set at a time: a signed ground's dict holds its
+unsigned words only, the variants are packed into the labels' array word by
+word, the word list goes before the tables are filled and the dict once
+they are, and a label is formatted only when it is read.  A verifier's
+window pass holds one window's classes at a time and its fixed-point tables
+take one byte per object; a ground whose class types repeat drops its
+classes and codes before it verifies one class per type.  parse_deg writes
+each edge straight into one partner list per involution index.  The
+held-ground and build bounds sit between the code that held one label
+string per object (the first figure in the comments) and today's (the
+last); the verify bounds sit between the whole-ground verifier's figure
+(the second) and the by-type one's (the third).
 """
 
 import gc
@@ -43,10 +45,12 @@ def traced_bytes_per_object(desc, verify):
 @pytest.mark.parametrize(
     "desc, verify, held_bound, build_bound, verify_bound",
     [
-        # held 166.8 -> 115.5, build 217.9 -> 192.6, verify 128.0 -> 127.9
-        (("signedperm", 5, "phi"), verify_weak, 140, 205, 140),
-        # held 170.4 -> 117.5, build 309.1 -> 205.5, verify 118.6 -> 118.6
-        (("perm", 7, "b"), verify_shifted, 145, 255, 124),
+        # held 166.8 -> 115.5 -> 73.6, build 217.9 -> 192.6 -> 138.9,
+        # verify 128.0 -> 127.9 -> 57.6
+        (("signedperm", 5, "phi"), verify_weak, 140, 195, 70),
+        # held 170.4 -> 117.5 -> 117.5, build 309.1 -> 205.5 -> 205.7,
+        # verify 118.6 -> 118.6 -> 35.7
+        (("perm", 7, "b"), verify_shifted, 145, 255, 55),
     ],
     ids=["signedperm-5-phi-weak", "perm-7-b-shifted"],
 )
