@@ -9,12 +9,14 @@ Every builtin ground is a set of words: the tableau grounds are indexed by
 reading words, the involutions act on the words, and an image that is not
 an enumerated word is not a tableau of the shape.  A signed ground is its
 unsigned words times their sign masks, and a build works per unsigned word:
-it indexes the unsigned words, packs each one's variants into one array of
-signed letters, drops the word list before it fills the tables and the
-index after, and keeps the array as the ground's labels: a label is
-formatted from its word only when it is read.  The standard shifted
-grounds that classes are matched against are built once per shape and
-cached.
+it indexes the unsigned words and reads each involution from the pattern
+table of its family (involutions._local_table, _B_TABLE), no core running,
+one entry per signing of the letters the move reads.  It packs the unsigned
+words into one array, drops the word list before it fills the tables and
+the index after, and keeps the array as the ground's labels: a label is
+signed and formatted from its word only when it is read.  The standard
+shifted grounds that classes are matched against are built once per shape
+and cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
@@ -32,9 +34,11 @@ whole classes.  Peak sets are weighted by qsym.G_of_peaks and qsym.expand
 picks the basis; a window vector alone sets its generating function, so each
 process expands each distinct one once, into the memo _EXPANSIONS.
 Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
-isomorphism of classes by comparing canonical codes (_class_code).  The
-three verifiers check each type of class, a code, once (_by_type), and
-check the whole ground only when that fails or no type repeats.
+isomorphism of classes by comparing canonical codes (_class_code), flat
+tuples of ints.  The three verifiers check each type of class, a code, once
+(_by_type): one walk finds each class, and its code walks start from its
+rarest labels only; the whole ground is checked when that fails, when no
+type repeats, or when the first walk finds it connected, uncoded.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ import re
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from functools import lru_cache, partial, wraps
-from itertools import chain, permutations
+from itertools import chain, compress, permutations
 from math import factorial
-from operator import add, eq, or_
+from operator import add, eq, itemgetter, or_
 
 from .core import (
     InternalInvariantError,
@@ -56,13 +60,20 @@ from .core import (
     partition_str,
     peak_of,
 )
-from .involutions import _b, _d, _phi, _reading_columns
+from .involutions import (
+    _b_block,
+    _block_reader,
+    _d,
+    _disagreement,
+    _phi,
+    _reading_columns,
+    _swap,
+)
 from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand, expand_in_P
 from .tableaux import (
     _inverse,
     _sign_positions,
     _signed_descents,
-    _signed_variants,
     _standard_count,
     _standard_words,
     _unsigned_descents,
@@ -88,32 +99,41 @@ class DegParseError(ValueError):
 
 
 class _WordLabels(Sequence):
-    """The labels of a builtin ground: label k is word_str of word k, made
-    only when it is read from the words packed n letters apiece in one
-    array.  Read-only; equal to, and hashed as, the tuple of its labels."""
+    """The labels of a builtin ground, each made only when it is read: label
+    k is word_str of unsigned word k >> f, packed n letters apiece in one
+    array, with the letters at the positions signs(w)[b] negated for the
+    bits b of k's low f bits.  positions maps a label's index to k: a range
+    over the ground, or the positions a view (take) reads.  Read-only; equal
+    to, and hashed as, the tuple of its labels."""
 
-    __slots__ = ("_letters", "_n", "_size")
+    __slots__ = ("_letters", "_n", "_f", "_signs", "_positions")
 
-    def __init__(self, letters, n, size):
-        self._letters, self._n, self._size = letters, n, size
+    def __init__(self, letters, n, f, signs, positions):
+        self._letters, self._n, self._f = letters, n, f
+        self._signs, self._positions = signs, positions
 
     def __len__(self):
-        return self._size
+        return len(self._positions)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(self._size)[k]))
-        k = range(self._size)[k]  # a negative k counts from the end
-        return word_str(self._letters[k * self._n:(k + 1) * self._n])
+            return tuple(map(self._label, self._positions[k]))
+        return self._label(self._positions[k])  # a negative k counts from the end
+
+    def _label(self, k):
+        n, f = self._n, self._f
+        word = list(self._letters[(k >> f) * n : ((k >> f) + 1) * n])
+        if f:
+            for b, p in enumerate(self._signs(word)):
+                if k >> b & 1:
+                    word[p] = -word[p]
+        return word_str(word)
 
     def take(self, positions):
-        """The labels at positions, in that order, with their words still
-        packed."""
-        n, letters = self._n, self._letters
-        out = letters[:0]
-        for k in positions:
-            out += letters[k * n : (k + 1) * n]
-        return _WordLabels(out, n, len(positions))
+        """The labels at positions, in that order: a view that copies no
+        letters."""
+        at = self._positions.__getitem__
+        return _WordLabels(self._letters, self._n, self._f, self._signs, tuple(map(at, positions)))
 
     def __eq__(self, other):
         if isinstance(other, (tuple, _WordLabels)):
@@ -177,11 +197,11 @@ class DEGround(_Record, frozen=True):
                 f"involution indices {sorted(self.invs)} do not match the "
                 f"range {list(self.index_range())}"
             )
-        identity = list(range(self.size))
+        identity = range(self.size)  # compared as it streams: no list of ints is made
         for i, table in self.invs.items():
             if len(table) != self.size:
                 raise ValueError(f"involution {i} has wrong size")
-            if list(map(table.__getitem__, table)) != identity:
+            if not all(map(eq, map(table.__getitem__, table), identity)):
                 x = next(x for x, y in enumerate(table) if table[y] != x)
                 raise ValueError(f"involution {i} is not an involution at {self.labels[x]}")
         return self
@@ -193,26 +213,47 @@ def _index_range(stat_kind, n):
     return range(2, n if stat_kind == DES else n - 1)
 
 
-def _materialize(stat_kind, n, words, move, desc, signs=None):
+def _spread(key, span, by_bits):
+    """For a block whose letters have the sign bits key (0 where no sign
+    reaches): sums[u], the signing that primes the letters u (bit j for
+    letter j), None when one of them has no bit; the (u, sums[u]) of each
+    signing, by signing; and per s < span, the place of s & W among them
+    and s & ~W, W the block's bits, shared through by_bits by every key of
+    those bits."""
+    sums = [0]
+    for bit in key:
+        sums += [None if t is None or not bit else t + bit for t in sums]
+    signings = sorted(((u, t) for u, t in enumerate(sums) if t is not None), key=itemgetter(1))
+    W = sum(key)
+    if W not in by_bits:
+        place = {t: j for j, (_, t) in enumerate(signings)}
+        by_bits[W] = [place[s & W] for s in range(span)], [s & ~W for s in range(span)]
+    return (sums, signings, *by_bits[W])
+
+
+def _materialize(stat_kind, n, words, block, desc, signs=None):
     """Tabulate a ground from its unsigned words.  With signs None the
     objects are the words; else object k * 2^f + s is word k with the
     letters at the positions signs(w)[b] negated for the bits b of s, f =
     len(signs(w)) being the same for every word.  Per unsigned word: one
     inverse pos and one unsigned descent mask, each variant's mask following
     by _signed_descents, and one shared frozenset per distinct statistic,
-    made once per distinct mask.  A signed ground's core move(i, w, pos,
-    des) reads only the letters of values i-1..i+1 and changes only theirs,
-    so per index it runs once per signing t of those letters (the bits W of
-    s): variant s goes where variant s & W goes, its other signs kept, to
-    img[s & W] + (s & ~W), the ints of one shared list.  An unsigned word
-    is one object with one image per index, and skips that machinery:
-    through it, an unsigned build took up to twice as long.  An image that
-    is w itself is w's own index; the lookup of any other is its check: one
-    outside the ground raises InternalInvariantError.  That is an unknown
-    unsigned word, a prime on a position signs leaves out or, on a signed
-    ground, a prime or a changed letter off the values i-1..i+1.  The
-    variants are packed word by word into the labels' array of signed
-    letters (one byte each below degree 128).  A repeated word is refused."""
+    made once per distinct mask.  No core runs: block(pos, i) is the
+    positions p of the letters an index-i move reads and the row of its
+    pattern table for their order (involutions._local_block, _b_block), per
+    signing u of those letters (swaps, primes).  Per word and index the
+    fill reads one entry per signing t of the letters at p (the bits W of
+    s) and looks the unsigned image up once per distinct swaps; the image's
+    sign bits at p give its primes.  Variant s goes where variant s & W
+    goes, its other signs kept, to img[s & W] + (s & ~W), the ints of one
+    shared list.  An unsigned word is one object whose one signing t = 0
+    reads entry 0, stored as it is found: through the signed fill an
+    unsigned build took about twice as long.  An image outside the ground
+    raises InternalInvariantError: an unknown unsigned word, a prime on a
+    position signs leaves out, or an entry of two swaps (b's candidate
+    moves disagreeing).  The labels keep the unsigned words packed (one
+    byte a letter below degree 128) and sign them when read.  A repeated
+    word is refused."""
     from array import array  # loaded by the first build, not by the CLI's start
 
     index_of = dict(zip(words, range(len(words))))
@@ -230,68 +271,65 @@ def _materialize(stat_kind, n, words, move, desc, signs=None):
     ints = list(range(size)) if f else None  # a signed ground's table entries
     code = "b" if n < 1 << 7 else "h" if n < 1 << 15 else "q"
     letters = array(code)
-    labels = _WordLabels(letters, n, size)
+    labels = _WordLabels(letters, n, f, signs, range(size))
     rows = [(i, [None] * size) for i in _index_range(stat_kind, n)]
     stats, of_mask = [None] * size, _Statistics(stat_kind)
-    spread = {}  # W -> (s & W, s & ~W) for each s < span
-    find = index_of.get
+    spreads, by_bits, find = {}, {}, index_of.get  # a block's sign bits -> its _spread
+
+    def spread(key):
+        found = spreads[key] = _spread(key, span, by_bits)
+        return found
 
     def outside(i, x):
         return InternalInvariantError(
             f"involution {i} of {desc} sends {labels[x]} outside the ground"
         )
 
-    def sign_bits(y, v, block, at):
-        """The sign bits at of the primes of y, the image of the variant v,
-        or -1 when one is off at's positions or off the block, or a letter
-        off the block is not v's."""
-        a, b, c = block
-        off, frame = list(y), list(v)
-        off[a] = off[b] = off[c] = frame[a] = frame[b] = frame[c] = 0
-        primes = [at[p] for p in block if y[p] < 0]
-        return -1 if off != frame or 0 in primes else sum(primes)
+    def swapped(i, w, p, swaps, x):
+        """The index of the unsigned image of word w, read for object x."""
+        if len(swaps) > 1:
+            raise _disagreement(i, w, p, swaps)
+        (a, c), = swaps
+        kk = find(_swap(w, p[a], p[c]))
+        if kk is None:
+            raise outside(i, x)
+        return kk
 
     for w, k in index_of.items():
         pos = _inverse(w)
         unsigned = _unsigned_descents(pos)
-        if not f:  # one object, one image per index
+        letters.extend(w)
+        if not f:  # one object, whose one signing t = 0 reads entry 0
             stats[k] = of_mask[unsigned]
-            letters.extend(w)
             for i, table in rows:
-                y = move(i, w, pos, unsigned)
-                table[k] = k if y is w else find(y)
-                if table[k] is None:
+                p, row = block(pos, i)
+                swaps, primes = row[0]
+                if primes:
                     raise outside(i, k)
+                table[k] = swapped(i, w, p, swaps, k) if swaps else k
             continue
         base, at, primed = k << f, bits[k], [0]  # each variant's mask of negated values
         for p in orders[k]:
             value = 1 << w[p]
             primed += [m | value for m in primed]
-        des = [_signed_descents(unsigned, m, n) for m in primed]
-        stats[base : base + span] = map(of_mask.__getitem__, des)
-        variants = _signed_variants(w, orders[k])
-        letters.extend(chain.from_iterable(variants))
+        stats[base : base + span] = [of_mask[_signed_descents(unsigned, m, n)] for m in primed]
+        held = tuple(map(at.__getitem__, pos[1:]))  # the sign bit of each value's letter
         for i, table in rows:
-            block = pos[i - 1 : i + 2]
-            W = at[block[0]] | at[block[1]] | at[block[2]]
-            img, t = {}, W
-            while True:  # each submask t of W
-                v = variants[t]
-                y = move(i, v, pos, des[t])
-                if y is v:
-                    img[t] = base + t
-                else:  # the sign bits of its primes, -1 for one off them
-                    kk = find((*map(abs, y),))  # made at its size, not resized
-                    primes = -1 if kk is None else sign_bits(y, v, block, bits[kk])
-                    if primes < 0:
-                        raise outside(i, base + t)
-                    img[t] = (kk << f) + primes
-                if not t:
-                    break
-                t = t - 1 & W
-            if W not in spread:
-                spread[W] = [s & W for s in range(span)], [s & ~W for s in range(span)]
-            low, rest = spread[W]
+            p, row = block(pos, i)
+            key = held[i - 2 : i - 2 + len(p)]
+            sums, signings, low, rest = spreads.get(key) or spread(key)
+            img, seen = [], {(): (base, sums)}  # swaps -> the image's base and sums
+            for u, t in signings:
+                swaps, primes = row[u]
+                image = seen.get(swaps)
+                if image is None:
+                    kk = swapped(i, w, p, swaps, base + t)
+                    key = tuple(map(bits[kk].__getitem__, p))
+                    image = seen[swaps] = kk << f, (spreads.get(key) or spread(key))[0]
+                extra = image[1][primes]
+                if extra is None:
+                    raise outside(i, base + t)
+                img.append(image[0] + extra)
             table[base : base + span] = map(
                 ints.__getitem__, map(add, map(img.__getitem__, low), rest)
             )
@@ -315,29 +353,29 @@ def _perms(n):
 
 
 # (ground, family) -> (stat kind, the unsigned words of the parameter, the
-# number of objects, the involution core move(i, w, pos, des) for the
+# number of objects, the block reader block(pos, i) of the family for the
 # parameter, and for a signed ground w -> the positions of the word w its
 # signs take, in sign-bit order, for the parameter; None for an unsigned
 # one).  The parameter is n for the permutation grounds and a shape for the
 # tableau grounds, whose words are the reading words of the enumerated
 # tableaux: a signed standard shifted tableau primes cells off the diagonal.
 BUILTIN_GROUNDS = {
-    ("perm", "d"): (DES, _perms, factorial, lambda n: _d, None),
-    ("perm", "b"): (PEAK, _perms, factorial, lambda n: _b, None),
+    ("perm", "d"): (DES, _perms, factorial, lambda n: _block_reader(_d), None),
+    ("perm", "b"): (PEAK, _perms, factorial, lambda n: _b_block, None),
     ("signedperm", "phi"): (
         DES,
         _perms,
         lambda n: factorial(n) << n,
-        lambda n: _phi,
+        lambda n: _block_reader(_phi, True),
         lambda n: lambda w: range(n - 1, -1, -1),  # the last letter's sign is bit 0
     ),
-    ("syt", "d"): (DES, *_tableau_words(False), lambda shape: _d, None),
-    ("shsyt", "b"): (PEAK, *_tableau_words(True), lambda shape: _b, None),
+    ("syt", "d"): (DES, *_tableau_words(False), lambda shape: _block_reader(_d), None),
+    ("shsyt", "b"): (PEAK, *_tableau_words(True), lambda shape: _b_block, None),
     ("signed-shsyt", "psi"): (
         DES,
         lambda shape: _standard_words(shape, True),
         lambda shape: _standard_count(shape, True, False),
-        lambda shape: partial(_phi, col=_reading_columns(tuple(shape))),
+        lambda shape: partial(_block_reader(_phi, True), col=_reading_columns(tuple(shape))),
         lambda shape: _sign_positions(tuple(shape), False),
     ),
 }
@@ -379,20 +417,17 @@ def build_ground(desc) -> DEGround:
     )
 
 
-def _components(size, tables):
-    """Connected components under the given involution tables.
-
-    Returns (components, comp_id): components are tuples of object positions
-    sorted ascending, listed by smallest member; comp_id maps positions to
-    their component's index in that list.  The objects are taken in
-    increasing order, and each one not yet labelled starts a component: a
-    walk through every table labels its members.
-    """
-    comps, comp_id = [], [-1] * size
+def _walks(size, tables, comp_id):
+    """Each class under the tables as the list of its members in the order
+    a walk from its smallest one finds them, classes by smallest member;
+    comp_id, -1 at every position, gets each member's class index.  The
+    objects are taken in increasing order, and each one not yet labelled
+    starts a class: a walk through every table labels its members."""
+    idx = 0
     for start in range(size):
         if comp_id[start] >= 0:
             continue
-        idx = comp_id[start] = len(comps)
+        comp_id[start] = idx
         members = [start]
         for x in members:  # the walk appends to the list it reads
             for table in tables:
@@ -400,6 +435,19 @@ def _components(size, tables):
                 if comp_id[y] < 0:
                     comp_id[y] = idx
                     members.append(y)
+        yield members
+        idx += 1
+
+
+def _components(size, tables):
+    """Connected components under the given involution tables.
+
+    Returns (components, comp_id): components are tuples of object positions
+    sorted ascending, listed by smallest member; comp_id maps positions to
+    their component's index in that list (_walks).
+    """
+    comps, comp_id = [], [-1] * size
+    for members in _walks(size, tables, comp_id):
         members.sort()
         comps.append(tuple(members))
     return comps, comp_id
@@ -685,24 +733,28 @@ def _by_type(verify):
     code, which reports g's desc; its report stands when it passes.  Any
     other report is replaced by the whole ground's, whose witnesses and
     counts are g's own, as is a connected ground's or one whose classes
-    all differ.  The classes and codes go before the representatives are
+    all differ.  One walk per class finds it and is followed by its code
+    walks; a connected ground's first walk finds the whole ground, and it
+    is coded no further.  Codes go before the representatives are
     verified."""
 
     @wraps(verify)
     def by_type(g: DEGround, *args, **kwargs) -> VerificationReport:
-        comps = classes(g)
-        if len(comps) > 1:
-            tables, masks = [g.invs[i] for i in g.index_range()], _stat_masks(g)
-            number, first = [-1] * g.size, {}  # code -> its first class
-            for comp in comps:
-                first.setdefault(_class_code(comp, tables, masks, number)[0], comp)
-            repeats = len(first) < len(comps)
-            members = sorted(chain.from_iterable(first.values())) if repeats else None
-            del comps, tables, masks, number, first
-            if members is not None:
-                report = verify(subground(g, members, g.desc), *args, **kwargs)
-                if report.passed:
-                    return report
+        tables = [g.invs[i] for i in g.index_range()]
+        walks = _walks(g.size, tables, [-1] * g.size)
+        first, types, count = next(walks, ()), {}, 0  # code -> its first class
+        if len(first) < g.size:
+            masks, number = _stat_masks(g), [-1] * g.size
+            for members in chain((first,), walks):
+                types.setdefault(_class_code(members, tables, masks, number)[0], members)
+                count += 1
+            del masks, number
+        members = sorted(chain.from_iterable(types.values())) if len(types) < count else None
+        del tables, walks, first, types
+        if members is not None:
+            report = verify(subground(g, members, g.desc), *args, **kwargs)
+            if report.passed:
+                return report
         return verify(g, *args, **kwargs)
 
     return by_type
@@ -840,32 +892,33 @@ def _class_code(members, tables, label, number=None):
     A class is a graph on members with one edge colour per table and the
     label label[x] on each vertex x.  From each root of the rarest label
     (least (count, label)) a breadth-first walk takes the tables in order
-    and numbers the vertices as found; its code lists per vertex, in that
-    order, (label, its neighbours' numbers).  The code is the least over
-    the roots.  An isomorphism is fixed by the image of one vertex, so two
-    connected classes are isomorphic exactly when their codes are equal,
-    and their walks align into the isomorphism.  (None, None) when members
-    is not connected under the tables.  number maps every position a walk
-    can reach to -1, and each walk numbers into it and resets it: a list
-    over the ground that a caller coding many classes passes to each, or by
-    default a dict over members."""
+    and numbers the vertices as found; its code is a flat tuple of ints
+    listing per vertex, in that order, its label and then its neighbours'
+    numbers.  The code is the least over the roots.  An isomorphism is fixed
+    by the image of one vertex, so two connected classes with as many tables
+    are isomorphic exactly when their codes are equal, and their walks align
+    into the isomorphism.  (None, None) when members is not connected under
+    the tables.  number maps every position a walk can reach to -1, and
+    each walk numbers into it and resets it: a list over the ground that a
+    caller coding many classes passes to each, or by default a dict over
+    members."""
     if number is None:
         number = dict.fromkeys(members, -1)
-    counts = Counter(label[x] for x in members)
-    rare = min(counts, key=lambda lab: (counts[lab], lab))
+    labels = list(map(label.__getitem__, members))
+    counts = Counter(labels)
+    rare = min(zip(counts.values(), counts))[1]  # least (count, label)
     best = None, None
-    for root in (x for x in members if label[x] == rare):
+    for root in compress(members, map(rare.__eq__, labels)):
         number[root], walk, code = 0, [root], []
         for x in walk:  # the walk appends to the list it reads
-            neighbours = []
+            code.append(label[x])
             for table in tables:
                 y = table[x]
                 k = number[y]
                 if k < 0:
                     k = number[y] = len(walk)
                     walk.append(y)
-                neighbours.append(k)
-            code.append((label[x], tuple(neighbours)))
+                code.append(k)
         for x in walk:
             number[x] = -1
         if len(walk) < len(members):

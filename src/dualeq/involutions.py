@@ -12,16 +12,21 @@ values are 1..n; a tableau is acted on through its reading word:
 Each family is an involution; d/phi/psi commute at distance >= 3, b at
 distance >= 4.  The cores _d, _b, _phi(i, w, pos, des[, col]) read only
 i-1..i+2 in the word's inverse pos, and _phi bits i-1, i of its descent mask
-des (_d and _b ignore it); a ground computes both once per word, and d, b,
-phi and psi compute them per call.  _b looks up its swap by the relative
-order of its four positions in _B_TABLE, made once at import from _B_MOVES,
-the one statement of b's moves.  d_tab and b_tab apply d and b to a tableau
-and rebuild it, re-checking the image.
+des (_d and _b ignore it); d, b, phi and psi compute both per call.  _b
+looks up its swap by the relative order of its four positions in _B_TABLE,
+made once at import from _B_MOVES, the one statement of b's moves.  A
+ground reads a block reader per family instead of a core: block(pos, i) is
+the positions of the letters the index-i move reads and the row of its
+pattern table for their order.  _d and _phi are tabulated once per process,
+at the first build that reads them, over the patterns of the letters
+i-1..i+1 (_local_table: their order, their primes and, for psi, one column
+flag), by running the core on each pattern; _b_block reads _B_TABLE.  d_tab and b_tab apply d and b to a
+tableau and rebuild it, re-checking the image.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 
 from .core import InternalInvariantError
@@ -101,17 +106,29 @@ def _b_table(moves):
 _B_TABLE = _b_table(_B_MOVES)
 
 
-def _b(i, w, pos, des):
+def _disagreement(i, w, p, swaps):
+    """The error for b(i, w) when the swaps of the letters at positions p
+    that its candidate moves make differ."""
+    return InternalInvariantError(
+        f"disagreeing candidate moves for b({i}, {word_str(w)}): "
+        + ", ".join(word_str(_swap(w, p[x], p[y])) for x, y in swaps)
+    )
+
+
+def _b_block(pos, i):
+    """The positions p of i-1..i+2 and b's row for their order, an unsigned
+    row of one entry (swaps, 0): its _B_TABLE swaps, read at the call."""
     p = pos[i - 1 : i + 3]
-    swaps = _B_TABLE[_order_index(*p)]
+    return p, ((_B_TABLE[_order_index(*p)], 0),)
+
+
+def _b(i, w, pos, des):
+    p, ((swaps, _),) = _b_block(pos, i)
     if len(swaps) == 1:
         (x, y), = swaps
         return _swap(w, p[x], p[y])
     if swaps:
-        raise InternalInvariantError(
-            f"disagreeing candidate moves for b({i}, {word_str(w)}): "
-            + ", ".join(word_str(_swap(w, p[x], p[y])) for x, y in swaps)
-        )
+        raise _disagreement(i, w, p, swaps)
     return w
 
 
@@ -158,6 +175,60 @@ def phi(i, w):
     """
     _check_index(i, len(w), 0)
     return _apply(_phi, i, w)
+
+
+def _local_block(table, pos, i, col=None):
+    """The positions p of i-1..i+1 and the row of a _local_table for their
+    order and, given the reading columns col of a shape, their column flag:
+    whether the first and last of them in the word share a column that the
+    middle one does not."""
+    p = pos[i - 1 : i + 2]
+    a, m, c = p
+    code = (a < m) + 2 * (a < c) + 4 * (m < c)
+    if col is not None:
+        lo, mid, hi = sorted(p)
+        code += 8 * (col[lo] == col[hi] != col[mid])
+    return p, table[code]
+
+
+def _local_table(core, columns=False):
+    """core tabulated over the patterns of the letters of values i-1..i+1,
+    the rows _local_block reads (with a column flag if columns; rows 0-7
+    have it clear, so they serve a reader without columns).  Entry u of a
+    row, bit j of u priming value i-1+j, is (swaps, primes): swaps as in
+    _B_TABLE, () or the one pair of offsets whose letters trade places, and
+    bit j of primes a prime on the image's letter at the position of value
+    i-1+j.  Each entry is core itself run at i = 3 on its pattern set between
+    the letters 1 and 5, their columns apart from the pattern's.  A core
+    that changes or primes either of them, or moves more than one pair of
+    letters, is not local and raises InternalInvariantError."""
+    table = [[None] * 8 for _ in range(16 if columns else 8)]
+    for order in permutations((2, 3, 4)):
+        pos = [0, 0, *(1 + order.index(v) for v in (2, 3, 4)), 4]  # the frame's inverse
+        for u in range(8):
+            w = (1, *(-v if u >> (v - 2) & 1 else v for v in order), 5)
+            des = _descent_mask(w, pos)
+            for col in ((0, 1, 2, 3, 4), (0, 1, 2, 1, 4)) if columns else (None,):
+                y = core(3, w, pos, des, *((col,) if columns else ()))
+                framed = len(y) == 5 and (y[0], y[4]) == (1, 5)
+                moved = [m for m, v in zip((1, 2, 3), order) if framed and abs(y[m]) != v]
+                if not framed or len(moved) > 2 or sorted(map(abs, y[1:4])) != [2, 3, 4]:
+                    raise InternalInvariantError(
+                        f"{getattr(core, '__name__', core)} is not local: it sends "
+                        f"{word_str(w)} to {word_str(y)} at index 3"
+                    )
+                swaps = (tuple(sorted(order[m - 1] - 2 for m in moved)),) if moved else ()
+                primes = (y[pos[2]] < 0) + 2 * (y[pos[3]] < 0) + 4 * (y[pos[4]] < 0)
+                _local_block(table, pos, 3, col)[1][u] = swaps, primes
+    return table
+
+
+@lru_cache(maxsize=None)
+def _block_reader(core, columns=False):
+    """The block reader of a family whose core is core: _local_block on its
+    _local_table, made at the first build that reads it.  psi's is phi's,
+    with columns, given the reading columns of its shape."""
+    return partial(_local_block, _local_table(core, columns))
 
 
 def _rebuild(T: Tableau, word) -> Tableau:

@@ -160,7 +160,7 @@ def test_criterion_05_s4_classes_under_d_and_b_exact():
 
 
 def test_criterion_06_weak_axioms_hold_on_46080_signed_permutations():
-    with budget(8):
+    with budget(4):
         g = build_ground(("signedperm", 6, "phi"))
         assert g.size == 46080
         g.validate()

@@ -1,9 +1,9 @@
 """The build kernel against the code it replaced, and validate's errors.
 
 engine._materialize takes one inverse and one descent mask per unsigned
-word and runs a signed ground's core once per signing of the letters it
-reads; the moves read the mask, the statistic is made once per distinct
-mask, and an image that is the word itself is stored as the word's index.
+word and reads each move from its pattern table once per signing of the
+letters it reads; the statistic is made once per distinct mask, and an
+image that is the word itself is stored as the word's index.
 The builder it replaced, which enumerated every signed word, took a descent
 set per word and let phi test its spikes on the inverse, is kept below as
 the reference, with its word_str.  Every builtin ground of an exhaustive

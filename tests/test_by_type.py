@@ -122,6 +122,19 @@ def test_connected_and_typeless_grounds_go_straight_to_the_whole(monkeypatch):
     assert sizes == []
 
 
+def test_a_connected_ground_is_walked_once_and_never_coded(monkeypatch):
+    codes, original = [], engine._class_code
+
+    def counted(members, *rest):
+        codes.append(len(members))
+        return original(members, *rest)
+
+    monkeypatch.setattr(engine, "_class_code", counted)
+    g = build_ground(("shsyt", (6, 4, 2), "b"))
+    assert len(classes(g)) == 1 and verify_shifted(g).passed
+    assert codes == []
+
+
 def test_a_failing_ground_pays_the_route_then_the_whole(monkeypatch):
     sizes = subground_calls(monkeypatch)
     g = build_ground(("perm", 6, "b"))

@@ -1,6 +1,7 @@
 """Every builtin ground is built on words; these tests pin each one to a
 reference builder, check the leak guard and check the target cache."""
 
+from functools import partial
 from itertools import permutations, product
 
 import pytest
@@ -24,7 +25,7 @@ from dualeq.engine import (
     ground_size,
     lemma_axiom4_check,
 )
-from dualeq.involutions import b, b_tab, d, d_tab, phi
+from dualeq.involutions import _local_block, _local_table, _swap, b, b_tab, d, d_tab, phi
 from dualeq.tableaux import (
     descent_set_word,
     enumerate_shsyt,
@@ -181,41 +182,37 @@ def test_descent_set_tab_matches_the_rows(kind):
                 assert tableaux.descent_set_tab(T) == descent_set_tab(T), T
 
 
+def toy_block(core):
+    """The block reader of a toy core, tabulated as the builtin ones are."""
+    return partial(_local_block, _local_table(core))
+
+
+def swaps_ends(i, w, pos, des):
+    """A toy move: swap the letters of values i-1 and i+1, signs and all."""
+    return _swap(w, pos[i - 1], pos[i + 1])
+
+
 def test_image_outside_the_ground_raises_internal_error():
+    # the move sends 123 to 321, which is not a word of the ground
     words = [(1, 2, 3), (2, 1, 3)]
-
-    def leaks(i, w, pos, des):
-        return (3, 2, 1) if w == (2, 1, 3) else w
-
-    with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\)"):
-        _materialize(DES, 3, words, leaks, "(toy)")
+    with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\) sends 123 outside"):
+        _materialize(DES, 3, words, toy_block(swaps_ends), "(toy)")
 
 
 def test_an_image_with_a_prime_off_the_sign_positions_raises_internal_error():
-    # signed variants prime position 2 only; the move primes position 0
+    # signed variants prime position 2 only; the move primes the letter i-1,
+    # at position 0 in 123, when the letter i+1 is primed
     words = [(1, 2, 3), (2, 1, 3)]
 
     def primes_first(i, w, pos, des):
-        return (-w[0],) + w[1:] if w[2] < 0 else w
+        p = pos[i - 1]
+        return w[:p] + (-w[p],) + w[p + 1 :] if w[pos[i + 1]] < 0 else w
 
     with pytest.raises(InternalInvariantError, match=r"sends 123' outside the ground"):
-        _materialize(DES, 3, words, primes_first, "(toy)", lambda w: (2,))
-    # so is an unknown unsigned image; the signing with 3 primed goes first
-    with pytest.raises(InternalInvariantError, match=r"sends 123' outside the ground"):
-        _materialize(DES, 3, words, lambda i, w, pos, des: (3, 1, 2), "(toy)", lambda w: (2,))
-
-
-def test_a_signed_move_that_changes_a_letter_off_its_values_raises_internal_error():
-    # the fill carries the signs off the values i-1..i+1 over unread, so a
-    # move that changes a letter there is refused, not tabulated wrongly:
-    # here 4 moves, and (1,2,3,-4) would have gone to (1,2,4,-3)
-    words = [(1, 2, 3, 4), (1, 2, 4, 3)]
-
-    def reaches_four(i, w, pos, des):
-        return (w[0], w[1], w[3], w[2]) if i == 2 else w
-
-    with pytest.raises(InternalInvariantError, match=r"involution 2 of \(toy\) sends 123'4 outside"):
-        _materialize(DES, 4, words, reaches_four, "(toy)", lambda w: (3, 2))
+        _materialize(DES, 3, words, toy_block(primes_first), "(toy)", lambda w: (2,))
+    # so is an unknown unsigned image; the signing with no prime goes first
+    with pytest.raises(InternalInvariantError, match=r"sends 123 outside the ground"):
+        _materialize(DES, 3, words, toy_block(swaps_ends), "(toy)", lambda w: (2,))
 
 
 def test_a_repeated_word_is_refused():

@@ -746,8 +746,9 @@ def check_codes(g):
 def test_class_code_is_none_for_members_that_are_not_connected():
     tables = [(0, 1, 3, 2)]  # two fixed points, then a pair
     assert _class_code((0, 1), tables, [7, 7, 7, 7]) == (None, None)
-    assert _class_code((2, 3), tables, [7, 7, 7, 7]) == (((7, (1,)), (7, (0,))), [2, 3])
-    assert _class_code((2, 3), tables, [7, 7, 7, 5]) == (((5, (1,)), (7, (0,))), [3, 2])
+    # a code lists per vertex its label, then its neighbours' numbers
+    assert _class_code((2, 3), tables, [7, 7, 7, 7]) == ((7, 1, 7, 0), [2, 3])
+    assert _class_code((2, 3), tables, [7, 7, 7, 5]) == ((5, 1, 7, 0), [3, 2])
 
 
 def classified(g, comp):

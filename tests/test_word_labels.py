@@ -1,7 +1,7 @@
 """The labels of a builtin ground are made when they are read.
 
-A build packs its words into one array of signed letters and a label is
-word_str of its word, formatted only when someone reads it: a build and a
+A build packs its unsigned words into one array and a label is word_str
+of its word, signed and formatted only when someone reads it: a build and a
 passing verify read none, a failing verify reads the labels of the
 witnesses it keeps, and every way of reading gives the strings word_str
 gives for the words.
