@@ -9,9 +9,9 @@ Every builtin ground is a set of words: the tableau grounds are indexed by
 reading words, the involutions act on the words, and an image that is not
 an enumerated word is not a tableau of the shape.  A signed ground is its
 unsigned words times their sign masks, and a build works per unsigned word:
-it indexes the unsigned words and reads each involution from the pattern
-table of its family (involutions._local_table, _B_TABLE), no core running,
-one entry per signing of the letters the move reads.  It packs the unsigned
+it indexes the unsigned words and reads each involution from the table
+of its family (involutions._table), no statement running, one entry per
+signing of the letters the move reads.  It packs the unsigned
 words into one array, drops the word list before it fills the tables and
 the index after, and keeps the array as the ground's labels: a label is
 signed and formatted from its word only when it is read.  The standard
@@ -60,15 +60,7 @@ from .core import (
     partition_str,
     peak_of,
 )
-from .involutions import (
-    _b_block,
-    _block_reader,
-    _d,
-    _disagreement,
-    _phi,
-    _reading_columns,
-    _swap,
-)
+from .involutions import _b, _block, _d, _phi, _reading_columns, _swap, _table
 from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand, expand_in_P
 from .tableaux import (
     _inverse,
@@ -238,20 +230,19 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
     len(signs(w)) being the same for every word.  Per unsigned word: one
     inverse pos and one unsigned descent mask, each variant's mask following
     by _signed_descents, and one shared frozenset per distinct statistic,
-    made once per distinct mask.  No core runs: block(pos, i) is the
+    made once per distinct mask.  No statement runs: block(pos, i) is the
     positions p of the letters an index-i move reads and the row of its
-    pattern table for their order (involutions._local_block, _b_block), per
-    signing u of those letters (swaps, primes).  Per word and index the
+    family's table for their order (involutions._block on _table), per
+    signing u of those letters (swap, primes).  Per word and index the
     fill reads one entry per signing t of the letters at p (the bits W of
-    s) and looks the unsigned image up once per distinct swaps; the image's
+    s) and looks the unsigned image up once per distinct swap; the image's
     sign bits at p give its primes.  Variant s goes where variant s & W
     goes, its other signs kept, to img[s & W] + (s & ~W), the ints of one
     shared list.  An unsigned word is one object whose one signing t = 0
     reads entry 0, stored as it is found: through the signed fill an
     unsigned build took about twice as long.  An image outside the ground
-    raises InternalInvariantError: an unknown unsigned word, a prime on a
-    position signs leaves out, or an entry of two swaps (b's candidate
-    moves disagreeing).  The labels keep the unsigned words packed (one
+    raises InternalInvariantError: an unknown unsigned word or a prime on a
+    position signs leaves out.  The labels keep the unsigned words packed (one
     byte a letter below degree 128) and sign them when read.  A repeated
     word is refused."""
     from array import array  # loaded by the first build, not by the CLI's start
@@ -285,11 +276,9 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
             f"involution {i} of {desc} sends {labels[x]} outside the ground"
         )
 
-    def swapped(i, w, p, swaps, x):
+    def swapped(i, w, p, swap, x):
         """The index of the unsigned image of word w, read for object x."""
-        if len(swaps) > 1:
-            raise _disagreement(i, w, p, swaps)
-        (a, c), = swaps
+        a, c = swap
         kk = find(_swap(w, p[a], p[c]))
         if kk is None:
             raise outside(i, x)
@@ -303,10 +292,10 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
             stats[k] = of_mask[unsigned]
             for i, table in rows:
                 p, row = block(pos, i)
-                swaps, primes = row[0]
+                swap, primes = row[0]
                 if primes:
                     raise outside(i, k)
-                table[k] = swapped(i, w, p, swaps, k) if swaps else k
+                table[k] = swapped(i, w, p, swap, k) if swap else k
             continue
         base, at, primed = k << f, bits[k], [0]  # each variant's mask of negated values
         for p in orders[k]:
@@ -318,14 +307,14 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
             p, row = block(pos, i)
             key = held[i - 2 : i - 2 + len(p)]
             sums, signings, low, rest = spreads.get(key) or spread(key)
-            img, seen = [], {(): (base, sums)}  # swaps -> the image's base and sums
+            img, seen = [], {(): (base, sums)}  # swap -> the image's base and sums
             for u, t in signings:
-                swaps, primes = row[u]
-                image = seen.get(swaps)
+                swap, primes = row[u]
+                image = seen.get(swap)
                 if image is None:
-                    kk = swapped(i, w, p, swaps, base + t)
+                    kk = swapped(i, w, p, swap, base + t)
                     key = tuple(map(bits[kk].__getitem__, p))
-                    image = seen[swaps] = kk << f, (spreads.get(key) or spread(key))[0]
+                    image = seen[swap] = kk << f, (spreads.get(key) or spread(key))[0]
                 extra = image[1][primes]
                 if extra is None:
                     raise outside(i, base + t)
@@ -360,22 +349,26 @@ def _perms(n):
 # tableau grounds, whose words are the reading words of the enumerated
 # tableaux: a signed standard shifted tableau primes cells off the diagonal.
 BUILTIN_GROUNDS = {
-    ("perm", "d"): (DES, _perms, factorial, lambda n: _block_reader(_d), None),
-    ("perm", "b"): (PEAK, _perms, factorial, lambda n: _b_block, None),
+    ("perm", "d"): (DES, _perms, factorial, lambda n: partial(_block, _table(_d, 3), 3), None),
+    ("perm", "b"): (PEAK, _perms, factorial, lambda n: partial(_block, _table(_b, 4), 4), None),
     ("signedperm", "phi"): (
         DES,
         _perms,
         lambda n: factorial(n) << n,
-        lambda n: _block_reader(_phi, True),
+        lambda n: partial(_block, _table(_phi, 3, True), 3),
         lambda n: lambda w: range(n - 1, -1, -1),  # the last letter's sign is bit 0
     ),
-    ("syt", "d"): (DES, *_tableau_words(False), lambda shape: _block_reader(_d), None),
-    ("shsyt", "b"): (PEAK, *_tableau_words(True), lambda shape: _b_block, None),
+    ("syt", "d"): (
+        DES, *_tableau_words(False), lambda shape: partial(_block, _table(_d, 3), 3), None
+    ),
+    ("shsyt", "b"): (
+        PEAK, *_tableau_words(True), lambda shape: partial(_block, _table(_b, 4), 4), None
+    ),
     ("signed-shsyt", "psi"): (
         DES,
         lambda shape: _standard_words(shape, True),
         lambda shape: _standard_count(shape, True, False),
-        lambda shape: partial(_block_reader(_phi, True), col=_reading_columns(tuple(shape))),
+        lambda shape: partial(_block, _table(_phi, 3, True), 3, col=_reading_columns(tuple(shape))),
         lambda shape: _sign_positions(tuple(shape), False),
     ),
 }
@@ -1011,7 +1004,7 @@ def classify_shifted_class(g: DEGround, members):
     return ClassClassification(shape, mapping)
 
 
-def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
+def lemma_axiom4_check(g: DEGround) -> VerificationReport:
     """Diagnostic check on a peak-kind ground.
 
     (v): every class restricted to a window of 2-4 consecutive involutions is
@@ -1048,27 +1041,26 @@ def lemma_axiom4_check(g: DEGround, include_vi=True) -> VerificationReport:
                 )
         del comps, comp_id, vectors, r
 
-    if include_vi:
-        acc_vi = _Acc(report, "vi", g.labels)
-        windows = [(i - 4, i) for i in R if i - 4 >= 2]
-        if not windows:
-            report.notes["vi"] = "vacuous: no window (i-4, i) fits the index range"
-        for (j, i), comps, comp_id, vectors, r in _window_classes(g, windows, masks):
-            big_id = _components(g.size, [g.invs[k] for k in range(2, i + 1)])[1]
-            tables = [g.invs[k] for k in range(j, i + 1)]
-            same = defaultdict(list)  # code -> its classes, in order
-            groups = [same[_class_code(comp, tables, r, number)[0]] for comp in comps]
-            for a, group in enumerate(groups):
-                group.append(a)
-            for a, group in enumerate(groups):  # pairs in (a, bb) order
-                for bb in group:
-                    if bb > a and big_id[comps[a][0]] != big_id[comps[bb][0]]:
-                        acc_vi.fail(
-                            (comps[a][0], comps[bb][0]),
-                            f"windows {_window_label(j, i)}: isomorphic "
-                            f"despite different classes under 2..{i}",
-                        )
-            del comps, comp_id, vectors, r, big_id
+    acc_vi = _Acc(report, "vi", g.labels)
+    windows = [(i - 4, i) for i in R if i - 4 >= 2]
+    if not windows:
+        report.notes["vi"] = "vacuous: no window (i-4, i) fits the index range"
+    for (j, i), comps, comp_id, vectors, r in _window_classes(g, windows, masks):
+        big_id = _components(g.size, [g.invs[k] for k in range(2, i + 1)])[1]
+        tables = [g.invs[k] for k in range(j, i + 1)]
+        same = defaultdict(list)  # code -> its classes, in order
+        groups = [same[_class_code(comp, tables, r, number)[0]] for comp in comps]
+        for a, group in enumerate(groups):
+            group.append(a)
+        for a, group in enumerate(groups):  # pairs in (a, bb) order
+            for bb in group:
+                if bb > a and big_id[comps[a][0]] != big_id[comps[bb][0]]:
+                    acc_vi.fail(
+                        (comps[a][0], comps[bb][0]),
+                        f"windows {_window_label(j, i)}: isomorphic "
+                        f"despite different classes under 2..{i}",
+                    )
+        del comps, comp_id, vectors, r, big_id
     return report
 
 

@@ -10,35 +10,26 @@ values are 1..n; a tableau is acted on through its reading word:
                      the shape, 1 < i < n: phi plus one same-column clause.
 
 Each family is an involution; d/phi/psi commute at distance >= 3, b at
-distance >= 4.  The cores _d, _b, _phi(i, w, pos, des[, col]) read only
-i-1..i+2 in the word's inverse pos, and _phi bits i-1, i of its descent mask
-des (_d and _b ignore it); d, b, phi and psi compute both per call.  _b
-looks up its swap by the relative order of its four positions in _B_TABLE,
-made once at import from _B_MOVES, the one statement of b's moves.  A
-ground reads a block reader per family instead of a core: block(pos, i) is
-the positions of the letters the index-i move reads and the row of its
-pattern table for their order.  _d and _phi are tabulated once per process,
-at the first build that reads them, over the patterns of the letters
-i-1..i+1 (_local_table: their order, their primes and, for psi, one column
-flag), by running the core on each pattern; _b_block reads _B_TABLE.  d_tab and b_tab apply d and b to a
+distance >= 4.  Each is stated once, on its block: the letters of values
+i-1..i+1 (i-1..i+2 for b) in word order, relabelled 1..width and negated
+where primed.  _d(block), _b(block) and _phi(block, flag) return the image
+block; psi's flag says whether the first and last letters share a column
+that the middle one does not.  The public moves relabel their word's block,
+apply the statement and write the image back (_move).  A build reads a
+family from its table instead, made by _table from the same statement at
+the first build that reads it: per order of the block's positions (for phi
+per column flag and signing) the one pair of letters that trade places and
+the image's primes, read by _block.  d_tab and b_tab apply d and b to a
 tableau and rebuild it, re-checking the image.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import permutations
 
 from .core import InternalInvariantError
-from .tableaux import (
-    Tableau,
-    _descent_mask,
-    _inverse,
-    _split,
-    is_standard,
-    reading_word,
-    word_str,
-)
+from .tableaux import Tableau, _descent_mask, _split, is_standard, reading_word, word_str
 
 
 def _check_index(i, n, hi_offset):
@@ -52,19 +43,71 @@ def _swap(w, p, q):
     return tuple(out)
 
 
-def _apply(move, i, w, *col):
-    """move(i, w, pos, des) on the word w, from its inverse and descent mask."""
-    pos = _inverse(w := tuple(w))
-    return move(i, w, pos, _descent_mask(w, pos), *col)
+def _at(block):
+    """at[v], the position in block of its letter of absolute value v: the
+    inverse tableaux._inverse gives, whose calls the builds count."""
+    at = [0] * (len(block) + 1)
+    for q, e in enumerate(block):
+        at[-e if e < 0 else e] = q
+    return at
 
 
-def _d(i, w, pos, des):
-    a, m, c = pos[i - 1], pos[i], pos[i + 1]
-    if (a < m) == (m < c):  # i is in the positional middle
-        return w
-    if (m < a) == (a < c):  # i-1 is: swap i and i+1
-        return _swap(w, m, c)
-    return _swap(w, a, m)
+def _d(block):
+    """d on its block of the values 1, 2, 3, as the docstring of d states it."""
+    _, a, m, c = _at(block)
+    if (a < m) == (m < c):
+        return block
+    return _swap(block, m, c) if (m < a) == (a < c) else _swap(block, a, m)
+
+
+# Candidate moves for b on its block of the values 1..4: swap the values
+# (x, y) when c sits positionally between them and e left of c.
+_B_MOVES = ((1, 2, 3, 4), (2, 3, 1, 4), (2, 3, 4, 1), (3, 4, 2, 1))
+
+
+def _b(block):
+    """b on its block of four letters: the image every applicable candidate
+    move makes, the block itself when none applies.  Moves that make
+    different images raise InternalInvariantError."""
+    at = _at(block)
+    images = [
+        _swap(block, at[x], at[y])
+        for x, y, c, e in _B_MOVES
+        if (at[x] < at[c]) == (at[c] < at[y]) and at[e] < at[c]
+    ]
+    if len(set(images)) > 1:
+        raise InternalInvariantError(
+            f"disagreeing candidate moves for b on {word_str(block)}: "
+            + ", ".join(map(word_str, images))
+        )
+    return images[0] if images else block
+
+
+def _phi(block, flag=False):
+    """phi on its block of the values 1, 2, 3, as the docstring of phi
+    states it; given psi's column flag, psi."""
+    des = _descent_mask(block, _at(block))
+    if not (des >> 1 ^ des >> 2) & 1:  # 2 is no spike
+        return block
+    a, m, c = block
+    if flag:
+        return a, m, -c
+    if (m < 0) != (c < 0):
+        return a, -m, -c
+    return (-abs(c) if a < 0 else abs(c)), m, (-abs(a) if c < 0 else abs(a))
+
+
+def _move(statement, width, i, w, col=None):
+    """statement on the block of w at i, the letters of values
+    i-1..i+width-2 relabelled 1..width, its image written back in their
+    place; given the reading columns col of a shape, with psi's flag."""
+    w, s = list(w), i - 2
+    p = [q for q, e in enumerate(w) if i - 1 <= abs(e) <= i + width - 2]
+    block = tuple([w[q] - s if w[q] > 0 else w[q] + s for q in p])
+    flag = () if col is None else (col[p[0]] == col[p[2]] != col[p[1]],)
+    for q, e in zip(p, statement(block, *flag)):
+        w[q] = e + s if e > 0 else e - s
+    return tuple(w)
 
 
 def d(i, w):
@@ -75,61 +118,7 @@ def d(i, w):
     i+1, swap i-1 and i.
     """
     _check_index(i, len(w), 0)
-    return _apply(_d, i, w)
-
-
-# Candidate moves for b(i, .), offsets from i-1: swap the values (x, y) when c
-# sits positionally between them and d left of c.  {x, y, c, d} = i-1..i+2.
-_B_MOVES = ((0, 1, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0), (2, 3, 1, 0))
-
-
-def _order_index(p0, p1, p2, p3):
-    """The relative order of four distinct positions as six comparisons."""
-    return ((p0 < p1) + 2 * (p0 < p2) + 4 * (p0 < p3)
-            + 8 * (p1 < p2) + 16 * (p1 < p3) + 32 * (p2 < p3))
-
-
-def _b_table(moves):
-    """For each _order_index of the positions of i-1..i+2, the swaps (x, y)
-    of the moves that apply there: none, one when they all make the same,
-    else each applicable move's in order, for _b to refuse.  The 40
-    indices that no order has stay empty."""
-    table = [()] * 64
-    for p in permutations(range(4)):
-        swaps = [
-            (x, y) for x, y, c, dd in moves if (p[x] < p[c]) == (p[c] < p[y]) and p[dd] < p[c]
-        ]
-        table[_order_index(*p)] = tuple(swaps[:1] if len(set(swaps)) == 1 else swaps)
-    return table
-
-
-_B_TABLE = _b_table(_B_MOVES)
-
-
-def _disagreement(i, w, p, swaps):
-    """The error for b(i, w) when the swaps of the letters at positions p
-    that its candidate moves make differ."""
-    return InternalInvariantError(
-        f"disagreeing candidate moves for b({i}, {word_str(w)}): "
-        + ", ".join(word_str(_swap(w, p[x], p[y])) for x, y in swaps)
-    )
-
-
-def _b_block(pos, i):
-    """The positions p of i-1..i+2 and b's row for their order, an unsigned
-    row of one entry (swaps, 0): its _B_TABLE swaps, read at the call."""
-    p = pos[i - 1 : i + 3]
-    return p, ((_B_TABLE[_order_index(*p)], 0),)
-
-
-def _b(i, w, pos, des):
-    p, ((swaps, _),) = _b_block(pos, i)
-    if len(swaps) == 1:
-        (x, y), = swaps
-        return _swap(w, p[x], p[y])
-    if swaps:
-        raise _disagreement(i, w, p, swaps)
-    return w
+    return _move(_d, 3, i, w)
 
 
 def b(i, w):
@@ -139,30 +128,7 @@ def b(i, w):
     applies the word is fixed.
     """
     _check_index(i, len(w), 1)
-    return _apply(_b, i, w)
-
-
-def _phi(i, w, pos, des, col=None):
-    """phi's core; given the reading columns col of a shape, psi's."""
-    if not (des >> (i - 1) ^ des >> i) & 1:  # i is no spike
-        return w
-    pa, pb, pc = pos[i - 1], pos[i], pos[i + 1]  # put in positional order
-    if pa > pb:
-        pa, pb = pb, pa
-    if pb > pc:
-        pb, pc = pc, pb
-        if pa > pb:
-            pa, pb = pb, pa
-    eb, ec = w[pb], w[pc]
-    out = list(w)
-    if col is not None and col[pa] == col[pc] != col[pb]:
-        out[pc] = -ec
-    elif (eb < 0) != (ec < 0):
-        out[pb], out[pc] = -eb, -ec
-    else:  # swap the values of a and c, primes staying in place
-        ea, a, c = w[pa], abs(w[pa]), abs(ec)
-        out[pa], out[pc] = (-c if ea < 0 else c), (-a if ec < 0 else a)
-    return tuple(out)
+    return _move(_b, 4, i, w)
 
 
 def phi(i, w):
@@ -174,61 +140,54 @@ def phi(i, w):
     leaving primes on their positions.
     """
     _check_index(i, len(w), 0)
-    return _apply(_phi, i, w)
+    return _move(_phi, 3, i, w)
 
 
-def _local_block(table, pos, i, col=None):
-    """The positions p of i-1..i+1 and the row of a _local_table for their
-    order and, given the reading columns col of a shape, their column flag:
-    whether the first and last of them in the word share a column that the
-    middle one does not."""
-    p = pos[i - 1 : i + 2]
-    a, m, c = p
-    code = (a < m) + 2 * (a < c) + 4 * (m < c)
-    if col is not None:
-        lo, mid, hi = sorted(p)
-        code += 8 * (col[lo] == col[hi] != col[mid])
+def _block(table, width, pos, i, col=None):
+    """The positions p of the values i-1..i+width-2 in a word whose inverse
+    is pos, and the row of table for their order and, given the reading
+    columns col of a shape, their column flag."""
+    p = pos[i - 1 : i - 1 + width]
+    if width == 3:
+        a, m, c = p
+        code = (a < m) + 2 * (a < c) + 4 * (m < c)
+        if col is not None:
+            lo, mid, hi = sorted(p)
+            code += 8 * (col[lo] == col[hi] != col[mid])
+    else:
+        a, m, c, e = p
+        code = (a < m) + 2 * (a < c) + 4 * (a < e) + 8 * (m < c) + 16 * (m < e) + 32 * (c < e)
     return p, table[code]
 
 
-def _local_table(core, columns=False):
-    """core tabulated over the patterns of the letters of values i-1..i+1,
-    the rows _local_block reads (with a column flag if columns; rows 0-7
-    have it clear, so they serve a reader without columns).  Entry u of a
-    row, bit j of u priming value i-1+j, is (swaps, primes): swaps as in
-    _B_TABLE, () or the one pair of offsets whose letters trade places, and
-    bit j of primes a prime on the image's letter at the position of value
-    i-1+j.  Each entry is core itself run at i = 3 on its pattern set between
-    the letters 1 and 5, their columns apart from the pattern's.  A core
-    that changes or primes either of them, or moves more than one pair of
-    letters, is not local and raises InternalInvariantError."""
-    table = [[None] * 8 for _ in range(16 if columns else 8)]
-    for order in permutations((2, 3, 4)):
-        pos = [0, 0, *(1 + order.index(v) for v in (2, 3, 4)), 4]  # the frame's inverse
-        for u in range(8):
-            w = (1, *(-v if u >> (v - 2) & 1 else v for v in order), 5)
-            des = _descent_mask(w, pos)
-            for col in ((0, 1, 2, 3, 4), (0, 1, 2, 1, 4)) if columns else (None,):
-                y = core(3, w, pos, des, *((col,) if columns else ()))
-                framed = len(y) == 5 and (y[0], y[4]) == (1, 5)
-                moved = [m for m, v in zip((1, 2, 3), order) if framed and abs(y[m]) != v]
-                if not framed or len(moved) > 2 or sorted(map(abs, y[1:4])) != [2, 3, 4]:
-                    raise InternalInvariantError(
-                        f"{getattr(core, '__name__', core)} is not local: it sends "
-                        f"{word_str(w)} to {word_str(y)} at index 3"
-                    )
-                swaps = (tuple(sorted(order[m - 1] - 2 for m in moved)),) if moved else ()
-                primes = (y[pos[2]] < 0) + 2 * (y[pos[3]] < 0) + 4 * (y[pos[4]] < 0)
-                _local_block(table, pos, 3, col)[1][u] = swaps, primes
-    return table
-
-
 @lru_cache(maxsize=None)
-def _block_reader(core, columns=False):
-    """The block reader of a family whose core is core: _local_block on its
-    _local_table, made at the first build that reads it.  psi's is phi's,
-    with columns, given the reading columns of its shape."""
-    return partial(_local_block, _local_table(core, columns))
+def _table(statement, width, signed=False):
+    """statement tabulated for the builds, the rows _block reads: per order
+    of the block's positions and, if signed, per column flag (rows 0-7 have
+    it clear, so they serve a reader without columns), one entry per
+    signing u (bit j priming the value j+1; only u = 0 unless signed).  An
+    entry is (swap, primes): swap () or the offsets (x, y), x < y, of the
+    values whose letters trade places, and bit j of primes a prime on the
+    image's letter at the position of the value j+1.  A statement that
+    changes the block's values or moves more than one pair of letters is
+    refused with InternalInvariantError."""
+    rows = 1 << width * (width - 1) // 2 + signed
+    table = [[None] * (1 << width if signed else 1) for _ in range(rows)]
+    for block in permutations(range(1, width + 1)):
+        at = _at(block)[1:]
+        for flag, col in ((False, (0, 1, 2)), (True, (0, 1, 0))) if signed else ((None, None),):
+            row = _block(table, width, at, 1, col)[1]
+            for u in range(len(row)):
+                x = tuple(-v if u >> (v - 1) & 1 else v for v in block)
+                y = statement(x) if flag is None else statement(x, flag)
+                moved = sorted(v - 1 for v, e in zip(block, y) if abs(e) != v)
+                if sorted(map(abs, y)) != sorted(block) or len(moved) > 2:
+                    raise InternalInvariantError(
+                        f"{getattr(statement, '__name__', statement)} is not local: "
+                        f"it sends {word_str(x)} to {word_str(y)}"
+                    )
+                row[u] = tuple(moved), sum(1 << j for j, q in enumerate(at) if y[q] < 0)
+    return table
 
 
 def _rebuild(T: Tableau, word) -> Tableau:
@@ -280,4 +239,4 @@ def psi(i, w, shape):
         raise ValueError(
             f"shape {list(shape)} has {len(col)} cells but the word has length {n}"
         )
-    return _apply(_phi, i, w, col)
+    return _move(_phi, 3, i, w, col)

@@ -6,7 +6,8 @@ letters it reads; the statistic is made once per distinct mask, and an
 image that is the word itself is stored as the word's index.
 The builder it replaced, which enumerated every signed word, took a descent
 set per word and let phi test its spikes on the inverse, is kept below as
-the reference, with its word_str.  Every builtin ground of an exhaustive
+the reference, with its word_str; d and b are test_word_layer's
+references.  Every builtin ground of an exhaustive
 small range is built both ways and must agree in labels, statistics and
 tables.
 """
@@ -25,8 +26,10 @@ from dualeq.engine import (
     _index_range,
     build_ground,
 )
-from dualeq.involutions import _b, _d, _reading_columns
+from dualeq.involutions import _reading_columns
 from dualeq.tableaux import _inverse, _standard_words, entry_str
+
+from test_word_layer import b_ref, d_ref
 
 # --- the reference: the builder as it was ---
 
@@ -78,10 +81,10 @@ def ref_materialize(stat_kind, n, words, labels, move, desc):
     return DEGround(stat_kind, n, tuple(labels), tuple(stats), invs, desc)
 
 
-# the d and b cores are unchanged apart from the mask they ignore
+# d and b by test_word_layer's references, on a position dict per call
 REF_MOVES = {
-    "d": lambda param: lambda i, w, pos: _d(i, w, pos, None),
-    "b": lambda param: lambda i, w, pos: _b(i, w, pos, None),
+    "d": lambda param: lambda i, w, pos: d_ref(i, w),
+    "b": lambda param: lambda i, w, pos: b_ref(i, w),
     "phi": lambda param: ref_phi,
     "psi": lambda param: partial(ref_phi, col=_reading_columns(tuple(param))),
 }

@@ -345,10 +345,6 @@ def test_lemma_vi_vacuous_note_and_applicable_run():
     rep = lemma_axiom4_check(build_ground(("shsyt", (5, 2, 1), "b")))
     assert "vi" not in rep.notes
     assert rep.results.get("vi", True)
-    rep = lemma_axiom4_check(
-        build_ground(("shsyt", (5, 2, 1), "b")), include_vi=False
-    )
-    assert "vi" not in rep.results
 
 
 def test_parse_deg_error_positions():

@@ -25,7 +25,7 @@ from dualeq.engine import (
     ground_size,
     lemma_axiom4_check,
 )
-from dualeq.involutions import _local_block, _local_table, _swap, b, b_tab, d, d_tab, phi
+from dualeq.involutions import _block, _swap, _table, b, b_tab, d, d_tab, phi
 from dualeq.tableaux import (
     descent_set_word,
     enumerate_shsyt,
@@ -182,14 +182,15 @@ def test_descent_set_tab_matches_the_rows(kind):
                 assert tableaux.descent_set_tab(T) == descent_set_tab(T), T
 
 
-def toy_block(core):
-    """The block reader of a toy core, tabulated as the builtin ones are."""
-    return partial(_local_block, _local_table(core))
+def toy_block(statement):
+    """The block reader of a toy statement on three letters, tabulated as
+    phi's is, with every signing."""
+    return partial(_block, _table(statement, 3, True), 3)
 
 
-def swaps_ends(i, w, pos, des):
-    """A toy move: swap the letters of values i-1 and i+1, signs and all."""
-    return _swap(w, pos[i - 1], pos[i + 1])
+def swaps_ends(block, flag):
+    """A toy move: swap the letters of values 1 and 3, signs and all."""
+    return _swap(block, *(q for q, e in enumerate(block) if abs(e) != 2))
 
 
 def test_image_outside_the_ground_raises_internal_error():
@@ -200,13 +201,12 @@ def test_image_outside_the_ground_raises_internal_error():
 
 
 def test_an_image_with_a_prime_off_the_sign_positions_raises_internal_error():
-    # signed variants prime position 2 only; the move primes the letter i-1,
-    # at position 0 in 123, when the letter i+1 is primed
+    # signed variants prime position 2 only; the move primes the letter 1,
+    # at position 0 in 123, when the letter 3 is primed
     words = [(1, 2, 3), (2, 1, 3)]
 
-    def primes_first(i, w, pos, des):
-        p = pos[i - 1]
-        return w[:p] + (-w[p],) + w[p + 1 :] if w[pos[i + 1]] < 0 else w
+    def primes_first(block, flag):
+        return tuple(-1 if e == 1 and -3 in block else e for e in block)
 
     with pytest.raises(InternalInvariantError, match=r"sends 123' outside the ground"):
         _materialize(DES, 3, words, toy_block(primes_first), "(toy)", lambda w: (2,))
@@ -221,7 +221,7 @@ def test_a_repeated_word_is_refused():
     words = [(1, 2, 3), (2, 1, 3), (1, 2, 3)]
     for n in (3, 2):
         with pytest.raises(ValueError, match="duplicate labels"):
-            _materialize(DES, n, words, lambda i, w, pos, des: w, "(toy)")
+            _materialize(DES, n, words, toy_block(swaps_ends), "(toy)")
 
 
 def test_shifted_target_is_built_once_and_never_changed():
@@ -231,7 +231,7 @@ def test_shifted_target_is_built_once_and_never_changed():
     invs = {i: tuple(t) for i, t in target.invs.items()}
     stats = tuple(target.stats)
     g = build_ground(("shsyt", (6, 4, 2), "b"))
-    assert lemma_axiom4_check(g, include_vi=False).results["v"]
+    assert lemma_axiom4_check(g).results["v"]
     h = build_ground(("shsyt", shape, "b"))
     assert classify_shifted_class(h, classes(h)[0]).shape == shape
     assert _shifted_target(shape) is target

@@ -1,12 +1,13 @@
 """The word layer against the code it replaced.
 
-The moves read a word through its inverse (tableaux._inverse) and is_standard
-checks a tableau in one pass.  Here d, b, phi, psi and descent_set_word are
-compared with the earlier dict-based versions, kept below as the reference,
-on every word of an exhaustive small range, and is_standard with the
-check_tableau-based definition.  Also: ground_size refuses oversized grounds
-before any enumeration, and the build calls the word check (is_standard's
-core) once per object and _inverse once per unsigned word.
+The moves apply one statement each to the block of letters they read, and
+is_standard checks a tableau in one pass.  Here d, b, phi, psi and
+descent_set_word are compared with the earlier dict-based versions, kept
+below as the reference, on every word of an exhaustive small range, and
+is_standard with the check_tableau-based definition.  Also: ground_size
+refuses oversized grounds before any enumeration, and the build calls the
+word check (is_standard's core) once per object and _inverse once per
+unsigned word.
 """
 
 import sys
@@ -160,19 +161,20 @@ def test_d_and_b_match_reference_on_every_permutation(n):
 
 
 def test_table_driven_b_matches_reference_on_every_permutation_of_eight():
-    # b reads its swap from involutions._B_TABLE; n < 8 is checked above
+    # n < 8 is checked above; the builds' table is checked entry by entry
+    # in test_local_tables
     for w in perms(8):
         for i in range(2, 7):
             assert b(i, w) == b_ref(i, w), (i, w)
 
 
 def test_b_table_holds_each_order_of_four_positions_once():
-    table = involutions._B_TABLE
+    table = involutions._table(involutions._b, 4)
     assert len(table) == 64
-    orders = {involutions._order_index(*p) for p in permutations(range(4))}
-    assert len(orders) == 24
-    assert all(len(table[k]) <= 1 for k in orders)
-    assert not any(table[k] for k in set(range(64)) - orders)
+    rows = [involutions._block(table, 4, p, 1)[1] for p in permutations(range(4))]
+    assert len({id(row) for row in rows}) == 24
+    assert all(len(row) == 1 and row[0][1] == 0 and len(row[0][0]) in (0, 2) for row in rows)
+    assert sum(row == [None] for row in table) == 40
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -195,14 +197,20 @@ def test_psi_matches_reference_on_every_signed_shifted_reading_word(n):
 
 
 def test_b_raises_when_candidate_moves_disagree(monkeypatch):
-    # no word makes the four moves disagree; a fifth one (swap i-1 and i+2
-    # around i, with i+1 to the left of i) does on 1324.  _b reads the table
-    # made from the moves at import, so the table is made again with it
-    table = involutions._b_table(involutions._B_MOVES + ((0, 3, 1, 2),))
-    monkeypatch.setattr(involutions, "_B_TABLE", table)
-    with pytest.raises(InternalInvariantError) as info:
-        b(2, (1, 3, 2, 4))
-    assert str(info.value) == "disagreeing candidate moves for b(2, 1324): 1423, 4321"
+    # no block makes the four moves disagree; a fifth one (swap 1 and 4
+    # around 2, with 3 to the left of 2) does on 1324, the first block b's
+    # table is made from.  b runs _b on its block, and a build reads b's
+    # table, made again with the fifth move
+    monkeypatch.setattr(involutions, "_B_MOVES", involutions._B_MOVES + ((1, 4, 2, 3),))
+    involutions._table.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError) as info:
+            b(2, (1, 3, 2, 4))
+        assert str(info.value) == "disagreeing candidate moves for b on 1324: 1423, 4321"
+        with pytest.raises(InternalInvariantError, match=r"on 1324: 1423, 4321$"):
+            build_ground(("perm", 4, "b"))
+    finally:
+        involutions._table.cache_clear()
 
 
 def test_moves_accept_lists_and_return_tuples():

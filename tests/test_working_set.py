@@ -7,11 +7,13 @@ tables are filled and the dict once they are.  A verifier's
 window pass holds one window's classes at a time and its fixed-point tables
 take one byte per object; a ground whose class types repeat drops its
 classes and codes before it verifies one class per type.  parse_deg writes
-each edge straight into one partner list per involution index.  The
-held-ground and build bounds sit between the code that held one label
-string per object (the first figure in the comments) and today's (the
-last); the verify bounds sit between the whole-ground verifier's figure
-(the second) and the by-type one's (the third).
+each edge straight into one partner list per involution index.  The held
+ground is read after a collection, so it counts no memory the build freed,
+and the verify peak is read above it.  The held-ground and build bounds sit
+between the code that held one label string per object (the first figure
+in the comments) and today's (the last); the verify bounds sit between the
+whole-ground verifier's figure (the second) and the by-type one's (the
+third).
 """
 
 import gc
@@ -32,7 +34,9 @@ def traced_bytes_per_object(desc, verify):
     try:
         base = tracemalloc.get_traced_memory()[0]
         g = build_ground(desc)
-        held, build_peak = (m - base for m in tracemalloc.get_traced_memory())
+        build_peak = tracemalloc.get_traced_memory()[1] - base
+        gc.collect()  # what the build freed is not held
+        held = tracemalloc.get_traced_memory()[0] - base
         tracemalloc.reset_peak()
         report = verify(g)
         verify_peak = tracemalloc.get_traced_memory()[1] - base
@@ -45,13 +49,13 @@ def traced_bytes_per_object(desc, verify):
 @pytest.mark.parametrize(
     "desc, verify, held_bound, build_bound, verify_bound",
     [
-        # held 166.8 -> 115.5 -> 73.6 -> 82.2, build 217.9 -> 192.6 -> 138.9
-        # -> 105.5, verify 128.0 -> 127.9 -> 57.6 -> 43.5 (the last held
-        # figure is 63.2 once a collection empties the free lists)
-        (("signedperm", 5, "phi"), verify_weak, 140, 125, 55),
-        # held 170.4 -> 117.5 -> 117.5, build 309.1 -> 205.5 -> 205.7,
-        # verify 118.6 -> 118.6 -> 35.7 -> 28.5
-        (("perm", 7, "b"), verify_shifted, 145, 255, 45),
+        # held 166.8 -> 115.5 -> 73.6 -> 82.2 -> 63.2, build 217.9 -> 192.6
+        # -> 138.9 -> 105.5, verify 128.0 -> 127.9 -> 57.6 -> 43.5 -> 44.8
+        # (the last figures read after a collection)
+        (("signedperm", 5, "phi"), verify_weak, 100, 125, 55),
+        # held 170.4 -> 117.5 -> 117.5 -> 78.3, build 309.1 -> 205.5 ->
+        # 205.7, verify 118.6 -> 118.6 -> 35.7 -> 28.5 -> 29.6
+        (("perm", 7, "b"), verify_shifted, 110, 255, 45),
     ],
     ids=["signedperm-5-phi-weak", "perm-7-b-shifted"],
 )
