@@ -33,12 +33,12 @@ restricted_class reads one step of it, and class_genfn and subground take
 whole classes.  Peak sets are weighted by qsym.G_of_peaks and qsym.expand
 picks the basis; a window vector alone sets its generating function, so each
 process expands each distinct one once, into the memo _EXPANSIONS.
-Lemma (v) and (vi), classify_shifted_class and find_isomorphism decide
-isomorphism of classes by comparing canonical codes (_class_code), flat
-tuples of ints.  The three verifiers check each type of class, a code, once
-(_by_type): one walk finds each class, and its code walks start from its
-rarest labels only; the whole ground is checked when that fails, when no
-type repeats, or when the first walk finds it connected, uncoded.
+A class's canonical code (_class_code) is the least code, a flat tuple of
+ints, of a walk (_code_walk) from its rarest labels.  Lemma (vi) and
+find_isomorphism compare codes, lemma (v) and classify_shifted_class look
+for one walk to their target's code (_matching_walk).  _by_type verifies one
+class per code, and the whole ground when that fails, when no code repeats
+or when the ground is one class.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import re
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from functools import lru_cache, partial, wraps
-from itertools import chain, compress, permutations
+from itertools import chain, permutations
 from math import factorial
 from operator import add, eq, itemgetter, or_
 
@@ -61,7 +61,7 @@ from .core import (
     peak_of,
 )
 from .involutions import _b, _block, _d, _phi, _reading_columns, _swap, _table
-from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand, expand_in_P
+from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand
 from .tableaux import (
     _inverse,
     _sign_positions,
@@ -879,47 +879,58 @@ def subground(g: DEGround, members, desc=None) -> DEGround:
     return DEGround(g.stat_kind, g.n, labels, stats, invs, desc).validate()
 
 
+def _code_walk(root, tables, label, number):
+    """The breadth-first walk from root, the tables taken in order, and its
+    code, one tuple: per vertex in walk order, its label and its neighbours'
+    numbers.  number is -1 wherever the walk can reach, and is reset after."""
+    number[root], walk, code = 0, [root], []
+    for x in walk:  # the walk appends to the list it reads
+        code.append(label[x])
+        for table in tables:
+            y = table[x]
+            k = number[y]
+            if k < 0:
+                k = number[y] = len(walk)
+                walk.append(y)
+            code.append(k)
+    for x in walk:
+        number[x] = -1
+    return tuple(code), walk
+
+
 def _class_code(members, tables, label, number=None):
     """The canonical code of a class and the walk that produced it.
 
     A class is a graph on members with one edge colour per table and the
-    label label[x] on each vertex x.  From each root of the rarest label
-    (least (count, label)) a breadth-first walk takes the tables in order
-    and numbers the vertices as found; its code is a flat tuple of ints
-    listing per vertex, in that order, its label and then its neighbours'
-    numbers.  The code is the least over the roots.  An isomorphism is fixed
-    by the image of one vertex, so two connected classes with as many tables
-    are isomorphic exactly when their codes are equal, and their walks align
-    into the isomorphism.  (None, None) when members is not connected under
-    the tables.  number maps every position a walk can reach to -1, and
-    each walk numbers into it and resets it: a list over the ground that a
-    caller coding many classes passes to each, or by default a dict over
-    members."""
-    if number is None:
-        number = dict.fromkeys(members, -1)
+    label label[x] on each vertex x.  Its code is the least _code_walk code
+    from a root of the rarest label (least (count, label)), the first such
+    root on a tie.  An isomorphism is fixed by the image of one vertex, so
+    two connected classes with as many tables are isomorphic exactly when
+    their codes are equal, and their walks align into the isomorphism.
+    (None, None) when members is not connected.  number is _code_walk's: a
+    list over the ground, or by default a dict over members."""
+    number = dict.fromkeys(members, -1) if number is None else number
     labels = list(map(label.__getitem__, members))
     counts = Counter(labels)
     rare = min(zip(counts.values(), counts))[1]  # least (count, label)
-    best = None, None
-    for root in compress(members, map(rare.__eq__, labels)):
-        number[root], walk, code = 0, [root], []
-        for x in walk:  # the walk appends to the list it reads
-            code.append(label[x])
-            for table in tables:
-                y = table[x]
-                k = number[y]
-                if k < 0:
-                    k = number[y] = len(walk)
-                    walk.append(y)
-                code.append(k)
-        for x in walk:
-            number[x] = -1
-        if len(walk) < len(members):
-            return None, None
-        code = tuple(code)
-        if best[0] is None or code < best[0]:
-            best = code, walk
-    return best
+    walks = [_code_walk(x, tables, label, number) for x, y in zip(members, labels) if y == rare]
+    return (None, None) if len(walks[0][1]) < len(members) else min(walks, key=itemgetter(0))
+
+
+def _matching_walk(members, tables, label, target, number=None):
+    """The first walk, in member order, from a member labelled target[0] whose
+    code is target, or None (always for a target of None or of another size).
+    members is isomorphic to a connected class with as many tables and that
+    code exactly when there is one, the walk _class_code picks; number as there."""
+    if target is None or len(target) != (len(tables) + 1) * len(members):
+        return None
+    number = dict.fromkeys(members, -1) if number is None else number
+    for root in members:
+        if label[root] == target[0]:
+            code, walk = _code_walk(root, tables, label, number)
+            if code == target:
+                return walk
+    return None
 
 
 def find_isomorphism(g1: DEGround, g2: DEGround):
@@ -972,13 +983,14 @@ def _target_code(shape):
 
 
 def classify_shifted_class(g: DEGround, members):
-    """Identify a class of a peak-kind ground: its generating function must
-    expand to a unit Schur-P vector, and the class must be isomorphic to the
-    standard shifted ground of that shape (equal _class_code); the mapping
-    aligns the two walks.  Either failure is reported."""
+    """Identify a class of a peak-kind ground: the expansion of its window
+    vector over all the involutions must be a unit Schur-P vector, and the
+    class isomorphic to that shape's target (a _matching_walk to its
+    _target_code); the mapping aligns the two walks.  Failures are reported."""
     if g.stat_kind != PEAK:
         raise ValueError("classification applies to peak-kind grounds")
-    expansion = expand_in_P(class_genfn(g, members))
+    label = {x: _mask(g.stats[x]) for x in members}
+    expansion = _window_expansion(g, (g.n, tuple(sorted(label.values()))))
     if not isinstance(expansion, PExpansion):
         return ClassificationFailure(
             "generating function is not in the Schur-P span",
@@ -990,10 +1002,9 @@ def classify_shifted_class(g: DEGround, members):
             "generating function is not a unit Schur-P vector",
             ", ".join(expansion.render()),
         )
-    tables = [g.invs[i] for i in g.index_range()]
-    code, walk = _class_code(members, tables, {x: _mask(g.stats[x]) for x in members})
     target_code, target_walk = _target_code(shape)
-    if code is None or code != target_code:
+    walk = _matching_walk(members, [g.invs[i] for i in g.index_range()], label, target_code)
+    if walk is None:
         return ClassificationFailure(
             f"class is not isomorphic to the standard shifted ground of "
             f"shape {partition_str(shape)}",
@@ -1013,8 +1024,8 @@ def lemma_axiom4_check(g: DEGround) -> VerificationReport:
     (vi) [experimental]: objects in different classes under the involutions
     2..i have nonisomorphic windows (i-4, i).
 
-    Both compare the _class_code of each window class, labelled by the
-    restricted statistics, with a target's code or with each other."""
+    (v) tests each window class, labelled by the restricted statistics, for a
+    _matching_walk to its target's code; (vi) compares their _class_code."""
     if g.stat_kind != PEAK:
         raise ValueError("this check applies to peak-kind grounds")
     report = VerificationReport("lemma-axiom4", g.desc, {})
@@ -1033,7 +1044,7 @@ def lemma_axiom4_check(g: DEGround) -> VerificationReport:
                     f"window {_window_label(j, i)}: generating function is "
                     "not a unit Schur-P vector",
                 )
-            elif _class_code(comp, tables, r, number)[0] != _target_code(shape)[0]:
+            elif _matching_walk(comp, tables, r, _target_code(shape)[0], number) is None:
                 acc_v.fail(
                     (comp[0],),
                     f"window {_window_label(j, i)}: not isomorphic to "

@@ -13,14 +13,14 @@ Each family is an involution; d/phi/psi commute at distance >= 3, b at
 distance >= 4.  Each is stated once, on its block: the letters of values
 i-1..i+1 (i-1..i+2 for b) in word order, relabelled 1..width and negated
 where primed.  _d(block), _b(block) and _phi(block, flag) return the image
-block; psi's flag says whether the first and last letters share a column
-that the middle one does not.  The public moves relabel their word's block,
-apply the statement and write the image back (_move).  A build reads a
-family from its table instead, made by _table from the same statement at
-the first build that reads it: per order of the block's positions (for phi
-per column flag and signing) the one pair of letters that trade places and
-the image's primes, read by _block.  d_tab and b_tab apply d and b to a
-tableau and rebuild it, re-checking the image.
+block; psi's flag, stated once (_column_flag), says whether the first and
+last letters share a column that the middle one does not.  The public moves
+relabel their word's block, apply the statement and write the image back
+(_move).  A build reads a family from its table instead, made by _table
+from the same statement at the first build that reads it: per order of the
+block's positions (for phi per column flag and signing) the one pair of
+letters that trade places and the image's primes, read by _block.  d_tab
+and b_tab apply d and b to a tableau and rebuild it, re-checking the image.
 """
 
 from __future__ import annotations
@@ -97,6 +97,11 @@ def _phi(block, flag=False):
     return (-abs(c) if a < 0 else abs(c)), m, (-abs(a) if c < 0 else abs(a))
 
 
+def _column_flag(col, p):
+    """psi's flag on its block's positions p, in word order, in columns col."""
+    return col[p[0]] == col[p[2]] != col[p[1]]
+
+
 def _move(statement, width, i, w, col=None):
     """statement on the block of w at i, the letters of values
     i-1..i+width-2 relabelled 1..width, its image written back in their
@@ -104,7 +109,7 @@ def _move(statement, width, i, w, col=None):
     w, s = list(w), i - 2
     p = [q for q, e in enumerate(w) if i - 1 <= abs(e) <= i + width - 2]
     block = tuple([w[q] - s if w[q] > 0 else w[q] + s for q in p])
-    flag = () if col is None else (col[p[0]] == col[p[2]] != col[p[1]],)
+    flag = () if col is None else (_column_flag(col, p),)
     for q, e in zip(p, statement(block, *flag)):
         w[q] = e + s if e > 0 else e - s
     return tuple(w)
@@ -152,8 +157,7 @@ def _block(table, width, pos, i, col=None):
         a, m, c = p
         code = (a < m) + 2 * (a < c) + 4 * (m < c)
         if col is not None:
-            lo, mid, hi = sorted(p)
-            code += 8 * (col[lo] == col[hi] != col[mid])
+            code += 8 * _column_flag(col, sorted(p))
     else:
         a, m, c, e = p
         code = (a < m) + 2 * (a < c) + 4 * (a < e) + 8 * (m < c) + 16 * (m < e) + 32 * (c < e)

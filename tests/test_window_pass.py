@@ -14,8 +14,10 @@ on random involution tables.
 
 The reference for isomorphism is a backtracking search over the classes of
 a subground, propagated from one root per class; engine decides
-isomorphism by comparing canonical class codes, and the two must agree on
-every window class, every target and every classification.
+isomorphism by comparing canonical class codes, or, against a known target,
+by looking for one walk that reaches the target's code (lemma v and
+classify_shifted_class).  Search, codes and walks must agree on every
+window class, every target and every classification.
 """
 
 import random
@@ -25,6 +27,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualeq import engine
 from dualeq.core import (
     partition_str,
     partitions_of,
@@ -40,8 +43,10 @@ from dualeq.engine import (
     Witness,
     _check_commutation,
     _class_code,
+    _code_walk,
     _components,
     _mask,
+    _matching_walk,
     _members,
     _shifted_target,
     _target_code,
@@ -718,16 +723,18 @@ def check_codes(g):
     """Assert on a peak-kind ground g that equal class codes are exactly the
     isomorphisms the reference search finds, on every class of every window
     of 2-5 involutions: between the classes of one window, and against the
-    standard shifted target of each class with a unit expansion.  Returns
-    the number of unit classes not isomorphic to their target."""
+    standard shifted target of each class with a unit expansion, where a
+    _matching_walk to the target's code, with or without a shared
+    numbering, must also exist exactly then and be _class_code's walk.
+    Returns the number of unit classes not isomorphic to their target."""
     R = list(g.index_range())
-    misses = 0
+    misses, number = 0, [-1] * g.size
     for j, i in [(j, i) for j in R for i in R if 1 <= i - j <= 4]:
         r = [_mask(ref_restrict(g, s, j, i)) for s in g.stats]
         tables = [g.invs[k] for k in range(j, i + 1)]
         reps = []  # (code, subground) of one class per distinct code
         for comp in ref_window(g, j, i)[0]:
-            code = _class_code(comp, tables, r)[0]
+            code, walk = _class_code(comp, tables, r)
             sub = ref_subground(g, comp, j, i)
             for rep_code, rep in reps:
                 found = ref_find_isomorphism(sub, rep) is not None
@@ -739,7 +746,11 @@ def check_codes(g):
                 shape = expansion.unit_shape()
                 found = ref_find_isomorphism(sub, _shifted_target(shape)) is not None
                 assert (code == _target_code(shape)[0]) == found, (g.desc, comp)
+                for numbering in (None, number):
+                    matched = _matching_walk(comp, tables, r, _target_code(shape)[0], numbering)
+                    assert matched == (walk if found else None), (g.desc, comp)
                 misses += not found
+    assert number == [-1] * g.size  # every walk resets the numbering it shares
     return misses
 
 
@@ -749,6 +760,50 @@ def test_class_code_is_none_for_members_that_are_not_connected():
     # a code lists per vertex its label, then its neighbours' numbers
     assert _class_code((2, 3), tables, [7, 7, 7, 7]) == ((7, 1, 7, 0), [2, 3])
     assert _class_code((2, 3), tables, [7, 7, 7, 5]) == ((5, 1, 7, 0), [3, 2])
+
+
+def test_matching_walk_by_hand():
+    # two fixed points, then a pair: a target of two vertices, and one
+    # with no code
+    pair = [(0, 1, 3, 2)]
+    target = _class_code((2, 3), pair, [7, 7, 7, 7])[0]
+    assert _matching_walk((2, 3), pair, [7, 7, 7, 7], target) == [2, 3]
+    assert _matching_walk((2, 3), pair, [7, 7, 7, 5], target) is None
+    assert _matching_walk((2, 3), pair, [7, 7, 7, 7], None) is None
+    # members that are not connected: no walk covers them, whether or not
+    # one of their parts is isomorphic to the target
+    assert _matching_walk((0, 1), pair, [7, 7, 7, 7], target) is None
+    assert _matching_walk((0, 2, 3), pair, [7, 7, 7, 7], target) is None
+    # the path 0 - 1 - 2 (a table pairing 0 and 1, one pairing 1 and 2) has no
+    # automorphism: listed as (1, 2, 0), the first root of the target's label
+    # walks to another code, the second to the target's
+    path, label = [(1, 0, 2), (0, 2, 1)], [7, 7, 7]
+    target, walk = _class_code((0, 1, 2), path, label)
+    assert walk == [2, 1, 0]
+    assert _code_walk(1, path, label, [-1] * 3)[0] != target
+    assert _matching_walk((1, 2, 0), path, label, target) == [2, 1, 0]
+    assert _matching_walk((1, 2, 0), path, [7, 7, 6], target) is None
+
+
+def test_lemma_v_and_classify_make_no_class_code(monkeypatch):
+    g = build_ground(("shsyt", (6, 4, 2), "b"))
+    first = summary(lemma_axiom4_check(g))  # makes the targets' codes, once
+    maps = [classified(g, comp) for comp in classes(g)]
+    calls = []
+
+    def counted(members, tables, label, number=None):
+        calls.append(len(tables))
+        return _class_code(members, tables, label, number)
+
+    monkeypatch.setattr(engine, "_class_code", counted)
+    assert summary(lemma_axiom4_check(g)) == first
+    # one code per class of each window (i-4, i) of (vi), of 5 tables each
+    R = list(g.index_range())
+    vi = sum(len(ref_window(g, i - 4, i)[0]) for i in R if i - 4 >= 2)
+    assert calls == [5] * vi and vi > 0
+    calls.clear()
+    assert [classified(g, comp) for comp in classes(g)] == maps
+    assert calls == []
 
 
 def classified(g, comp):
