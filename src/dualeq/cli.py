@@ -29,6 +29,8 @@ from .core import (
 from .engine import (
     BUILTIN_GROUNDS,
     ClassificationFailure,
+    _stat_masks,
+    _window_expansion,
     _within_limit,
     build_ground,
     class_genfn,
@@ -172,9 +174,10 @@ def cmd_enumerate(args, parser):
         count, walk = _semistandard_count, _semistandard_fillings
     else:
         count, walk = _standard_count, _standard_words
-    _within_limit(f"{kind} {partition_str(shape)}", count(shape, *walk_args))
+    total = count(shape, *walk_args)
+    _within_limit(f"{kind} {partition_str(shape)}", total)
     tab_kind, found = SHIFTED if strict else STRAIGHT, 0
-    for item in walk(shape, *walk_args):  # rows if semistandard, else a word
+    for item in walk(shape, *walk_args) if total else ():  # rows if semistandard, else a word
         found += 1
         if args.porcelain and not semistandard:  # the word, without a tableau
             print(word_str(item))
@@ -187,10 +190,12 @@ def cmd_enumerate(args, parser):
 
 def cmd_classes(args, parser):
     g = build_ground(_ground_descriptor(args, parser))
-    comps = classes(g)
+    comps, masks = classes(g), _stat_masks(g)
     for idx, comp in enumerate(comps, 1):
-        genfn = class_genfn(g, comp)
-        terms, certified = " + ".join(genfn.render()), _expansion_summary(expand(genfn))
+        # the class's vector sets its genfn: each distinct one is expanded once
+        vector = g.n, tuple(sorted(map(masks.__getitem__, comp)))
+        terms = " + ".join(class_genfn(g, comp).render())
+        certified = _expansion_summary(_window_expansion(g, vector))
         if args.porcelain:
             members = ",".join(g.labels[m] for m in comp)
             print(f"{idx}\t{len(comp)}\t{members}\t{terms}\t{certified}")

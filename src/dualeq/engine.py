@@ -15,8 +15,13 @@ signing of the letters the move reads.  It packs the unsigned
 words into one array, drops the word list before it fills the tables and
 the index after, and keeps the array as the ground's labels: a label is
 signed and formatted from its word only when it is read.  The standard
-shifted grounds that classes are matched against are built once per shape
-and cached.
+grounds (syt under d, shsyt under b) are read from one entry per shape and
+process (_tableau_ground), made once from its corner subshapes' entries:
+a word with n in row r is a word of shape - e_r with n inserted, every
+index below the top one reads no n and takes the subshape's table,
+offset, and only the top index is filled, by _materialize's unsigned
+fill.  No entry is made at import.  The standard shifted grounds that
+classes are matched against are built once per shape and cached.
 
 The verify_* functions check the axiom systems condition by condition and
 return reports with witnesses; a failed condition is data, not an exception.
@@ -63,11 +68,15 @@ from .core import (
 from .involutions import _b, _block, _d, _phi, _reading_columns, _swap, _table
 from .qsym import ExpansionFailure, G_of_peaks, PExpansion, QSymF, expand
 from .tableaux import (
+    _checked_words,
     _inverse,
+    _packed,
+    _shape_words,
     _sign_positions,
     _signed_descents,
     _standard_count,
     _standard_words,
+    _unpacked,
     _unsigned_descents,
     word_str,
 )
@@ -223,30 +232,62 @@ def _spread(key, span, by_bits):
     return (sums, signings, *by_bits[W])
 
 
+def _outside(desc, labels):
+    """outside(i, x): the error for an image outside the ground desc, read
+    for object x by involution i."""
+    return lambda i, x: InternalInvariantError(
+        f"involution {i} of {desc} sends {labels[x]} outside the ground"
+    )
+
+
+def _swapped(find, outside, i, w, p, swap, x):
+    """The index find gives the image of word w, its letters at p[a] and
+    p[c] traded for swap (a, c), read for object x by involution i."""
+    a, c = swap
+    kk = find(_swap(w, p[a], p[c]))
+    if kk is None:
+        raise outside(i, x)
+    return kk
+
+
+def _unsigned_fill(index_of, rows, block, place, outside):
+    """The unsigned fill, object k the word w of each item (w, k) of
+    index_of: per (i, table) of rows table[k], its image under involution
+    i, read from entry 0 of block(place(w, k), i) and looked up in index_of
+    once per swap.  place(w, k) is the inverse of w, or at least its entries
+    for the values the rows read, and may note k's statistic.  An image is
+    refused by outside(i, k) when it has a prime or is no word of index_of;
+    the word itself is stored as k."""
+    find = index_of.get
+    for w, k in index_of.items():
+        pos = place(w, k)
+        for i, table in rows:
+            p, row = block(pos, i)
+            swap, primes = row[0]
+            if primes:
+                raise outside(i, k)
+            table[k] = _swapped(find, outside, i, w, p, swap, k) if swap else k
+
+
 def _materialize(stat_kind, n, words, block, desc, signs=None):
     """Tabulate a ground from its unsigned words.  With signs None the
-    objects are the words; else object k * 2^f + s is word k with the
-    letters at the positions signs(w)[b] negated for the bits b of s, f =
-    len(signs(w)) being the same for every word.  Per unsigned word: one
-    inverse pos and one unsigned descent mask, each variant's mask following
-    by _signed_descents, and one shared frozenset per distinct statistic,
-    made once per distinct mask.  No statement runs: block(pos, i) is the
-    positions p of the letters an index-i move reads and the row of its
-    family's table for their order (involutions._block on _table), per
-    signing u of those letters (swap, primes).  Per word and index the
-    fill reads one entry per signing t of the letters at p (the bits W of
-    s) and looks the unsigned image up once per distinct swap; the image's
-    sign bits at p give its primes.  Variant s goes where variant s & W
-    goes, its other signs kept, to img[s & W] + (s & ~W), the ints of one
-    shared list.  An unsigned word is one object whose one signing t = 0
-    reads entry 0, stored as it is found: through the signed fill an
-    unsigned build took about twice as long.  An image outside the ground
-    raises InternalInvariantError: an unknown unsigned word or a prime on a
-    position signs leaves out.  The labels keep the unsigned words packed (one
-    byte a letter below degree 128) and sign them when read.  A repeated
-    word is refused."""
-    from array import array  # loaded by the first build, not by the CLI's start
-
+    objects are the words, by _unsigned_fill; else object k * 2^f + s is
+    word k with the letters at the positions signs(w)[b] negated for the
+    bits b of s, f = len(signs(w)) being the same for every word.  Per
+    unsigned word: one inverse pos and one unsigned descent mask, each
+    variant's mask following by _signed_descents, and one shared frozenset
+    per distinct statistic, made once per distinct mask.  No statement runs:
+    block(pos, i) is the positions p of the letters an index-i move reads and
+    the row of its family's table for their order (involutions._block on
+    _table), per signing u of those letters (swap, primes).  Per word and
+    index the signed fill reads one entry per signing t of the letters at p
+    (the bits W of s) and looks the unsigned image up once per distinct swap;
+    the image's sign bits at p give its primes.  Variant s goes where variant
+    s & W goes, its other signs kept, to img[s & W] + (s & ~W), the ints of
+    one shared list.  An image outside the ground raises
+    InternalInvariantError: an unknown unsigned word or a prime on a position
+    signs leaves out.  The labels keep the unsigned words packed (_packed)
+    and sign them when read.  A repeated word is refused."""
     index_of = dict(zip(words, range(len(words))))
     if len(index_of) != len(words):
         raise ValueError("duplicate labels")
@@ -260,43 +301,30 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
             bits[-1][p] = 1 << b
     span, size = 1 << f, len(index_of) << f
     ints = list(range(size)) if f else None  # a signed ground's table entries
-    code = "b" if n < 1 << 7 else "h" if n < 1 << 15 else "q"
-    letters = array(code)
+    letters = _packed(n)
     labels = _WordLabels(letters, n, f, signs, range(size))
     rows = [(i, [None] * size) for i in _index_range(stat_kind, n)]
     stats, of_mask = [None] * size, _Statistics(stat_kind)
-    spreads, by_bits, find = {}, {}, index_of.get  # a block's sign bits -> its _spread
+    spreads, by_bits = {}, {}  # a block's sign bits -> its _spread
+    find, outside = index_of.get, _outside(desc, labels)
 
     def spread(key):
         found = spreads[key] = _spread(key, span, by_bits)
         return found
 
-    def outside(i, x):
-        return InternalInvariantError(
-            f"involution {i} of {desc} sends {labels[x]} outside the ground"
-        )
+    if not f:  # one object per word, whose one signing t = 0 reads entry 0
+        letters.extend(chain.from_iterable(index_of))
 
-    def swapped(i, w, p, swap, x):
-        """The index of the unsigned image of word w, read for object x."""
-        a, c = swap
-        kk = find(_swap(w, p[a], p[c]))
-        if kk is None:
-            raise outside(i, x)
-        return kk
+        def place(w, k):
+            pos = _inverse(w)
+            stats[k] = of_mask[_unsigned_descents(pos)]
+            return pos
 
-    for w, k in index_of.items():
+        _unsigned_fill(index_of, rows, block, place, outside)
+    for w, k in index_of.items() if f else ():
         pos = _inverse(w)
         unsigned = _unsigned_descents(pos)
         letters.extend(w)
-        if not f:  # one object, whose one signing t = 0 reads entry 0
-            stats[k] = of_mask[unsigned]
-            for i, table in rows:
-                p, row = block(pos, i)
-                swap, primes = row[0]
-                if primes:
-                    raise outside(i, k)
-                table[k] = swapped(i, w, p, swap, k) if swap else k
-            continue
         base, at, primed = k << f, bits[k], [0]  # each variant's mask of negated values
         for p in orders[k]:
             value = 1 << w[p]
@@ -312,7 +340,7 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
                 swap, primes = row[u]
                 image = seen.get(swap)
                 if image is None:
-                    kk = swapped(i, w, p, swap, base + t)
+                    kk = _swapped(find, outside, i, w, p, swap, base + t)
                     key = tuple(map(bits[kk].__getitem__, p))
                     image = seen[swap] = kk << f, (spreads.get(key) or spread(key))[0]
                 extra = image[1][primes]
@@ -328,6 +356,77 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
         i, table = rows.pop(0)
         invs[i] = tuple(table)
     return DEGround(stat_kind, n, labels, tuple(stats), invs, desc).validate()
+
+
+# (shape, strict) -> the unsigned descent masks and the tables of the
+# standard tableaux of shape (shifted if strict) under d (b if strict), for
+# the life of the process: _tableau_ground's entries, each beside the words
+# tableaux._shape_words holds for the same key
+_SHAPE_TABLES = {}
+
+
+def _tableau_ground(desc) -> DEGround:
+    """The ground desc of syt or shsyt, from the entry of its shape: per
+    word its unsigned descent mask (8 bytes a mask below degree 64) and per
+    index an int32 array.  An entry is made once, from the entries of its
+    corner subshapes (the blocks of _shape_words): a word of the block of
+    row r is a word of shape - e_r with n inserted, and below the top index
+    a move reads no n, so it acts on the block as on the subshape, whose
+    table it takes, offset by the block's start.  The masks are the
+    subshape's, bit n-1 added where n-1 sits right of n.  Only the top
+    index, whose block reads n, is filled, by _unsigned_fill, on the places
+    of the values it reads.  A build checks each word once, shares the
+    entry's packed words as its labels and makes its tables into tuples of
+    one shared int per position."""
+    from array import array
+
+    kind, param, family = desc
+    stat_kind, _, _, involution, _ = BUILTIN_GROUNDS[kind, family]
+    shape, strict, block = tuple(param), kind == "shsyt", involution(param)
+
+    def entry(sh):
+        found = _SHAPE_TABLES.get((sh, strict))
+        if found is not None:
+            return found
+        letters, size, blocks = _shape_words(sh, strict)
+        n = sum(sh)
+        indices = _index_range(stat_kind, n)
+        masks = array("q") if n < 64 else []
+        tables = {i: array("i") for i in indices[:-1]}
+        for smaller, start in blocks:
+            sub_masks, sub_tables = entry(smaller)
+            masks.extend(sub_masks)
+            for i, table in sub_tables.items():
+                tables[i].extend(map(start.__add__, table))
+        if not n:  # the empty shape's one word
+            masks.append(0)
+        top = [(i, array("i", [0]) * size) for i in indices[-1:]]
+        tables.update(top)
+        # the least value the top index reads; n - 1, for the mask, if none
+        lo = indices[-1] - 1 if indices else max(n - 1, 1)
+        pad, values, bit = [0] * lo, range(lo, n + 1), n - 1
+
+        def place(w, k):  # the places of the values lo..n
+            pos = pad + list(map(w.index, values))
+            masks[k] |= (pos[bit] > pos[n]) << bit
+            return pos
+
+        if n:
+            index_of = dict(zip(_unpacked(sh, strict), range(size)))
+            labels = _WordLabels(letters, n, 0, None, range(size))
+            outside = _outside(f"({kind},{sh},{family})", labels)
+            _unsigned_fill(index_of, top, block, place, outside)
+        found = _SHAPE_TABLES[sh, strict] = masks, tables
+        return found
+
+    letters, size, _ = _shape_words(shape, strict)
+    _checked_words(_unpacked(shape, strict), shape, strict)
+    masks, tables = entry(shape)
+    ints = list(range(size))
+    invs = {i: tuple(map(ints.__getitem__, table)) for i, table in tables.items()}
+    labels = _WordLabels(letters, sum(shape), 0, None, range(size))
+    stats = tuple(map(_Statistics(stat_kind).__getitem__, masks))
+    return DEGround(stat_kind, sum(shape), labels, stats, invs, f"({kind},{param},{family})").validate()
 
 
 def _tableau_words(strict):
@@ -403,6 +502,8 @@ def build_ground(desc) -> DEGround:
     kind, param, family = desc
     _within_limit(f"ground {kind} {param}", ground_size(desc))
     stat_kind, words, _, involution, signs = BUILTIN_GROUNDS[kind, family]
+    if kind in ("syt", "shsyt"):
+        return _tableau_ground(desc)
     n = param if isinstance(param, int) else sum(param)
     return _materialize(
         stat_kind, n, words(param), involution(param), f"({kind},{param},{family})",

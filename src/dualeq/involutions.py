@@ -14,13 +14,13 @@ distance >= 4.  Each is stated once, on its block: the letters of values
 i-1..i+1 (i-1..i+2 for b) in word order, relabelled 1..width and negated
 where primed.  _d(block), _b(block) and _phi(block, flag) return the image
 block; psi's flag, stated once (_column_flag), says whether the first and
-last letters share a column that the middle one does not.  The public moves
-relabel their word's block, apply the statement and write the image back
-(_move).  A build reads a family from its table instead, made by _table
-from the same statement at the first build that reads it: per order of the
-block's positions (for phi per column flag and signing) the one pair of
-letters that trade places and the image's primes, read by _block.  d_tab
-and b_tab apply d and b to a tableau and rebuild it, re-checking the image.
+last letters share a column that the middle one does not.  The builds and
+the public moves read a family from its table, made by _table from the
+statement at its first use: per order of the block's positions (for phi
+per column flag and signing) the one pair of letters that trade places and
+the image's primes, read by _block; _move applies a word's entry to it.
+d_tab and b_tab apply d and b to a tableau and rebuild it, re-checking the
+image.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .core import InternalInvariantError
-from .tableaux import Tableau, _descent_mask, _split, is_standard, reading_word, word_str
+from .tableaux import Tableau, _descent_mask, _inverse, _split, is_standard, reading_word, word_str
 
 
 def _check_index(i, n, hi_offset):
@@ -102,16 +102,21 @@ def _column_flag(col, p):
     return col[p[0]] == col[p[2]] != col[p[1]]
 
 
-def _move(statement, width, i, w, col=None):
-    """statement on the block of w at i, the letters of values
-    i-1..i+width-2 relabelled 1..width, its image written back in their
-    place; given the reading columns col of a shape, with psi's flag."""
-    w, s = list(w), i - 2
-    p = [q for q, e in enumerate(w) if i - 1 <= abs(e) <= i + width - 2]
-    block = tuple([w[q] - s if w[q] > 0 else w[q] + s for q in p])
-    flag = () if col is None else (_column_flag(col, p),)
-    for q, e in zip(p, statement(block, *flag)):
-        w[q] = e + s if e > 0 else e - s
+def _move(table, width, i, w, col=None):
+    """w moved at i by the entry of table that _block reads for it, given
+    the reading columns col of a shape with psi's flag: the letters at p[x]
+    and p[y] trade places for the entry's swap (x, y) and, in a signed table
+    (one entry per signing), the block's letters take the entry's primes."""
+    w = list(w)
+    p, row = _block(table, width, _inverse(w), i, col)
+    signed = len(row) > 1
+    swap, primes = row[sum(1 << j for j, q in enumerate(p) if w[q] < 0) if signed else 0]
+    if swap:
+        x, y = p[swap[0]], p[swap[1]]
+        w[x], w[y] = w[y], w[x]
+    if signed:
+        for j, q in enumerate(p):
+            w[q] = -abs(w[q]) if primes >> j & 1 else abs(w[q])
     return tuple(w)
 
 
@@ -123,7 +128,7 @@ def d(i, w):
     i+1, swap i-1 and i.
     """
     _check_index(i, len(w), 0)
-    return _move(_d, 3, i, w)
+    return _move(_table(_d, 3), 3, i, w)
 
 
 def b(i, w):
@@ -133,7 +138,7 @@ def b(i, w):
     applies the word is fixed.
     """
     _check_index(i, len(w), 1)
-    return _move(_b, 4, i, w)
+    return _move(_table(_b, 4), 4, i, w)
 
 
 def phi(i, w):
@@ -145,7 +150,7 @@ def phi(i, w):
     leaving primes on their positions.
     """
     _check_index(i, len(w), 0)
-    return _move(_phi, 3, i, w)
+    return _move(_table(_phi, 3, True), 3, i, w)
 
 
 def _block(table, width, pos, i, col=None):
@@ -243,4 +248,4 @@ def psi(i, w, shape):
         raise ValueError(
             f"shape {list(shape)} has {len(col)} cells but the word has length {n}"
         )
-    return _move(_phi, 3, i, w, col)
+    return _move(_table(_phi, 3, True), 3, i, w, col)

@@ -7,9 +7,12 @@ A Tableau stores its rows bottom-up: rows[0] is row 1.  Shifted rows are
 *not* stored with padding; the column of rows[r-1][j] is j+1 for straight
 shapes and r+j for shifted ones.
 
-Standard tableaux are enumerated as reading words (_standard_words), each
-subshape's words made once and every word checked once by the one
-standardness check, _is_standard_word, which is_standard also applies.
+Standard tableaux are enumerated as reading words (_standard_words), every
+word checked once by the one standardness check, _is_standard_word, which
+is_standard also applies.  The words of a shape are made once per process
+(_shape_words), packed, from its corner subshapes' words, and listed in
+blocks by the row of the largest entry: engine builds the standard grounds
+from the same blocks.
 _descent_masks counts the descent masks of those words without making
 them, over the same subshapes; _corners states for both which rows the
 largest entry can end.  A signed word is an unsigned one with the letters
@@ -299,32 +302,64 @@ def _corners(sh, strict):
             yield r, sh[:r] + (part - 1,) * (part > 1) + rest
 
 
+# (shape, strict) -> _shape_words(shape, strict), for the life of the process
+_SHAPE_WORDS = {}
+
+
+def _packed(n, letters=()):
+    """An array of letters of words of n letters: one byte a letter below
+    degree 128."""
+    from array import array  # loaded by the first walk, not by the CLI's start
+
+    return array("b" if n < 1 << 7 else "h" if n < 1 << 15 else "q", letters)
+
+
+def _shape_words(shape, strict):
+    """The reading words of the standard tableaux of a partition shape, a
+    tuple (strict, of shifted ones, if strict), unchecked: (letters, count,
+    blocks), the count words packed n letters apiece in letters (_packed),
+    and per row r that n can end, in increasing order, a block (shape - e_r,
+    start): from word start on, the words of shape - e_r with n inserted at
+    the end of row r, position sum(shape[r+1:]) + shape[r] - 1, in their
+    order.  Made once per process from its subshapes' entries, a column of
+    letters at a time."""
+    found = _SHAPE_WORDS.get((shape, strict))
+    if found is not None:
+        return found
+    n, subs, blocks, count = sum(shape), [], [], 0 if shape else 1
+    for r, smaller in _corners(shape, strict):  # one frame per cell of recursion
+        subs.append((r, smaller, _shape_words(smaller, strict)))
+    letters = _packed(n, [0]) * (n * sum(sub[1] for _, _, sub in subs))
+    for r, smaller, (sub, size, _) in subs:
+        if sub.typecode != letters.typecode:  # degree 2^7 or 2^15: wider letters
+            sub = _packed(n, sub)
+        p, start, end = sum(shape[r:]) - 1, count * n, (count + size) * n
+        letters[start + p : end : n] = _packed(n, [n]) * size
+        for q in range(n - 1):
+            letters[start + q + (q >= p) : end : n] = sub[q :: n - 1]
+        blocks.append((smaller, count))
+        count += size
+    found = _SHAPE_WORDS[shape, strict] = letters, count, tuple(blocks)
+    return found
+
+
+def _unpacked(shape, strict):
+    """The words of _shape_words(shape, strict) as tuples, one at a time."""
+    letters, count, _ = _shape_words(shape, strict)
+    n = sum(shape)
+    return zip(*[iter(letters)] * n) if n else iter([()] * count)
+
+
 def _standard_words(shape, strict, diagonal_primes=None):
     """Reading words of the standard tableaux of a partition (shifted, of a
-    strict partition, if strict), each checked once.
-
-    A word of shape with n in row r is a word of shape - e_r with n inserted
-    at the end of row r, position sum(shape[r+1:]) + shape[r] - 1; the words
-    of each subshape are made once.  Rows r come in increasing order, each
-    followed through the words of its subshape.  With diagonal_primes False
-    or True (strict only), each word is followed by its signed variants:
-    the values on the free cells (off the diagonal, or any cell) are
-    primed by the bits of each mask in turn, bit b priming the b-th
-    smallest free value."""
+    strict partition, if strict), each checked once: the words of
+    _shape_words, rows r of n in increasing order, each followed through
+    the words of its subshape.  With diagonal_primes False or True (strict
+    only), each word is followed by its signed variants: the values on the
+    free cells (off the diagonal, or any cell) are primed by the bits of
+    each mask in turn, bit b priming the b-th smallest free value."""
     shape = _checked_shape(shape, strict)
-    memo = {(): [()]}
-
-    def words(sh):
-        found = memo.get(sh)
-        if found is None:
-            memo[sh] = found = []
-            n = sum(sh)
-            for r, smaller in _corners(sh, strict):
-                p = sum(sh[r:]) - 1
-                found.extend(w[:p] + (n,) + w[p:] for w in words(smaller))
-        return found
-
-    out = words(shape)
+    out = list(_unpacked(shape, strict))
     if diagonal_primes is not None:
         signs = _sign_positions(shape, diagonal_primes)
         out = [v for w in out for v in _signed_variants(w, signs(w))]

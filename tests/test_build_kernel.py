@@ -9,7 +9,8 @@ set per word and let phi test its spikes on the inverse, is kept below as
 the reference, with its word_str; d and b are test_word_layer's
 references.  Every builtin ground of an exhaustive
 small range is built both ways and must agree in labels, statistics and
-tables.
+tables; the syt and shsyt grounds, read from per-shape entries, up to 9 and
+12 cells.
 """
 
 from functools import partial
@@ -135,8 +136,8 @@ def ref_build(desc):
 GROUNDS = list(chain(
     (("perm", n, family) for family in ("d", "b") for n in range(8)),
     (("signedperm", n, "phi") for n in range(7)),
-    (("syt", lam, "d") for n in range(9) for lam in partitions_of(n)),
-    (("shsyt", lam, "b") for n in range(12) for lam in strict_partitions_of(n)),
+    (("syt", lam, "d") for n in range(10) for lam in partitions_of(n)),
+    (("shsyt", lam, "b") for n in range(13) for lam in strict_partitions_of(n)),
     (("signed-shsyt", lam, "psi") for n in range(9) for lam in strict_partitions_of(n)),
 ))
 

@@ -267,6 +267,25 @@ def test_classes_human_output():
     ]
 
 
+def test_classes_expands_each_distinct_class_vector_once(monkeypatch):
+    # the 192 classes of perm 6 under b have 4 distinct vectors; each line
+    # is what the class's own generating function expands to
+    monkeypatch.setattr(engine, "_EXPANSIONS", {})
+    expanded = []
+    monkeypatch.setattr(engine, "expand", lambda f: expanded.append(f) or qsym.expand(f))
+    code, out, _ = run("classes", "--ground", "perm", "--n", "6", "--family", "b", "--porcelain")
+    g = engine.build_ground(("perm", 6, "b"))
+    comps = engine.classes(g)
+    assert (code, len(comps), len(expanded)) == (0, 192, 4)
+    want = []
+    for idx, comp in enumerate(comps, 1):
+        genfn = engine.class_genfn(g, comp)
+        terms = " + ".join(genfn.render())
+        certified = cli._expansion_summary(qsym.expand(genfn))
+        want.append(f"{idx}\t{len(comp)}\t{','.join(g.labels[m] for m in comp)}\t{terms}\t{certified}")
+    assert out.splitlines() == want
+
+
 def test_classes_porcelain_shifted():
     code, out, _ = run(
         "classes", "--ground", "shsyt", "--shape", "[3,2]",
@@ -536,6 +555,18 @@ def test_admitted_requests_that_ran_unbounded_end_in_time(argv, tail, seconds):
     code, out, err = run(*argv)
     assert time.perf_counter() - start < seconds
     assert (code, err, out.splitlines()[-1]) == (0, "", tail)
+
+
+def test_an_empty_semistandard_count_is_printed_without_a_walk(monkeypatch):
+    # eight rows need an entry of 8, so nothing fills the staircase with
+    # entries <= 7: the exact count is 0, and the walk, which ran past 8 s
+    # looking for a filling, is not started
+    walked = count_calls(monkeypatch, "_semistandard_fillings")
+    start = time.perf_counter()
+    result = run("enumerate", "shssyt", "[8,7,6,5,4,3,2,1]", "--max", "7", "--porcelain")
+    assert time.perf_counter() - start < 0.5
+    assert result == (0, "count 0\n", "")
+    assert walked == []
 
 
 def test_the_degree_limit_is_admitted():

@@ -27,8 +27,9 @@ def test_every_traced_name_exists():
 
 
 def test_traced_classes_request_counts_the_qsym_layers():
-    # one expansion per class of perm 4 under b, counted by qsym.expand as
-    # often as engine.genfn; no bytecode is written under bench/
+    # one generating function per class of perm 4 under b, and one expansion
+    # per distinct class vector, counted by qsym.expand; no bytecode is
+    # written under bench/
     root = TRACER.parent.parent
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     argv = ["classes", "--ground", "perm", "--n", "4", "--family", "b", "--porcelain"]
@@ -38,5 +39,6 @@ def test_traced_classes_request_counts_the_qsym_layers():
     )
     assert done.returncode == 0, done.stderr
     counts = json.loads(done.stderr.splitlines()[-1])
-    assert counts["qsym.expand_calls"] == counts["engine.genfn_calls"] == 16
+    assert counts["engine.genfn_calls"] == 16
+    assert counts["qsym.expand_calls"] == counts["qsym.expand_distinct"] == 2
     assert counts["qsym.vector_calls"] > 0
