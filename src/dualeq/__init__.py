@@ -14,7 +14,6 @@ from .core import (
     partitions_of,
     peak_of,
     peak_sets,
-    spike_of,
     strict_partitions_of,
     subset_str,
 )
@@ -71,7 +70,6 @@ from .tableaux import (
     enumerate_syt,
     format_tableau,
     parse_tableau,
-    parse_word,
     reading_word,
     word_str,
 )

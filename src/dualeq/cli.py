@@ -119,9 +119,10 @@ def _vector_maker(kind, shape, basis):
     (Q's is 2^rows times P_in_G), returned once the standard tableaux it
     sums over are within the limit: _standard_count with the unsigned
     shifted arguments in the G basis, else with its kind's KINDS entry,
-    so P in the F basis is counted as its signed tableaux.  Only Q_in_F
-    lists them, for its cross-check; s and P count their descent masks
-    by tableaux._descent_masks, which makes no tableau.  A Schur
+    so P and Q in the F basis are counted as their signed tableaux, Q's
+    2^n times the g_lambda unsigned ones: a refusal the exit codes keep,
+    though no maker lists a tableau (s and P count their descent masks by
+    tableaux._descent_masks, and Q_in_F is 2^rows times P_in_F).  A Schur
     function's F-vector is read through the peel's cache of basis vectors,
     so expanding it in Schur functions does not build it again."""
     # built per call, so a wrapper installed on a module name sees the call

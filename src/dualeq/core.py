@@ -1,4 +1,4 @@
-"""Partitions, shifted diagrams, descent/peak/spike statistics, records.
+"""Partitions, shifted diagrams, peak sets, records.
 
 Conventions used throughout the package:
 
@@ -9,7 +9,8 @@ Conventions used throughout the package:
   so a cell is on the diagonal exactly when col == row;
 * descent sets are subsets of {1..n-1}, peak sets subsets of {2..n-1}
   with no two consecutive members.  Both are plain frozensets; the
-  degree n is carried by whatever object owns the set.
+  degree n is carried by whatever object owns the set.  The spike set of
+  a descent set D holds the i in {2..n-1} with exactly one of i-1, i in D.
 """
 
 from __future__ import annotations
@@ -145,17 +146,6 @@ def _members(mask):
 def peak_of(D):
     """The peak set of a descent set: members i >= 2 of D with i-1 not in D."""
     return frozenset(i for i in D if i >= 2 and i - 1 not in D)
-
-
-def spike_of(D, n):
-    """The spike set of a descent set of degree n.
-
-    i in {2..n-1} is a spike when exactly one of i-1, i lies in D.
-    The degree matters: i = n is never a spike even when n-1 is a descent.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return frozenset(i for i in range(2, n) if (i - 1 in D) != (i in D))
 
 
 def is_peak_set(P, n) -> bool:

@@ -106,8 +106,11 @@ def _move(table, width, i, w, col=None):
     """w moved at i by the entry of table that _block reads for it, given
     the reading columns col of a shape with psi's flag: the letters at p[x]
     and p[y] trade places for the entry's swap (x, y) and, in a signed table
-    (one entry per signing), the block's letters take the entry's primes."""
+    (one entry per signing), the block's letters take the entry's primes.
+    A word whose absolute values are not 1..n, each once, raises ValueError."""
     w = list(w)
+    if sorted(map(abs, w)) != list(range(1, len(w) + 1)):
+        raise ValueError(f"{word_str(w)} is not a word of the values 1..{len(w)}, each once")
     p, row = _block(table, width, _inverse(w), i, col)
     signed = len(row) > 1
     swap, primes = row[sum(1 << j for j, q in enumerate(p) if w[q] < 0) if signed else 0]

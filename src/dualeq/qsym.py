@@ -8,12 +8,12 @@ Generating functions live in one of two bases:
 Schur, Schur-P and Schur-Q functions are produced as F-expansions (or
 G-expansions for P) from the descent sets of the relevant standard
 tableaux: s and P count them by tableaux._descent_masks, a transfer over the
-subshapes that makes no tableau; Q also enumerates its signed reading words
-as the independent route it is checked against.  G_of_peaks holds the
-Schur-P weighting of peak sets.  expand is the one choice of basis: it takes
-an F-vector to Schur functions and a G-vector to P's, peeling off one shape
-at a time (both bases are unitriangular, see _peel); failures return
-NotSymmetric / NotInSpan reports carrying a witness key, they never raise.
+subshapes that makes no tableau, and Q is 2^length times P, so the vector
+layer makes no word.  G_of_peaks holds the Schur-P weighting of peak sets.
+expand is the one choice of basis: it takes an F-vector to Schur functions
+and a G-vector to P's, peeling off one shape at a time (both bases are
+unitriangular, see _peel); failures return NotSymmetric / NotInSpan reports
+carrying a witness key, they never raise.
 
 KINDS states the tableaux of s, P and Q once, as the (strict,
 diagonal_primes) that the tableau walks and their counts take: straight,
@@ -33,7 +33,6 @@ from functools import lru_cache
 from operator import sub
 
 from .core import (
-    InternalInvariantError,
     InvalidShapeError,
     _mask,
     _members,
@@ -46,7 +45,7 @@ from .core import (
     peak_of,
     subset_str,
 )
-from .tableaux import _descent_mask, _descent_masks, _inverse, _semistandard_fillings, _standard_words
+from .tableaux import _descent_masks, _semistandard_fillings
 
 # kind -> what _standard_words and _standard_count take after the shape,
 # and _semistandard_fillings and _semistandard_count after k
@@ -228,17 +227,8 @@ def expand_in_P(g: QSymG):
 
 def schur_in_F(shape) -> QSymF:
     """Schur function s_shape as a sum of F_D over standard Young tableaux."""
-    return QSymF(sum(shape), _mask_sets(_descent_masks(shape, False)))
-
-
-def _mask_sets(masks):
-    """A Counter of descent masks as one of descent sets."""
-    return Counter({_members(m): c for m, c in masks.items()})
-
-
-def _word_descents(words):
-    """The descent sets of reading words, counted by descent mask."""
-    return _mask_sets(Counter(map(_descent_mask, words, map(_inverse, words))))
+    n, masks = sum(shape), _descent_masks(shape, False)
+    return QSymF(n, {_members(m): c for m, c in masks.items()})
 
 
 def P_in_F(shape) -> QSymF:
@@ -249,15 +239,9 @@ def P_in_F(shape) -> QSymF:
 
 
 def Q_in_F(shape) -> QSymF:
-    """Schur-Q function: 2^length * P, cross-checked against the direct
-    enumeration of signed tableaux with primed diagonals allowed."""
-    scaled = P_in_F(shape).scaled(2 ** len(tuple(shape)))
-    direct = QSymF(sum(shape), _word_descents(_standard_words(shape, True, True)))
-    if scaled != direct:
-        raise InternalInvariantError(
-            f"Q_in_F routes disagree for shape {tuple(shape)}"
-        )
-    return scaled
+    """Schur-Q function in the F basis: Q = 2^length * P, the sum of F_D over
+    signed standard shifted tableaux with primed diagonals allowed."""
+    return P_in_F(shape).scaled(2 ** len(tuple(shape)))
 
 
 def G_of_peaks(n, peaks) -> QSymG:

@@ -537,25 +537,6 @@ def word_str(w) -> str:
         return ",".join(toks) + ("," if len(toks) == 1 else "")
 
 
-def parse_word(text: str):
-    """Parse a word label: "312" or "3 1 2'" or "10',3,2" forms all accepted.
-
-    In the compact form each letter is one entry with an optional prime."""
-    text = text.strip()
-    if "," in text or " " in text:
-        toks = text.replace(",", " ").split()
-    else:
-        toks = []
-        for ch in text:
-            if ch != "'":
-                toks.append(ch)
-            elif toks and not toks[-1].endswith("'"):
-                toks[-1] += ch
-            else:
-                raise ValueError(f"dangling prime in {text!r}")
-    return tuple(parse_entry(t) for t in toks)
-
-
 def format_tableau(T: Tableau) -> str:
     """Multi-line rendering, top row first; shifted rows are indented by one
     field per row.  Round-trips through parse_tableau."""

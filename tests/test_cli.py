@@ -152,15 +152,7 @@ def test_deg_file_with_too_many_vertices_exits_two(tmp_path, monkeypatch):
 def test_oversized_expand_or_enumerate_exits_two_before_any_work(
     argv, count, monkeypatch
 ):
-    enumerated = []
-    original = tableaux._standard_words
-
-    def recorded(*args):
-        enumerated.append(args)
-        return original(*args)
-
-    for module in (cli, engine, qsym, tableaux):
-        monkeypatch.setattr(module, "_standard_words", recorded)
+    enumerated = count_calls(monkeypatch, "_standard_words")
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count)
     assert run(*argv)[0] == 0
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
@@ -474,14 +466,7 @@ def test_specialize_via_F_or_G_refuses_oversized_tableaux_before_enumerating(
     kind, via, count, monkeypatch
 ):
     # the tableaux of [3,1] that the route's vector reads, as in expand
-    enumerated = []
-    original = tableaux._standard_words
-
-    def recorded(*args):
-        enumerated.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(qsym, "_standard_words", recorded)
+    enumerated = count_calls(monkeypatch, "_standard_words")
     monkeypatch.setattr(engine, "MAX_GROUND_OBJECTS", count - 1)
     code, out, err = run("specialize", "--kind", kind, "--shape", "[3,1]",
                          "--vars", "1", "--via", via)

@@ -11,11 +11,11 @@ from dualeq.core import (
     partitions_of,
     peak_of,
     peak_sets,
-    spike_of,
     strict_partitions_of,
     subset_str,
 )
 from test_window_pass import restrict_descents, restrict_peaks
+from test_word_layer import spike_of
 
 
 def fib(n):

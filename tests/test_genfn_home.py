@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from test_sweep_layers import ref_word_descents
 from test_window_reads import window_genfn
 
 from dualeq.cli import _expansion_summary
@@ -28,7 +29,6 @@ from dualeq.qsym import (
     P_in_G,
     QSymF,
     QSymG,
-    _word_descents,
     expand,
     expand_in_P,
     expand_in_schur,
@@ -42,7 +42,7 @@ def ref_P_in_G(shape):
     shape = tuple(shape)
     least = max(len(shape) - 1, 0)
     acc = Counter()
-    for D, c in _word_descents(_standard_words(shape, True)).items():
+    for D, c in ref_word_descents(_standard_words(shape, True)).items():
         P = peak_of(D)
         acc[P] += c * 2 ** (len(P) - least)
     return QSymG(sum(shape), acc)

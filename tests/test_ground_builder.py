@@ -11,7 +11,6 @@ from dualeq.core import (
     InternalInvariantError,
     partitions_of,
     peak_of,
-    spike_of,
     strict_partitions_of,
 )
 from dualeq.engine import (
@@ -36,6 +35,7 @@ from dualeq.tableaux import (
     tableau,
     word_str,
 )
+from test_word_layer import spike_of
 
 
 def descent_set_tab(T):

@@ -3,17 +3,17 @@ from itertools import permutations, product
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from dualeq.core import peak_of, spike_of, strict_partitions_of, partitions_of
+from dualeq.core import peak_of, strict_partitions_of, partitions_of
 from dualeq.involutions import b, b_tab, d, d_tab, phi, psi
 from dualeq.tableaux import (
     descent_set_word,
     enumerate_shsyt,
     enumerate_signed_standard,
     enumerate_syt,
-    parse_word,
     reading_word,
     word_str,
 )
+from test_word_layer import parse_word, spike_of
 
 
 def perms(n):

@@ -1,15 +1,16 @@
+import time
 from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from dualeq import qsym
 from dualeq.core import (
     InvalidShapeError,
     is_peak_set,
     partitions_of,
     peak_sets,
-    spike_of,
     strict_partitions_of,
 )
 from dualeq.qsym import (
@@ -31,7 +32,8 @@ from dualeq.qsym import (
     qsymf_specialize,
     schur_in_F,
 )
-from dualeq.tableaux import descent_set_tab, enumerate_signed_standard
+from dualeq.tableaux import _standard_count, descent_set_tab, enumerate_signed_standard
+from test_word_layer import count_calls, spike_of
 
 
 def descent_subsets(n):
@@ -77,16 +79,10 @@ def test_schur_expansion_of_P_three_one():
     assert exp.coeffs == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
 
 
-def test_Q_is_two_power_times_P():
-    for n in range(1, 8):
-        for lam in strict_partitions_of(n):
-            assert Q_in_F(lam) == P_in_F(lam).scaled(2 ** len(lam))
-
-
-def direct_P_in_F(shape):
-    """P_in_F as it was: the descent sets of the signed standard shifted
-    tableaux with unprimed diagonal, enumerated directly."""
-    tabs = enumerate_signed_standard(shape, False)
+def direct_in_F(shape, diagonal_primes):
+    """P_in_F, or Q_in_F with diagonal_primes, as they were: the descent sets
+    of the signed standard shifted tableaux, enumerated directly."""
+    tabs = enumerate_signed_standard(shape, diagonal_primes)
     return QSymF(sum(shape), Counter(map(descent_set_tab, tabs)))
 
 
@@ -95,7 +91,31 @@ def test_P_in_F_equals_the_direct_enumeration(n):
     # P_in_F reads the g_lambda unsigned tableaux' peak sets, the direct
     # route 2^(n - rows) signed variants of each; n = 0 is the empty shape
     for lam in strict_partitions_of(n):
-        assert P_in_F(lam) == direct_P_in_F(lam), lam
+        assert P_in_F(lam) == direct_in_F(lam, False), lam
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_Q_in_F_equals_the_direct_enumeration(n):
+    # Q_in_F is 2^rows P_in_F; the direct route lists 2^n signed variants
+    # of each unsigned tableau, primes on the diagonal too
+    for lam in strict_partitions_of(n):
+        assert Q_in_F(lam) == direct_in_F(lam, True), lam
+
+
+def test_Q_in_F_makes_no_word(monkeypatch):
+    for name in ("_standard_words", "_inverse", "_descent_mask", "InternalInvariantError"):
+        assert not hasattr(qsym, name), name
+    calls = count_calls(monkeypatch, "_standard_words")
+    assert sum(Q_in_F((5, 3, 1)).coeffs.values()) == _standard_count((5, 3, 1), True, True)
+    assert calls == []
+
+
+def test_Q_in_F_of_every_twelve_cell_shape_in_two_seconds():
+    # the signed enumeration took 10 s for (6,4,2) alone
+    start = time.perf_counter()
+    for lam in strict_partitions_of(12):
+        assert sum(Q_in_F(lam).coeffs.values()) == _standard_count(lam, True, True), lam
+    assert time.perf_counter() - start < 2
 
 
 def test_P_schur_positive():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from dualeq import engine, qsym
+from dualeq import engine, qsym, tableaux
 from dualeq.core import _members, partitions_of, peak_of, strict_partitions_of
 from dualeq.engine import (
     _Acc,
@@ -94,7 +94,7 @@ def test_the_vectors_list_no_words(monkeypatch):
     def listed(*args):
         raise AssertionError("a basis vector listed the standard words")
 
-    monkeypatch.setattr(qsym, "_standard_words", listed)
+    monkeypatch.setattr(tableaux, "_standard_words", listed)
     schur_in_F((4, 3, 1))
     P_in_G((6, 4, 2))
 

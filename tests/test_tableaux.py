@@ -21,12 +21,11 @@ from dualeq.tableaux import (
     format_tableau,
     is_standard,
     parse_tableau,
-    parse_word,
     reading_word,
     tableau,
     word_str,
 )
-from test_word_layer import is_valid_tableau
+from test_word_layer import is_valid_tableau, parse_word
 
 
 def hook_count(shape):

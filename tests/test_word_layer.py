@@ -7,7 +7,8 @@ below as the reference, on every word of an exhaustive small range, and
 is_standard with the check_tableau-based definition.  Also: ground_size
 refuses oversized grounds before any enumeration, and the build calls the
 word check (is_standard's core) once per object and _inverse once per
-unsigned word.
+unsigned word.  spike_of and parse_word, which the package no longer
+exports, are kept here as references for the other test files.
 """
 
 import sys
@@ -22,7 +23,6 @@ from dualeq.core import (
     InvalidShapeError,
     is_strict_partition,
     partitions_of,
-    spike_of,
     strict_partitions_of,
 )
 from dualeq.engine import build_ground, ground_size
@@ -32,13 +32,39 @@ from dualeq.tableaux import (
     descent_set_word,
     enumerate_signed_standard,
     is_standard,
-    parse_word,
+    parse_entry,
     reading_word,
     tableau,
     word_str,
 )
 
 # --- the reference: the moves as they were, on a position dict per call ---
+
+
+def spike_of(D, n):
+    """The spike set of a descent set of degree n: the i in {2..n-1} with
+    exactly one of i-1, i in D (i = n is never a spike)."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return frozenset(i for i in range(2, n) if (i - 1 in D) != (i in D))
+
+
+def parse_word(text):
+    """Read a word label back: "312", "3 1 2'" or "10',3,2"; in the compact
+    form each letter is one entry with an optional prime."""
+    text = text.strip()
+    if "," in text or " " in text:
+        toks = text.replace(",", " ").split()
+    else:
+        toks = []
+        for ch in text:
+            if ch != "'":
+                toks.append(ch)
+            elif toks and not toks[-1].endswith("'"):
+                toks[-1] += ch
+            else:
+                raise ValueError(f"dangling prime in {text!r}")
+    return tuple(parse_entry(t) for t in toks)
 
 
 def _positions(w):
@@ -251,6 +277,22 @@ def test_index_errors_are_unchanged(new, ref, i, w):
 ])
 def test_psi_errors_are_unchanged(i, w, shape):
     assert raised(psi, i, w, shape) == raised(psi_ref, i, w, shape)
+
+
+@pytest.mark.parametrize("move, w, shape", [
+    (d, (1, 1, 2), ()),
+    (d, (0, 1, 2), ()),
+    (b, (1, 1, 2, 3), ()),
+    (psi, (1, 1, 2), ((2, 1),)),
+    (phi, (5, 1, 2), ()),
+])
+def test_moves_refuse_a_word_not_of_the_values_one_to_n(move, w, shape):
+    # at i = 2 these once gave 211, 210, 3121, 112' and an IndexError
+    assert raised(move, 2, w, *shape) == (
+        f"{word_str(w)} is not a word of the values 1..{len(w)}, each once"
+    )
+    # the index check still comes first
+    assert raised(move, 9, w, *shape).startswith("index 9 out of range")
 
 
 # --- is_standard ---
