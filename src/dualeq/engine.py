@@ -43,7 +43,13 @@ ints, of a walk (_code_walk) from its rarest labels.  Lemma (vi) and
 find_isomorphism compare codes, lemma (v) and classify_shifted_class look
 for one walk to their target's code (_matching_walk).  _by_type verifies one
 class per code, and the whole ground when that fails, when no code repeats
-or when the ground is one class.
+or when the ground is one class.  Before it, verify_strong on a syt ground
+and verify_shifted on a shsyt ground that holds its shape's entry inherit
+condition (iv) along the corner recursion (_by_corners): below the top index
+the windows are the corner subshapes', so (i)-(iii) are checked whole, (iv)
+on the windows (j, top) only, and each corner entry brings its verdict,
+made once per entry on its own top windows (_VERDICTS); anything but a pass
+is verified as before.
 """
 
 from __future__ import annotations
@@ -157,6 +163,11 @@ class _Statistics(dict):
         stat = peak_of(_members(mask)) if self.peaks else _members(mask)
         stat = self[mask] = self.shared.setdefault(stat, stat)
         return stat
+
+
+# stat kind -> its _Statistics, for the life of the process: a mask's
+# statistic does not depend on the ground, so every build reads one
+_STATISTICS = {DES: _Statistics(DES), PEAK: _Statistics(PEAK)}
 
 
 class DEGround(_Record, frozen=True):
@@ -304,7 +315,7 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
     letters = _packed(n)
     labels = _WordLabels(letters, n, f, signs, range(size))
     rows = [(i, [None] * size) for i in _index_range(stat_kind, n)]
-    stats, of_mask = [None] * size, _Statistics(stat_kind)
+    stats, of_mask = [None] * size, _STATISTICS[stat_kind]
     spreads, by_bits = {}, {}  # a block's sign bits -> its _spread
     find, outside = index_of.get, _outside(desc, labels)
 
@@ -364,6 +375,10 @@ def _materialize(stat_kind, n, words, block, desc, signs=None):
 # tableaux._shape_words holds for the same key
 _SHAPE_TABLES = {}
 
+# (shape, strict) -> (the entry _tableau_ground last made for the key, and
+# per block its corner subshape and the entry it took that block from)
+_MADE_FROM = {}
+
 
 def _tableau_ground(desc) -> DEGround:
     """The ground desc of syt or shsyt, from the entry of its shape: per
@@ -393,8 +408,10 @@ def _tableau_ground(desc) -> DEGround:
         indices = _index_range(stat_kind, n)
         masks = array("q") if n < 64 else []
         tables = {i: array("i") for i in indices[:-1]}
+        made_from = []
         for smaller, start in blocks:
-            sub_masks, sub_tables = entry(smaller)
+            made_from.append((smaller, entry(smaller)))
+            sub_masks, sub_tables = made_from[-1][1]
             masks.extend(sub_masks)
             for i, table in sub_tables.items():
                 tables[i].extend(map(start.__add__, table))
@@ -417,6 +434,7 @@ def _tableau_ground(desc) -> DEGround:
             outside = _outside(f"({kind},{sh},{family})", labels)
             _unsigned_fill(index_of, top, block, place, outside)
         found = _SHAPE_TABLES[sh, strict] = masks, tables
+        _MADE_FROM[sh, strict] = found, tuple(made_from)
         return found
 
     letters, size, _ = _shape_words(shape, strict)
@@ -425,7 +443,7 @@ def _tableau_ground(desc) -> DEGround:
     ints = list(range(size))
     invs = {i: tuple(map(ints.__getitem__, table)) for i, table in tables.items()}
     labels = _WordLabels(letters, sum(shape), 0, None, range(size))
-    stats = tuple(map(_Statistics(stat_kind).__getitem__, masks))
+    stats = tuple(map(_STATISTICS[stat_kind].__getitem__, masks))
     return DEGround(stat_kind, sum(shape), labels, stats, invs, f"({kind},{param},{family})").validate()
 
 
@@ -817,7 +835,118 @@ def _descent_axioms(g: DEGround, system):
     return report, fix, masks
 
 
-def _by_type(verify):
+def _shifted_axioms(g: DEGround, system="shifted"):
+    """The opening of the shifted system, as _descent_axioms is the
+    descent-kind systems': a report, conditions (i) fixed iff no peak at i
+    or i+1, (ii) peak transport and (iii) commutation at distance >= 4
+    checked into it, the fixed-point tables and the statistic masks."""
+    if g.stat_kind != PEAK:
+        raise ValueError("shifted axioms apply to peak-kind grounds")
+    report = VerificationReport(system, g.desc, {})
+    fix, masks = _fix_tables(g), _stat_masks(g)
+    _check_fixed_law(g, report, fix, masks, lambda m, i: not m >> i & 3)
+    _check_peak_transport(g, report, masks)
+    _check_commutation(g, report, 4)
+    return report, fix, masks
+
+
+# system -> (the stat kind of its grounds, its opening, the span of its
+# (iv) windows, and the tableau ground and family its corner route reads)
+_SYSTEMS = {
+    "strong": (DES, _descent_axioms, 3, "syt", "d"),
+    "shifted": (PEAK, _shifted_axioms, 4, "shsyt", "b"),
+}
+
+# (shape, strict, system, literal_peak_window) -> (entry, verdict): whether
+# condition (iv) of the system holds on the ground of the _SHAPE_TABLES
+# entry of (shape, strict), for the life of the process.  A verdict is read
+# only for the entry object it was made from.
+_VERDICTS = {}
+
+# the desc _tableau_ground gives its grounds: (kind,parameter,family)
+_TABLEAU_DESC = re.compile(r"\((syt|shsyt),[(\[]([\d, ]*)[)\]],(d|b)\)")
+
+
+def _holds_entry(g: DEGround, entry):
+    """Whether g's tables and statistics are those of the entry."""
+    from array import array
+
+    masks, tables = entry
+    if len(masks) != g.size or g.invs.keys() != tables.keys():
+        return False
+    if any(table != array(table.typecode, g.invs[i]) for i, table in tables.items()):
+        return False
+    return g.stats == tuple(map(_STATISTICS[g.stat_kind].__getitem__, masks))
+
+
+def _verdict(key, entry, g=None, masks=None):
+    """Whether condition (iv) of the system holds on the ground of entry,
+    the entry of (shape, strict), key being (shape, strict, system,
+    literal): the entry made by _tableau_ground from corner entries whose
+    verdicts are passes, and every class of every window (j, top) of the
+    ground, top its last index, a unit.  g is that ground, masks its
+    statistic masks; by default a view of the entry, read once per entry
+    (_VERDICTS): its labels a range, its tables the entry's arrays, and no
+    words, no statistic tuple and no validate()."""
+    shape, strict, system, literal = key
+    stat_kind, _, span, kind, family = _SYSTEMS[system]
+    if g is None:
+        held = _VERDICTS.get(key)
+        if held is not None and held[0] is entry:
+            return held[1]
+        of_mask, (stats, tables) = _STATISTICS[stat_kind], entry
+        statistic = {m: _mask(of_mask[m]) for m in set(stats)}
+        masks = list(map(statistic.__getitem__, stats))
+        g = DEGround(stat_kind, sum(shape), range(len(stats)), None, tables,
+                     f"({kind},{shape},{family})")
+    made = _MADE_FROM.get((shape, strict))
+    held = made is not None and made[0] is entry and all(
+        _verdict((sub, strict, system, literal), sub_entry) for sub, sub_entry in made[1]
+    )
+    if held:
+        R = g.index_range()
+        windows = [(j, i) for i in R[-1:] for j in R if 1 <= i - j <= span]
+        held = all(
+            _expansion_detail(g, "unit", vector) is None
+            for _, _, _, vectors, _ in _window_classes(g, windows, masks, literal)
+            for vector in set(vectors)
+        )
+    _VERDICTS[key] = entry, held
+    return held
+
+
+def _by_corners(g: DEGround, system, literal=False):
+    """The report of the system's verifier on g when g's condition (iv) is
+    inherited along the corner recursion, else None.
+
+    g qualifies when its desc names a shape whose _SHAPE_TABLES entry holds
+    g's tables and statistics.  Below its top index, that entry's tables are
+    those of the corner entries it was made from (_MADE_FROM), and its masks
+    theirs but for bit n-1, which no window below the top reads, not even
+    as peak n-1.  So a window (j, i), i below the top, has the classes and
+    the window vectors of the corner subshapes' windows (j, i): (iv) holds
+    there exactly when it holds on every corner subshape, the locality dual
+    equivalence rests on (Haiman).  The route checks (i)-(iii) whole and
+    (iv) by _verdict, on g's windows (j, top) only, and returns g's report
+    when all pass.  Anything else is None, and the caller verifies as
+    before, so a failure's witnesses and counts are always the whole
+    ground's."""
+    stat_kind, opening, _, kind, family = _SYSTEMS[system]
+    named = _TABLEAU_DESC.fullmatch(g.desc) if isinstance(g.desc, str) else None
+    if g.stat_kind != stat_kind or named is None or named.group(1, 3) != (kind, family):
+        return None
+    shape, strict = tuple(map(int, re.findall(r"\d+", named[2]))), stat_kind == PEAK
+    entry = _SHAPE_TABLES.get((shape, strict))
+    if entry is None or g.n != sum(shape) or not _holds_entry(g, entry):
+        return None
+    report, _, masks = opening(g, system)
+    if not (report.passed and _verdict((shape, strict, system, literal), entry, g, masks)):
+        return None
+    report.results["iv"], report.counts["iv"] = True, 0
+    return report
+
+
+def _by_type(verify, route=None):
     """verify(g, ...) run once per type of class of g where it can be.
 
     Every condition reads one class at a time, and its verdict on a class
@@ -830,10 +959,14 @@ def _by_type(verify):
     all differ.  One walk per class finds it and is followed by its code
     walks; a connected ground's first walk finds the whole ground, and it
     is coded no further.  Codes go before the representatives are
-    verified."""
+    verified.  A route, taking verify's arguments, goes first: a report it
+    gives stands (verify_strong's and verify_shifted's, _by_corners)."""
 
     @wraps(verify)
     def by_type(g: DEGround, *args, **kwargs) -> VerificationReport:
+        report = route(g, *args, **kwargs) if route else None
+        if report is not None:
+            return report
         tables = [g.invs[i] for i in g.index_range()]
         walks = _walks(g.size, tables, [-1] * g.size)
         first, types, count = next(walks, ()), {}, 0  # code -> its first class
@@ -854,12 +987,21 @@ def _by_type(verify):
     return by_type
 
 
-@_by_type
+def _strong_route(g: DEGround):
+    return _by_corners(g, "strong")
+
+
+def _shifted_route(g: DEGround, literal_peak_window=False):
+    return _by_corners(g, "shifted", literal_peak_window)
+
+
+@partial(_by_type, route=_strong_route)
 def verify_strong(g: DEGround) -> VerificationReport:
     """Check the descent-kind strong axioms: (i) fixed-point law, (ii) descent
     transport, (iii) commutation at distance >= 3, (iv) every class restricted
     to a window of 2-4 consecutive involutions has a single-Schur generating
-    function."""
+    function.  A syt ground inherits (iv) below its top index (_by_corners);
+    __wrapped__ checks every window."""
     report, _, masks = _descent_axioms(g, "strong")
     _check_unit_windows(g, report, masks, 3)
     return report
@@ -934,19 +1076,15 @@ def verify_weak(g: DEGround) -> VerificationReport:
     return report
 
 
-@_by_type
+@partial(_by_type, route=_shifted_route)
 def verify_shifted(g: DEGround, literal_peak_window=False) -> VerificationReport:
     """Check the peak-kind axioms: (i) fixed iff no peak at i or i+1,
     (ii) peak transport i -> i+1 with far peaks untouched, (iii) commutation
     at distance >= 4, (iv) every class restricted to a window of 2-5
-    consecutive involutions has a unit Schur-P generating function."""
-    if g.stat_kind != PEAK:
-        raise ValueError("shifted axioms apply to peak-kind grounds")
-    report = VerificationReport("shifted", g.desc, {})
-    fix, masks = _fix_tables(g), _stat_masks(g)
-    _check_fixed_law(g, report, fix, masks, lambda m, i: not m >> i & 3)
-    _check_peak_transport(g, report, masks)
-    _check_commutation(g, report, 4)
+    consecutive involutions has a unit Schur-P generating function.  A shsyt
+    ground inherits (iv) below its top index (_by_corners); __wrapped__
+    checks every window."""
+    report, _, masks = _shifted_axioms(g)
     _check_unit_windows(g, report, masks, 4, literal_peak_window)
     return report
 

@@ -226,9 +226,10 @@ def expand_in_P(g: QSymG):
 
 
 def schur_in_F(shape) -> QSymF:
-    """Schur function s_shape as a sum of F_D over standard Young tableaux."""
-    n, masks = sum(shape), _descent_masks(shape, False)
-    return QSymF(n, {_members(m): c for m, c in masks.items()})
+    """Schur function s_shape as a sum of F_D over standard Young tableaux;
+    _descent_masks checks the shape before it is summed."""
+    masks = _descent_masks(shape, False)
+    return QSymF(sum(shape), {_members(m): c for m, c in masks.items()})
 
 
 def P_in_F(shape) -> QSymF:

@@ -105,10 +105,14 @@ def test_an_entry_holds_few_bytes_per_object(no_entries):
     # what stays once the ground is dropped is its words, one byte a
     # letter, its masks, 8 bytes each, and an int32 per index: not a word
     # tuple (about 180 bytes) nor a table of int objects.  A full collection
-    # empties the free lists, which keep up to 2,000 dropped tuples a size
+    # empties the free lists, which keep up to 2,000 dropped tuples a size.
+    # The statistic of each of the shape's masks is looked up first: the
+    # process keeps one per distinct mask, beside the entries, not in them
     lam = (8, 5, 2)
     for _, sub in tableaux._corners(lam, True):
         build_ground(("shsyt", sub, "b"))
+    for mask in tableaux._descent_masks(lam, True):
+        engine._STATISTICS[engine.PEAK][mask]
     tracemalloc.start()
     try:
         gc.collect()

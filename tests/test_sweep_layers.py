@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from dualeq import engine, qsym, tableaux
-from dualeq.core import _members, partitions_of, peak_of, strict_partitions_of
+from dualeq.core import InvalidShapeError, _members, partitions_of, peak_of, strict_partitions_of
 from dualeq.engine import (
     _Acc,
     build_ground,
@@ -31,7 +31,7 @@ from dualeq.engine import (
     verify_strong,
     verify_weak,
 )
-from dualeq.qsym import G_of_peaks, P_in_G, QSymF, schur_in_F
+from dualeq.qsym import G_of_peaks, P_in_F, P_in_G, Q_in_F, QSymF, schur_in_F
 from dualeq.tableaux import _descent_mask, _descent_masks, _inverse, _standard_words
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -108,11 +108,14 @@ def raised(f, shape):
 
 
 @pytest.mark.parametrize("shape", [
-    (1, 2), (2, 2, 3), (0,), (2, 0), (-1,), (1.5,), ("a",), (3, -1),
+    (1, 2), (2, 2, 3), (0,), (2, 0), (-1,), (1.5,), ("a",), (2, "x"), (3, -1),
 ])
 def test_bad_shapes_raise_as_before(shape):
-    assert raised(schur_in_F, shape) == raised(ref_schur_in_F, shape)
+    # the shape is checked before it is summed: no maker raises a TypeError
+    assert raised(schur_in_F, shape) == (InvalidShapeError, f"not a partition: {shape}")
     assert raised(P_in_G, shape) == raised(ref_P_in_G, shape)
+    for maker in (P_in_G, P_in_F, Q_in_F):
+        assert raised(maker, shape) == (InvalidShapeError, f"not a strict partition: {shape}")
 
 
 def test_repeated_parts_are_refused_for_P_only():
